@@ -16,11 +16,11 @@ import numpy as np
 
 from .harmonics import (
     SpectralField,
+    _mode_weights,
     basis_eigenvalues,
     gauss_legendre_grid,
     grid_integral,
     inner_h,
-    mode_degrees,
     norm_h,
     scalar_synthesis,
     vector_synthesis,
@@ -59,9 +59,7 @@ def l4_norm(field: SpectralField, ctx: OperatorContext | None = None) -> float:
 def norms(field: SpectralField, ctx: OperatorContext) -> dict:
     """H (Parseval), V = |A^{1/2}.|, DA = |A.|, L4 (grid quadrature)."""
     lam_b = basis_eigenvalues(field.lmax)
-    _, ms = mode_degrees(field.lmax)
-    wm = np.where(ms == 0, 1.0, 2.0)
-    c2 = np.abs(field.coeffs) ** 2 * wm
+    c2 = np.abs(field.coeffs) ** 2 * _mode_weights(field.lmax)
     if field.kind == "stream":
         c2 = c2 * lam_b
     if field.lmax == ctx.lmax:
@@ -117,18 +115,21 @@ class EnergyLedger:
 
     def record_state(self, t: float, v: SpectralField, z: SpectralField,
                      F: SpectralField, ctx: OperatorContext) -> None:
-        nv = norms(v, ctx)
-        u = SpectralField(v.lmax, v.coeffs + z.coeffs, "stream")
-        self.append_row(
-            t=t,
-            v_h2=nv["H"] ** 2, v_v2=nv["V"] ** 2, av2=nv["DA"] ** 2,
-            b_vvz=trilinear_b(v, v, z, ctx),
-            f_v=inner_h(F, v),
-            F_h2=norm_h(F) ** 2,
-            z_h2=norm_h(z) ** 2,
-            z_v2=norms(z, ctx)["V"] ** 2,
-            u_l4=l4_norm(u, ctx),
-        )
+        # a state near blow-up can overflow a squared norm; append_row
+        # rejects the non-finite entry, so the overflow itself stays silent
+        with np.errstate(over="ignore", invalid="ignore"):
+            nv = norms(v, ctx)
+            u = SpectralField(v.lmax, v.coeffs + z.coeffs, "stream")
+            self.append_row(
+                t=t,
+                v_h2=nv["H"] ** 2, v_v2=nv["V"] ** 2, av2=nv["DA"] ** 2,
+                b_vvz=trilinear_b(v, v, z, ctx),
+                f_v=inner_h(F, v),
+                F_h2=norm_h(F) ** 2,
+                z_h2=norm_h(z) ** 2,
+                z_v2=norms(z, ctx)["V"] ** 2,
+                u_l4=l4_norm(u, ctx),
+            )
 
     def series(self, name: str) -> np.ndarray:
         return np.asarray(self.data[name], dtype=np.float64)
@@ -177,14 +178,6 @@ class InequalityReport:
     """Worst case (largest ratio) of each monitored inequality."""
 
     checks: dict
-
-    def csv_lines(self) -> list[str]:
-        lines = ["check,lhs,rhs,ratio,input_id"]
-        for name in CHECKS:
-            c = self.checks[name]
-            lines.append(f"{name},{c['lhs']:.17g},{c['rhs']:.17g},"
-                         f"{c['ratio']:.17g},{c['input_id']}")
-        return lines
 
 
 def _worst(rows: list) -> dict:

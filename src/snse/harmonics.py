@@ -25,6 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "ParameterError",
     "QuadratureGrid",
     "SpectralField",
     "GridField",
@@ -33,6 +34,7 @@ __all__ = [
     "mode_degrees",
     "basis_eigenvalues",
     "gauss_legendre_grid",
+    "min_grid",
     "eval_ylm",
     "scalar_analysis",
     "scalar_synthesis",
@@ -47,6 +49,15 @@ __all__ = [
     "unit_stream_mode",
     "random_stream_field",
 ]
+
+
+class ParameterError(ValueError):
+    """A constructor argument outside its domain; param names the argument,
+    so a caller that knows where the value came from can point there."""
+
+    def __init__(self, param: str, message: str):
+        super().__init__(message)
+        self.param = param
 
 
 def n_modes(lmax: int) -> int:
@@ -102,13 +113,23 @@ class QuadratureGrid:
 
     def resolves_product(self, lmax: int) -> bool:
         """2/3-rule check: quadratic products of band limit lmax are exact."""
-        return 2 * self.n_lat - 1 >= 3 * lmax and self.n_lon >= 3 * lmax + 1
+        n_lat, n_lon = min_grid(lmax, dealias=True)
+        return self.n_lat >= n_lat and self.n_lon >= n_lon
+
+
+def min_grid(lmax: int, dealias: bool = False) -> tuple[int, int]:
+    """Smallest (n_lat, n_lon) resolving band limit lmax exactly; with
+    dealias, also its quadratic products (2/3 rule: 2 n_lat - 1 >= 3 lmax)."""
+    if dealias:
+        return (3 * lmax + 2) // 2, 3 * lmax + 1
+    return lmax + 1, 2 * lmax + 1
 
 
 @lru_cache(maxsize=None)
 def gauss_legendre_grid(n_lat: int, n_lon: int) -> QuadratureGrid:
-    if n_lat < 1 or n_lon < 1:
-        raise ValueError("n_lat and n_lon must be >= 1")
+    for name, count in (("n_lat", n_lat), ("n_lon", n_lon)):
+        if count < 1:
+            raise ParameterError(name, f"{name} = {count} must be >= 1")
     mu, w = np.polynomial.legendre.leggauss(n_lat)
     theta = np.arccos(mu)
     for a in (mu, w, theta):
@@ -311,10 +332,11 @@ def _analyze_half(values: np.ndarray, lmax: int) -> np.ndarray:
 
 
 def _require_resolution(grid: QuadratureGrid, lmax: int):
-    if grid.n_lat < lmax + 1 or grid.n_lon < 2 * lmax + 1:
+    n_lat, n_lon = min_grid(lmax)
+    if grid.n_lat < n_lat or grid.n_lon < n_lon:
         raise ValueError(
             f"grid ({grid.n_lat} x {grid.n_lon}) under-resolves band limit "
-            f"{lmax}; need n_lat >= {lmax + 1}, n_lon >= {2 * lmax + 1}"
+            f"{lmax}; need n_lat >= {n_lat}, n_lon >= {n_lon}"
         )
 
 
@@ -452,7 +474,8 @@ def unit_stream_mode(lmax: int, l: int, m: int = 0, phase: complex = 1.0) -> Spe
     the conjugate pair, so each of the two slots carries lam^{-1/2}/sqrt(2).
     """
     if not (1 <= l <= lmax) or not (0 <= m <= l):
-        raise ValueError("need 1 <= l <= lmax and 0 <= m <= l")
+        raise ValueError(f"mode (l = {l}, m = {m}) outside 1 <= l <= lmax = "
+                         f"{lmax}, 0 <= m <= l")
     c = np.zeros(n_modes(lmax), dtype=np.complex128)
     lam = l * (l + 1.0)
     amp = lam ** -0.5 if m == 0 else lam ** -0.5 / math.sqrt(2.0)

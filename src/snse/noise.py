@@ -23,12 +23,12 @@ bitwise regardless of scheduling or worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .harmonics import mode_degrees, n_modes
+from .harmonics import ParameterError, _mode_weights, mode_degrees, n_modes
 
 __all__ = [
     "NoiseSpec",
@@ -135,15 +135,19 @@ class NoiseSpec:
 
     def __post_init__(self):
         if not (0.0 < self.beta <= 2.0):
-            raise ValueError("beta must lie in (0, 2]")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
-        if self.n_substeps < 1:
-            raise ValueError("n_substeps must be >= 1")
-        if self.lmax < 1:
-            raise ValueError("lmax must be >= 1")
+            raise ParameterError("beta", f"beta = {self.beta:g} must lie in (0, 2]")
         if isinstance(self.sigma_rule, str):
-            object.__setattr__(self, "sigma_rule", parse_sigma_rule(self.sigma_rule))
+            try:
+                rule = parse_sigma_rule(self.sigma_rule)
+            except ValueError as err:
+                raise ParameterError("sigma_rule", str(err)) from None
+            object.__setattr__(self, "sigma_rule", rule)
+        if not self.delta >= 0:
+            raise ParameterError("delta", f"delta = {self.delta:g} must be >= 0")
+        if self.n_substeps < 1:
+            raise ParameterError("n_substeps", "n_substeps must be >= 1")
+        if self.lmax < 1:
+            raise ParameterError("lmax", f"lmax = {self.lmax} must be >= 1")
 
     def sigma_per_mode(self) -> np.ndarray:
         ls, _ = mode_degrees(self.lmax)
@@ -255,10 +259,16 @@ def check_summability(spec: NoiseSpec, delta: float, *,
     value is the partial sum to l_star; converged means the estimated tail
     is below tol relative to the sum.  include_multiplicity=False sums one
     term per degree (the default used for run validation); True weights
-    each degree by its (2l+1) mode count.
+    each degree by its (2l+1) mode count.  The verdict is computed once per
+    process for each distinct argument set; every call returns a fresh dict.
     """
-    beta, rule = spec.beta, spec.sigma_rule
+    return dict(_summability(spec.sigma_rule, spec.beta, delta,
+                             include_multiplicity, l_star, tol))
 
+
+@lru_cache(maxsize=None)
+def _summability(rule: SigmaRule, beta: float, delta: float,
+                 include_multiplicity: bool, l_star: int, tol: float) -> dict:
     def term(l: np.ndarray) -> np.ndarray:
         lam = l * (l + 1.0)
         t = np.abs(rule(l)) ** beta * lam ** (beta * delta)
@@ -307,7 +317,7 @@ def moment_scaling_estimate(spec: NoiseSpec, delta: float, p: float,
     ls, ms = mode_degrees(spec.lmax)
     lam = (ls * (ls + 1.0)).astype(float)
     weight = spec.sigma_rule(ls) * np.where(ls >= 1, lam, 1.0) ** delta
-    wm = np.where(ms == 0, 1.0, 2.0)
+    wm = _mode_weights(spec.lmax)
     wm[0] = 0.0
     out = []
     for i, t in enumerate(t_list):

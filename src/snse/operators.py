@@ -28,12 +28,14 @@ import numpy as np
 
 from .harmonics import (
     GridField,
+    ParameterError,
     QuadratureGrid,
     SpectralField,
     basis_eigenvalues,
     gauss_legendre_grid,
     gradient_synthesis,
     grid_integral,
+    min_grid,
     mode_degrees,
     n_modes,
     scalar_analysis,
@@ -58,16 +60,15 @@ SPECTRA = ("paper", "ricci_shifted")
 
 
 def product_grid(lmax: int) -> QuadratureGrid:
-    """Smallest grid that dealiases quadratic products at band limit lmax
-    (2/3 rule): n_lat >= (3 lmax + 1)/2, n_lon >= 3 lmax + 1."""
-    return gauss_legendre_grid((3 * lmax + 2) // 2, 3 * lmax + 1)
+    """Smallest grid that dealiases quadratic products at band limit lmax."""
+    return gauss_legendre_grid(*min_grid(lmax, dealias=True))
 
 
 @dataclass
 class OperatorContext:
     """Shared immutable context: band limit, physical constants, product grid.
 
-    dealias=True requires the grid to satisfy the 2/3 rule for lmax.
+    The grid must resolve lmax; dealias=True further requires the 2/3 rule.
     """
 
     lmax: int
@@ -82,19 +83,22 @@ class OperatorContext:
 
     def __post_init__(self):
         if self.lmax < 1:
-            raise ValueError("lmax must be >= 1")
-        if self.nu <= 0:
-            raise ValueError("viscosity must be positive")
+            raise ParameterError("lmax", f"lmax = {self.lmax} must be >= 1")
+        if not self.nu > 0:
+            raise ParameterError("nu", f"nu = {self.nu:g} must be positive")
         if self.spectrum not in SPECTRA:
-            raise ValueError(f"spectrum must be one of {SPECTRA}")
+            raise ParameterError("spectrum", f"spectrum must be one of "
+                                 f"{', '.join(SPECTRA)}, got {self.spectrum!r}")
         if self.grid is None:
             self.grid = product_grid(self.lmax)
-        if self.dealias and not self.grid.resolves_product(self.lmax):
-            raise ValueError(
-                f"dealiasing requires n_lat >= {(3 * self.lmax + 2) // 2} and "
-                f"n_lon >= {3 * self.lmax + 1}, got "
-                f"{self.grid.n_lat} x {self.grid.n_lon}"
-            )
+        n_lat, n_lon = min_grid(self.lmax, self.dealias)
+        task = ("dealias quadratic products" if self.dealias
+                else "resolve the band limit")
+        for name, least in (("n_lon", n_lon), ("n_lat", n_lat)):
+            have = getattr(self.grid, name)
+            if have < least:
+                raise ParameterError(name, f"{name} = {have} cannot {task} at "
+                                     f"lmax = {self.lmax} (needs ≥ {least})")
         lam = basis_eigenvalues(self.lmax)
         self.lam_basis = lam
         if self.spectrum == "paper":

@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harmonics import SpectralField, basis_eigenvalues, mode_degrees, n_modes, zero_field
+from .harmonics import (ParameterError, SpectralField, _mode_weights,
+                        basis_eigenvalues, mode_degrees, n_modes, zero_field)
 from .noise import (
     PURPOSE_MC,
     PURPOSE_SUBSTEP,
@@ -85,11 +86,11 @@ def make_ou_state(ctx: OperatorContext, alpha: float = 0.0, *,
                   include_coriolis: bool = True,
                   z0: SpectralField | None = None, t0: float = 0.0) -> OUState:
     if alpha < 0:
-        raise ValueError("alpha must be >= 0")
+        raise ParameterError("alpha", f"alpha = {alpha:g} must be >= 0")
     kappa = decay_rates(ctx, alpha, include_coriolis)
     if np.any(kappa[1:].real <= 0.0):
-        raise ValueError("every mode must decay: Re kappa > 0 required on l >= 1 "
-                         "(a spectrum with a zero eigenvalue needs alpha > 0)")
+        raise ParameterError("alpha", "every mode must decay: Re kappa > 0 on "
+                             f"l >= 1 (spectrum = {ctx.spectrum} needs alpha > 0)")
     if z0 is None:
         z0 = zero_field(ctx.lmax, "stream")
     if z0.kind != "stream" or z0.lmax != ctx.lmax:
@@ -185,8 +186,7 @@ def ou_endpoint_ensemble(spec: NoiseSpec, alpha: float, t: float, n_paths: int, 
 def h_norm2_batch(coeffs: np.ndarray, lmax: int, weight_exponent: float = 0.0) -> np.ndarray:
     """|z|_H^2 (weight_exponent = 0) or |A^s z|_H^2 over the last axis."""
     lam = basis_eigenvalues(lmax)
-    _, ms = mode_degrees(lmax)
-    w = np.where(ms == 0, 1.0, 2.0) * lam
+    w = _mode_weights(lmax) * lam
     if weight_exponent != 0.0:
         w = w * np.where(lam > 0, lam, 1.0) ** (2.0 * weight_exponent)
     return (np.abs(coeffs) ** 2 * w).sum(axis=-1)
@@ -340,8 +340,7 @@ def sup_norm_growth(spec: NoiseSpec, delta: float, p: float, T_list, n_paths: in
     if spec.beta < 2.0 and not (0.0 < p < spec.beta):
         raise ValueError("p < beta required: higher moments are infinite")
     lam = basis_eigenvalues(spec.lmax)
-    _, ms = mode_degrees(spec.lmax)
-    w = np.where(ms == 0, 1.0, 2.0) * lam * np.where(lam > 0, lam, 1.0) ** (2.0 * delta)
+    w = _mode_weights(spec.lmax) * lam * np.where(lam > 0, lam, 1.0) ** (2.0 * delta)
     g = _mode_gain(spec)
     kappa = nu * lam + alpha
     estimates = []

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diagnostics import EnergyLedger, norms
-from .harmonics import SpectralField, basis_eigenvalues, mode_degrees, zero_field
+from .harmonics import (ParameterError, SpectralField, _mode_weights,
+                        basis_eigenvalues, zero_field)
 from .noise import NoiseSpec, check_summability
 from .operators import OperatorContext, nonlinear_B
 from .ou import OUState, decay_rates, make_ou_state, ou_step
@@ -31,6 +32,7 @@ __all__ = [
     "SolverConfig",
     "SimState",
     "SimResult",
+    "StepFailure",
     "BlowUpError",
     "ContractionError",
     "effective_force",
@@ -46,18 +48,35 @@ DIAGNOSTIC_COLUMNS = ("t", "norm_H", "norm_V", "norm_DA", "norm_L4_u",
                       "int_V2", "int_bvvz", "int_Fv")
 
 
-class BlowUpError(RuntimeError):
+class StepFailure(RuntimeError):
+    """A step could not be completed.
+
+    t is the time the step was to reach, state the last good SimState and
+    result the partial SimResult when raised by run(); each subclass names
+    its failure in reports by status.
+    """
+
+    def __init__(self, message: str, t: float, state=None):
+        super().__init__(message)
+        self.t = t
+        self.state = state
+        self.result = None
+
+
+class BlowUpError(StepFailure):
     """Coefficients left the representable range during a step."""
 
-    def __init__(self, t: float, state=None, result=None):
-        super().__init__(f"solution blew up at t = {t:.6g}: non-finite coefficients")
-        self.t = t
-        self.state = state      # last finite SimState
-        self.result = result    # partial SimResult when raised by run()
+    status = "BLOW-UP"
+
+    def __init__(self, t: float, state=None):
+        super().__init__(f"solution blew up at t = {t:.6g}: non-finite "
+                         "coefficients", t, state)
 
 
-class ContractionError(RuntimeError):
-    pass
+class ContractionError(StepFailure):
+    """The Picard iteration of a step did not contract."""
+
+    status = "NO CONTRACTION"
 
 
 @dataclass
@@ -80,34 +99,41 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.lmax < 1:
-            raise ValueError("lmax must be >= 1")
+            raise ParameterError("lmax", f"lmax = {self.lmax} must be >= 1")
+        if not self.nu > 0:
+            raise ParameterError("nu", f"nu = {self.nu:g} must be positive")
+        if not self.alpha >= 0:
+            raise ParameterError("alpha", f"alpha = {self.alpha:g} must be >= 0")
         if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must be >= dt")
-        if self.nu <= 0:
-            raise ValueError("nu must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+            raise ParameterError("dt", f"dt = {self.dt:g} must be positive")
+        if not self.t_end > 0:
+            raise ParameterError("t_end", f"t_end = {self.t_end:g} must be positive")
+        if not self.t_end >= self.dt:
+            raise ParameterError("t_end", f"t_end = {self.t_end!r} must be "
+                                 f">= dt = {self.dt!r}")
+        steps = self.t_end / self.dt
+        if not (math.isfinite(steps)
+                and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise ParameterError("t_end", f"t_end = {self.t_end:g} is not an "
+                                 f"integer multiple of dt = {self.dt:g}")
         if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
+            raise ParameterError("scheme", f"scheme must be one of "
+                                 f"{', '.join(SCHEMES)}, got {self.scheme!r}")
         if not self.picard_tol > 0:
-            raise ValueError("picard_tol must be positive")
+            raise ParameterError("picard_tol", "picard_tol must be positive")
         if self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be >= 1")
-        n = round(self.t_end / self.dt)
-        if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * max(self.t_end, 1.0):
-            raise ValueError("t_end must be an integer multiple of dt")
-        for name in ("f", "v0"):
+            raise ParameterError("picard_max_iter", "picard_max_iter must be >= 1")
+        for name in ("v0", "f"):
             fld = getattr(self, name)
             if fld is None:
                 continue
             if fld.kind != "stream":
-                raise ValueError(f"{name} must be a stream-function field")
+                raise ParameterError(name, f"{name} must be a stream-function field")
             if fld.lmax != self.lmax:
-                raise ValueError(f"{name} lmax {fld.lmax} != config lmax {self.lmax}")
+                raise ParameterError(name, f"{name} lmax {fld.lmax} != config "
+                                     f"lmax {self.lmax}")
             if not np.all(np.isfinite(fld.coeffs)):
-                raise ValueError(f"{name} has non-finite coefficients")
+                raise ParameterError(name, f"{name} has non-finite coefficients")
 
     @property
     def n_steps(self) -> int:
@@ -159,8 +185,7 @@ def _v_decay_factor(ctx: OperatorContext, nu: float, dt: float) -> np.ndarray:
 
 def _v_norm_of(coeffs: np.ndarray, ctx: OperatorContext) -> float:
     lam_b = basis_eigenvalues(ctx.lmax)
-    _, ms = mode_degrees(ctx.lmax)
-    wm = np.where(ms == 0, 1.0, 2.0)
+    wm = _mode_weights(ctx.lmax)
     return float(np.sqrt((wm * lam_b * ctx.lam_stokes * np.abs(coeffs) ** 2).sum()))
 
 
@@ -202,8 +227,8 @@ def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec, rng,
             else:
                 raise ContractionError(
                     f"Picard iteration did not contract within "
-                    f"{cfg.picard_max_iter} iterations at t = {state.t:.6g}; "
-                    f"reduce dt")
+                    f"{cfg.picard_max_iter} iterations in the step to "
+                    f"t = {state.t + dt:.6g}; reduce dt", state.t + dt, state)
             v_next = w
     _require_finite(v_next, state.t + dt, state)
     return SimState(t=state.t + dt, v=SpectralField(cfg.lmax, v_next, "stream"),
@@ -287,9 +312,9 @@ def run(cfg: SolverConfig, spec: NoiseSpec, seed: int | None = None, *,
     seed overrides spec.seed; snapshot_every > 0 stores (t, v, z)
     coefficient snapshots every that many steps (plus the endpoint).
     ctx supplies a pre-built operator context (custom quadrature grid);
-    its lmax / nu / omega / spectrum must agree with cfg.  Blow-up aborts
-    with the partial result and last finite state attached to the raised
-    error.
+    its lmax / nu / omega / spectrum must agree with cfg.  A failed step
+    (blow-up, or a Picard iteration that does not contract) aborts with the
+    partial result and last good state attached to the raised error.
     """
     if spec.lmax != cfg.lmax:
         raise ValueError(f"noise lmax {spec.lmax} != config lmax {cfg.lmax}")
@@ -330,7 +355,7 @@ def run(cfg: SolverConfig, spec: NoiseSpec, seed: int | None = None, *,
                 # coefficients can stay representable while a recorded
                 # quantity (|u|^4, squared norms) overflows: same policy
                 raise BlowUpError(state.t, state=prev) from err
-        except BlowUpError as err:
+        except StepFailure as err:
             err.result = result
             if snapshot_every > 0 and err.state is not None:
                 snap(err.state)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from snse.cli import (ConfigError, DIAGNOSTICS_HEADER, build_field, main,
                       parse_config, path_seed, read_snapshot, run_experiment,
                       write_snapshot)
+from snse.diagnostics import CHECKS
 from snse.harmonics import n_modes, norm_h
 from snse.noise import NoiseSpec
 from snse.solver import run
@@ -136,14 +138,20 @@ def test_dealias_grid_constraint(tmp_path):
     with pytest.raises(ConfigError, match="needs ≥ 49") as err:
         parse_config(path, mode="simulate")
     assert ":4:" in str(err.value)
-    # same grid accepted once dealiasing is off
+    # a grid that resolves lmax but does not dealias is accepted once
+    # dealiasing is off; one that cannot even resolve lmax is not
     relaxed = path.replace("cfg.ini", "relaxed.ini")
     with open(path) as fh:
-        body = fh.read()
+        body = fh.read().replace("n_lat = 40", "n_lat = 40\ndealias = false")
     with open(relaxed, "w") as fh:
-        fh.write(body.replace("n_lat = 40", "n_lat = 40\ndealias = false"))
+        fh.write(body.replace("n_lon = 32", "n_lon = 40"))
     cfg = parse_config(relaxed, mode="simulate")
-    assert cfg.n_lon == 32 and cfg.dealias is False
+    assert cfg.n_lon == 40 and cfg.dealias is False
+    with open(relaxed, "w") as fh:
+        fh.write(body)
+    with pytest.raises(ConfigError, match="needs ≥ 33") as err:
+        parse_config(relaxed, mode="simulate")
+    assert ":5:" in str(err.value)
     # latitude count has its own floor: 2 n_lat - 1 >= 3 lmax
     short = write_cfg(tmp_path, """\
         [model]
@@ -368,6 +376,123 @@ def test_blow_up_exit_code_and_partial_artifacts(tmp_path):
         assert all(math.isfinite(float(x)) for x in line.split(","))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_blow_up_is_silent(tmp_path, capsys):
+    # the overflow of a norm near blow-up becomes the blow-up verdict, not
+    # a warning on stderr
+    path = write_cfg(tmp_path, """\
+        [model]
+        lmax = 8
+        nu = 0.001
+        [time]
+        dt = 0.5
+        t_end = 50
+        scheme = imex_euler
+        [initial]
+        v0 = random:decay=0.5,norm=200.0
+    """)
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", path, "--output", out]) == 1
+    assert "BLOW-UP" in open(os.path.join(out, "report.txt")).read()
+    assert capsys.readouterr().err == ""
+
+
+NON_CONTRACTING = """\
+    [model]
+    lmax = 8
+    nu = 0.01
+    alpha = 0.1
+    [noise]
+    beta = 1.5
+    sigma = power:gamma=1.0
+    [time]
+    dt = 5
+    t_end = 10
+    scheme = picard
+    picard_max_iter = 2
+    [initial]
+    v0 = random:decay=1.0,norm=5.0
+"""
+
+
+def test_non_contraction_exit_code_and_partial_artifacts(tmp_path):
+    path = write_cfg(tmp_path, NON_CONTRACTING)
+    out = str(tmp_path / "sim")
+    assert main(["simulate", "--config", path, "--output", out]) == 1
+    report = open(os.path.join(out, "report.txt")).read()
+    assert "[NO CONTRACTION at t = 5]" in report
+    assert "result: FAIL (no contraction)" in report
+    lines = open(os.path.join(out, "diagnostics.csv")).read().splitlines()
+    assert lines[0] == DIAGNOSTICS_HEADER and len(lines) == 2   # t = 0 only
+    back = read_snapshot(os.path.join(out, "path0000_snap0000.bin"))
+    assert back["t"] == 0.0
+    assert np.array_equal(back["v"], build_field("random:decay=1.0,norm=5.0",
+                                                 8).coeffs)
+    out = str(tmp_path / "energy")
+    assert main(["verify-energy", "--config", path, "--output", out]) == 1
+    report = open(os.path.join(out, "report.txt")).read()
+    assert "path0: NO CONTRACTION at t = 5" in report
+    assert "result: FAIL" in report
+
+
+def test_spectrum_reaches_the_solver(tmp_path):
+    path = write_cfg(tmp_path, """\
+        [model]
+        lmax = 4
+        alpha = 0.1
+        spectrum = ricci_shifted
+        [noise]
+        beta = 1.5
+        sigma = power:gamma=2.0
+        [time]
+        dt = 0.1
+        t_end = 0.2
+        [initial]
+        v0 = mode:l=1
+    """)
+    cfg = parse_config(path, mode="simulate", output_dir=str(tmp_path / "s"))
+    assert cfg.solver_config().spectrum == "ricci_shifted"
+    assert run_experiment(cfg) == 0
+    back = read_snapshot(os.path.join(cfg.output_dir, "path0000_snap0000.bin"))
+    assert back["spectrum"] == "ricci_shifted"
+    scfg, spec = cfg.solver_config(), cfg.noise_spec()
+    res = run(scfg, spec, seed=cfg.seed)
+    assert res.ctx.spectrum == "ricci_shifted"
+    assert np.array_equal(back["v"], res.state.v.coeffs)
+    # l = 1 is the zero mode of the shifted spectrum, damped under the paper one
+    paper = run(replace(scfg, spectrum="paper"), spec, seed=cfg.seed)
+    assert not np.array_equal(back["v"], paper.state.v.coeffs)
+    cfg = parse_config(path, mode="verify-energy",
+                       output_dir=str(tmp_path / "e"))
+    assert run_experiment(cfg) == 0
+
+
+def test_config_errors_cite_the_offending_line(tmp_path, capsys):
+    cases = [
+        # passed parsing, then failed the solver's t_end >= dt rule
+        ("simulate", "[model]\nlmax = 4\n[time]\ndt = 0.1\n"
+                     "t_end = 0.09999999999\n", ":5:", "must be >= dt"),
+        # passed parsing, then failed inside the transforms
+        ("simulate", "[model]\nlmax = 8\nn_lat = 6\nn_lon = 12\n"
+                     "dealias = false\n[time]\ndt = 0.1\nt_end = 0.2\n",
+         ":4:", "n_lon = 12 cannot resolve"),
+        ("simulate", "[model]\nlmax = 4\nspectrum = ricci_shifted\n[noise]\n"
+                     "sigma = power:gamma=2.0\n[time]\ndt = 0.1\nt_end = 0.2\n",
+         ":3:", "needs alpha > 0"),
+        # [time] values given to a verify mode meet the same rules
+        ("verify-ou", "[model]\nlmax = 4\n[time]\ndt = 0.1\nt_end = 0.25\n",
+         ":5:", "integer multiple"),
+        ("verify-ou", "[model]\nlmax = 4\n[time]\ndt = -1\n", ":4:",
+         "dt = -1 must be positive"),
+        ("verify-ou", "[model]\nlmax = 4\n[time]\nt_end = -1\n", ":4:",
+         "t_end = -1 must be positive"),
+    ]
+    for mode, text, loc, expect in cases:
+        assert main([mode, "--config", write_cfg(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert loc in err and expect in err, (text, err)
+
+
 # ---------------------------------------------------------------------------
 # verify modes
 # ---------------------------------------------------------------------------
@@ -401,6 +526,25 @@ def test_verify_operators_mode(tmp_path):
     assert rows["coriolis_zero"][0][2] < 1e-10
     assert rows["poincare"][0][2] <= 1.0 + 1e-12
     assert "result: PASS" in open(os.path.join(out, "report.txt")).read()
+
+
+def test_verify_operators_checks_csv_schema(tmp_path):
+    # checks.csv has one writer: header, one row per monitored inequality
+    # (then the b-form constants), floats that round-trip exactly
+    path = write_cfg(tmp_path, "[run]\nn_paths = 3\n[model]\nlmax = 8\n")
+    out = str(tmp_path / "out")
+    assert main(["verify-operators", "--config", path, "--output", out]) == 0
+    lines = open(os.path.join(out, "checks.csv")).read().splitlines()
+    assert lines[0] == "check,lhs,rhs,ratio,input_id"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows[:len(CHECKS)]] == list(CHECKS)
+    for name, lhs, rhs, ratio, input_id in rows:
+        for x in (lhs, rhs, ratio):
+            assert repr(float(x)) == x
+        if name in CHECKS:
+            assert input_id.startswith("s")
+        else:
+            assert name.startswith("bform_") and input_id == "n=3"
 
 
 def test_verify_noise_mode_stable_clock(tmp_path):

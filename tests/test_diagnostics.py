@@ -162,20 +162,6 @@ def test_b_form_constants_small_on_random_fields():
         b_form_constants(samples[:1], ctx)
 
 
-def test_report_csv_shape():
-    rng = np.random.default_rng(3)
-    ctx = OperatorContext(8)
-    rep = inequality_report([random_stream_field(8, rng) for _ in range(3)], ctx)
-    lines = rep.csv_lines()
-    assert lines[0] == "check,lhs,rhs,ratio,input_id"
-    assert len(lines) == 1 + len(CHECKS)
-    for line in lines[1:]:
-        name, lhs, rhs, ratio, input_id = line.split(",")
-        assert name in CHECKS
-        float(lhs), float(rhs), float(ratio)
-        assert input_id.startswith("s")
-
-
 def test_ledger_validation():
     led = EnergyLedger()
     row = dict(t=0.0, v_h2=1.0, v_v2=2.0, av2=4.0, b_vvz=0.0, f_v=0.0,

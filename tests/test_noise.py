@@ -180,6 +180,22 @@ def test_summability_divergent_has_diagnostic():
     assert not nz.check_summability(spec, 0.0)["converged"]
 
 
+def test_summability_verdict_cached_per_argument_set():
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.5", lmax=4)
+    first = nz.check_summability(spec, 0.25)
+    first["converged"] = "mutated"
+    before = nz._summability.cache_info()
+    # another band limit or seed shares the verdict; the caller's copy is
+    # its own
+    again = nz.check_summability(nz.NoiseSpec(beta=1.5, seed=7, lmax=9,
+                                              sigma_rule="power:gamma=2.5"),
+                                 0.25)
+    assert nz._summability.cache_info().hits == before.hits + 1
+    assert again["converged"] is True and again is not first
+    nz.check_summability(spec, 0.25, tol=1e-4)
+    assert nz._summability.cache_info().misses == before.misses + 1
+
+
 def test_moment_scaling_domain_error():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", lmax=2)
     with pytest.raises(ValueError):
