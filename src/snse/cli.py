@@ -31,8 +31,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import (EnergyLedger, b_form_constants, energy_residual,
-                          gronwall_bound_report, inequality_report, norms)
+from .diagnostics import (b_form_constants, energy_residual,
+                          gronwall_bound_report, inequality_report)
 from .harmonics import (ParameterError, SpectralField, gauss_legendre_grid,
                         n_modes, random_stream_field, unit_stream_mode)
 from .noise import (NoiseSpec, PURPOSE_MC, PURPOSE_PATH, _positive_stable_batch,
@@ -477,14 +477,6 @@ def _write_lines(path: str, lines: list) -> None:
             fh.write(line + "\n")
 
 
-def _write_checks(outdir: str, rows: list) -> None:
-    """rows: (check, lhs, rhs, ratio, input_id) tuples."""
-    lines = ["check,lhs,rhs,ratio,input_id"]
-    lines += [f"{name},{_fmt(lhs)},{_fmt(rhs)},{_fmt(ratio)},{input_id}"
-              for name, lhs, rhs, ratio, input_id in rows]
-    _write_lines(os.path.join(outdir, "checks.csv"), lines)
-
-
 def _write_report(cfg: ExperimentConfig, lines: list) -> None:
     head = [f"mode: {cfg.mode}",
             f"model: lmax={cfg.lmax} nu={cfg.nu:g} omega={cfg.omega:g} "
@@ -494,6 +486,18 @@ def _write_report(cfg: ExperimentConfig, lines: list) -> None:
             f"seed={cfg.seed}",
             ""]
     _write_lines(os.path.join(cfg.output_dir, "report.txt"), head + lines)
+
+
+def _finish(cfg: ExperimentConfig, rows: list, lines: list, ok: bool) -> int:
+    """Tail of every verify mode: checks.csv from rows, (check, lhs, rhs,
+    ratio, input_id) tuples, then report.txt from lines and the verdict;
+    returns the exit status."""
+    csv = ["check,lhs,rhs,ratio,input_id"]
+    csv += [f"{name},{_fmt(lhs)},{_fmt(rhs)},{_fmt(ratio)},{input_id}"
+            for name, lhs, rhs, ratio, input_id in rows]
+    _write_lines(os.path.join(cfg.output_dir, "checks.csv"), csv)
+    _write_report(cfg, lines + ["result: " + ("PASS" if ok else "FAIL")])
+    return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -528,17 +532,20 @@ def _simulate_path_task(payload: tuple) -> dict:
         names.append(name)
 
     led = res.ledger
+    if led.n:
+        summary = (f"t = {led.series('t')[-1]:g}  "
+                   f"|v|_H = {math.sqrt(led.series('v_h2')[-1]):.6g}  "
+                   f"sup|v|_H^2 = {led.sup('v_h2'):.6g}  "
+                   f"int|v|_V^2 = {led.integral('v_v2'):.6g}  "
+                   f"energy residual = {energy_residual(led, scfg.nu):.3e}")
+    else:                               # the t = 0 row already failed
+        summary = "no ledger row"
     return {
         "index": index,
         "lines": lines,
         "snapshots": names,
         "failure": failure,
-        "status": status,
-        "final_t": led.series("t")[-1],
-        "final_v_h": math.sqrt(led.series("v_h2")[-1]),
-        "sup_v_h2": led.sup("v_h2"),
-        "int_v2": led.integral("v_v2"),
-        "residual": energy_residual(led, scfg.nu),
+        "summary": f"{summary}  [{status}]",
     }
 
 
@@ -573,11 +580,7 @@ def _mode_simulate(cfg: ExperimentConfig) -> int:
              f"t_end: {cfg.t_end:g}"]
     failures = sorted({r["failure"].lower() for r in results if r["failure"]})
     for r in results:
-        lines.append(
-            f"path {r['index']:4d}: t = {r['final_t']:g}  "
-            f"|v|_H = {r['final_v_h']:.6g}  sup|v|_H^2 = {r['sup_v_h2']:.6g}  "
-            f"int|v|_V^2 = {r['int_v2']:.6g}  "
-            f"energy residual = {r['residual']:.3e}  [{r['status']}]")
+        lines.append(f"path {r['index']:4d}: {r['summary']}")
         lines.append(f"  snapshots: {', '.join(r['snapshots'])}")
     lines.append("result: " + (f"FAIL ({', '.join(failures)})"
                                if failures else "PASS"))
@@ -602,7 +605,6 @@ def _mode_verify_operators(cfg: ExperimentConfig) -> int:
             for name, c in rep.checks.items()]
     rows += [(f"bform_{key}", value, 1.0, value, f"n={n}")
              for key, value in consts.items()]
-    _write_checks(cfg.output_dir, rows)
 
     # b_antisym / coriolis_zero are identity residuals (exactly zero up to
     # round-off); the rest are bounds whose ratio may approach 1
@@ -619,10 +621,7 @@ def _mode_verify_operators(cfg: ExperimentConfig) -> int:
     lines += [f"{name}: worst ratio {rep.checks[name]['ratio']:.3e}  "
               f"[{'PASS' if ok else 'FAIL'}]" for name, ok in gates.items()]
     lines += [f"bform_{key}: {value:.6g}" for key, value in consts.items()]
-    ok = all(gates.values())
-    lines.append("result: " + ("PASS" if ok else "FAIL"))
-    _write_report(cfg, lines)
-    return 0 if ok else 1
+    return _finish(cfg, rows, lines, all(gates.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -665,13 +664,9 @@ def _mode_verify_noise(cfg: ExperimentConfig) -> int:
                      f"n={n}"))
         oks.append(("moment_slope", abs(slope - target) <= 0.05))
 
-    _write_checks(cfg.output_dir, rows)
     lines = [f"samples: {n}  beta: {spec.beta:g}"]
     lines += [f"{name}: {'PASS' if good else 'FAIL'}" for name, good in oks]
-    ok = all(good for _, good in oks)
-    lines.append("result: " + ("PASS" if ok else "FAIL"))
-    _write_report(cfg, lines)
-    return 0 if ok else 1
+    return _finish(cfg, rows, lines, all(good for _, good in oks))
 
 
 # ---------------------------------------------------------------------------
@@ -702,14 +697,10 @@ def _mode_verify_ou(cfg: ExperimentConfig) -> int:
                  f"alpha {cfg.alpha:g} -> {cfg.alpha + 4:g}"))
     oks.append(("bound_alpha_monotone", b_hi <= b_lo))
 
-    _write_checks(cfg.output_dir, rows)
     lines = [f"samples: {n}  p: {cfg.p:g}  times: "
              + ",".join(f"{t:g}" for t in cfg.t_list)]
     lines += [f"{name}: {'PASS' if good else 'FAIL'}" for name, good in oks]
-    ok = all(good for _, good in oks)
-    lines.append("result: " + ("PASS" if ok else "FAIL"))
-    _write_report(cfg, lines)
-    return 0 if ok else 1
+    return _finish(cfg, rows, lines, all(good for _, good in oks))
 
 
 # ---------------------------------------------------------------------------
@@ -741,7 +732,7 @@ def _mode_verify_energy(cfg: ExperimentConfig) -> int:
             res = run(scfg, spec, seed=seed_i, ctx=ctx)
         except StepFailure as err:
             lines.append(f"{tag}: {err.status} at t = {err.t:g}")
-            oks.append((tag, False))
+            oks.append(False)
             continue
         rep = gronwall_bound_report(res.ledger, scfg, c_emp=c_emp)
         for name, obs_key in observed_of.items():
@@ -750,7 +741,7 @@ def _mode_verify_energy(cfg: ExperimentConfig) -> int:
             ratio = obs / bound if bound > 0 else (0.0 if obs == 0
                                                    else math.inf)
             rows.append((f"{name}_{obs_key}", obs, bound, ratio, tag))
-            oks.append((f"{tag}:{name}", rep["satisfied"][name]))
+            oks.append(rep["satisfied"][name])
         resid = energy_residual(res.ledger, scfg.nu)
         scale = max(rep["observed"]["sup_v_h2"], 1.0)
         rows.append(("energy_residual", abs(resid), 0.0,
@@ -760,11 +751,7 @@ def _mode_verify_energy(cfg: ExperimentConfig) -> int:
             for name in ("K1", "K2", "K3", "K4"))
             + f"  residual {resid:.3e}")
 
-    _write_checks(cfg.output_dir, rows)
-    ok = all(good for _, good in oks)
-    lines.append("result: " + ("PASS" if ok else "FAIL"))
-    _write_report(cfg, lines)
-    return 0 if ok else 1
+    return _finish(cfg, rows, lines, all(oks))
 
 
 # ---------------------------------------------------------------------------

@@ -169,9 +169,6 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.lmax, self.coeffs.copy(), self.kind)
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.coeffs)))
-
 
 @dataclass
 class GridField:

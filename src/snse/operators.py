@@ -8,7 +8,9 @@ operator is diagonal with eigenvalues lam_l; two spectra are exposed:
 * ``ricci_shifted`` lam_l = l(l+1) - 2        (curvature-corrected; l=1 is
                                                then a zero mode)
 
-The switch affects only those eigenvalues.  Basis-normalization facts —
+The shift is -2 Ric: on the unit sphere the Ricci tensor is the metric, so
+on orthonormal-frame components (our storage) Ric u = u.  The switch
+affects only those eigenvalues.  Basis-normalization facts —
 |Curl Y_{l,m}|^2 = l(l+1), vorticity zeta_{l,m} = l(l+1) psi_{l,m}, the
 Parseval weights, and the rotation diagonal's denominator — always use
 l(l+1), which is a property of the harmonics themselves.
@@ -49,7 +51,6 @@ __all__ = [
     "product_grid",
     "stokes_apply",
     "coriolis_apply",
-    "ricci_apply",
     "cross_radial",
     "curl_scalar",
     "trilinear_b",
@@ -151,18 +152,6 @@ def coriolis_apply(u: SpectralField, ctx: OperatorContext, path: str = "spectral
         rot = cross_radial(w).values * (2.0 * ctx.omega * g.mu)[None, :, None]
         return vector_analysis(GridField(g, rot), u.lmax)
     raise ValueError(f"unknown path {path!r}")
-
-
-def ricci_apply(u: GridField) -> GridField:
-    """Curvature term on the unit sphere.
-
-    In coordinate components the Ricci tensor is diag(1, sin^2 theta), which
-    is exactly the metric; on orthonormal-frame components (our storage) it
-    therefore acts as the identity.
-    """
-    if not u.tangent:
-        raise ValueError("tangent field required")
-    return GridField(u.grid, u.values.copy())
 
 
 def curl_scalar(u: SpectralField) -> SpectralField:

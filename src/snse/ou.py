@@ -74,20 +74,16 @@ class OUState:
     substep_index: int = 0
 
 
-def decay_rates(ctx: OperatorContext, alpha: float, include_coriolis: bool = True) -> np.ndarray:
+def decay_rates(ctx: OperatorContext, alpha: float) -> np.ndarray:
     """kappa_lm = nu lambda_l + alpha + i c_lm over the mode layout."""
-    kappa = ctx.nu * ctx.lam_stokes + float(alpha) + 0j
-    if include_coriolis:
-        kappa = kappa + 1j * ctx.coriolis_diag
-    return kappa
+    return ctx.nu * ctx.lam_stokes + float(alpha) + 1j * ctx.coriolis_diag
 
 
 def make_ou_state(ctx: OperatorContext, alpha: float = 0.0, *,
-                  include_coriolis: bool = True,
-                  z0: SpectralField | None = None, t0: float = 0.0) -> OUState:
+                  z0: SpectralField | None = None) -> OUState:
     if alpha < 0:
         raise ParameterError("alpha", f"alpha = {alpha:g} must be >= 0")
-    kappa = decay_rates(ctx, alpha, include_coriolis)
+    kappa = decay_rates(ctx, alpha)
     if np.any(kappa[1:].real <= 0.0):
         raise ParameterError("alpha", "every mode must decay: Re kappa > 0 on "
                              f"l >= 1 (spectrum = {ctx.spectrum} needs alpha > 0)")
@@ -95,7 +91,7 @@ def make_ou_state(ctx: OperatorContext, alpha: float = 0.0, *,
         z0 = zero_field(ctx.lmax, "stream")
     if z0.kind != "stream" or z0.lmax != ctx.lmax:
         raise ValueError("z0 must be a stream field on the context band limit")
-    return OUState(t=float(t0), z=z0.copy(), alpha=float(alpha), kappa=kappa)
+    return OUState(t=0.0, z=z0.copy(), alpha=float(alpha), kappa=kappa)
 
 
 def _mode_gain(spec: NoiseSpec) -> np.ndarray:

@@ -142,11 +142,16 @@ class SolverConfig:
 
 @dataclass
 class SimState:
+    """State at time t.  N holds N(v, z) once run() has evaluated it for the
+    ledger row; the step from this state then reads it instead of
+    evaluating it again."""
+
     t: float
     v: SpectralField
     ou: OUState
     ledger: EnergyLedger
     step_count: int = 0
+    N: np.ndarray | None = None
 
 
 def recombine(state: SimState) -> SpectralField:
@@ -198,8 +203,9 @@ def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec, rng,
              ctx: OperatorContext) -> SimState:
     dt = cfg.dt
     E = _v_decay_factor(ctx, cfg.nu, dt)
-    v_n, z_n = state.v.coeffs, state.ou.z
-    N_n = _nonlinear_rhs(v_n, z_n, cfg.f, cfg.alpha, ctx)
+    v_n, N_n = state.v.coeffs, state.N
+    if N_n is None:
+        N_n = _nonlinear_rhs(v_n, state.ou.z, cfg.f, cfg.alpha, ctx)
 
     ou_next = ou_step(state.ou, dt, spec, rng)
     z_next = ou_next.z
@@ -237,25 +243,19 @@ def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec, rng,
 
 
 def step_imex(state: SimState, cfg: SolverConfig, spec: NoiseSpec,
-              rng=None, *, ctx: OperatorContext | None = None) -> SimState:
+              rng=None, *, ctx: OperatorContext) -> SimState:
     """One step: z by ou_step, then v by integrating-factor Euler or Heun."""
     if cfg.scheme not in ("imex_euler", "imex_heun"):
         raise ValueError("step_imex handles the imex_* schemes")
-    if ctx is None:
-        ctx = OperatorContext(cfg.lmax, nu=cfg.nu, omega=cfg.omega,
-                              spectrum=cfg.spectrum)
     return _advance(state, cfg, spec, rng, ctx)
 
 
 def step_picard(state: SimState, cfg: SolverConfig, spec: NoiseSpec,
-                rng=None, *, ctx: OperatorContext | None = None) -> SimState:
+                rng=None, *, ctx: OperatorContext) -> SimState:
     """One step: z by ou_step, then v as the fixed point of the trapezoidal
     mild map, iterated from the Euler predictor."""
     if cfg.scheme != "picard":
         raise ValueError("step_picard requires scheme == 'picard'")
-    if ctx is None:
-        ctx = OperatorContext(cfg.lmax, nu=cfg.nu, omega=cfg.omega,
-                              spectrum=cfg.spectrum)
     return _advance(state, cfg, spec, rng, ctx)
 
 
@@ -301,8 +301,15 @@ def _initial_ou(ctx: OperatorContext, cfg: SolverConfig, spec: NoiseSpec) -> OUS
 
 
 def _record(state: SimState, cfg: SolverConfig, ctx: OperatorContext) -> None:
-    F = effective_force(state.ou.z, cfg.f, cfg.alpha, ctx)
-    state.ledger.record_state(state.t, state.v, state.ou.z, F, ctx)
+    """Evaluate N(v, z) of the state, kept for the step from it, and append
+    the state's ledger row."""
+    z = state.ou.z
+    # N of a state near blow-up can overflow; the row rejects it silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        state.N = _nonlinear_rhs(state.v.coeffs, z, cfg.f, cfg.alpha, ctx)
+    F = effective_force(z, cfg.f, cfg.alpha, ctx)
+    state.ledger.record_state(state.t, state.v, z,
+                              SpectralField(cfg.lmax, state.N, "stream"), F, ctx)
 
 
 def run(cfg: SolverConfig, spec: NoiseSpec, seed: int | None = None, *,
@@ -331,29 +338,29 @@ def run(cfg: SolverConfig, spec: NoiseSpec, seed: int | None = None, *,
             cfg.lmax, cfg.nu, cfg.omega, cfg.spectrum):
         raise ValueError("operator context disagrees with the solver config")
     v0 = cfg.v0 if cfg.v0 is not None else zero_field(cfg.lmax)
+    with np.errstate(over="ignore"):    # a huge v0 fails at its ledger row
+        u0_h2 = norms(v0, ctx)["H"] ** 2
     state = SimState(t=0.0, v=SpectralField(cfg.lmax, v0.coeffs.copy(), "stream"),
                      ou=_initial_ou(ctx, cfg, spec),
-                     ledger=EnergyLedger(u0_h2=norms(v0, ctx)["H"] ** 2))
+                     ledger=EnergyLedger(u0_h2=u0_h2))
     result = SimResult(cfg=cfg, spec=spec, ctx=ctx, state=state)
 
     def snap(s: SimState):
         result.snapshots.append((s.t, s.v.coeffs.copy(), s.ou.z.coeffs.copy()))
 
-    _record(state, cfg, ctx)
-    if snapshot_every > 0:
-        snap(state)
     n_steps = cfg.n_steps
     stepper = step_picard if cfg.scheme == "picard" else step_imex
-    for k in range(1, n_steps + 1):
-        prev = state
+    prev = None                         # the last recorded state
+    for k in range(n_steps + 1):
         try:
-            state = stepper(state, cfg, spec, ctx=ctx)
-            state.t = k * cfg.dt  # keep the grid free of accumulated rounding
+            if k > 0:
+                state = stepper(state, cfg, spec, ctx=ctx)
+                state.t = k * cfg.dt  # keep the grid free of accumulated rounding
             try:
                 _record(state, cfg, ctx)
             except ValueError as err:
                 # coefficients can stay representable while a recorded
-                # quantity (|u|^4, squared norms) overflows: same policy
+                # quantity (N, |u|^4, squared norms) overflows: same policy
                 raise BlowUpError(state.t, state=prev) from err
         except StepFailure as err:
             err.result = result
@@ -362,5 +369,5 @@ def run(cfg: SolverConfig, spec: NoiseSpec, seed: int | None = None, *,
             raise
         if snapshot_every > 0 and (k % snapshot_every == 0 or k == n_steps):
             snap(state)
-        result.state = state
+        result.state = prev = state
     return result

@@ -397,6 +397,28 @@ def test_blow_up_is_silent(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_blow_up_at_first_row(tmp_path, capsys):
+    # a finite but huge v0 overflows the t = 0 ledger row: a blow-up like
+    # any later one, with report.txt and the diagnostics header
+    path = write_cfg(tmp_path, """\
+        [model]
+        lmax = 6
+        [time]
+        dt = 0.1
+        t_end = 0.5
+        [initial]
+        v0 = mode:l=1,amp=1e308
+    """)
+    for mode in ("simulate", "verify-energy"):
+        out = str(tmp_path / mode)
+        assert main([mode, "--config", path, "--output", out]) == 1
+        report = open(os.path.join(out, "report.txt")).read()
+        assert "BLOW-UP at t = 0" in report and "result: FAIL" in report
+    csv = open(os.path.join(tmp_path / "simulate", "diagnostics.csv")).read()
+    assert csv.splitlines() == [DIAGNOSTICS_HEADER]
+    assert capsys.readouterr().err == ""
+
 NON_CONTRACTING = """\
     [model]
     lmax = 8

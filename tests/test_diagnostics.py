@@ -15,7 +15,8 @@ from snse.harmonics import (
     vector_synthesis,
     zero_field,
 )
-from snse.operators import OperatorContext, stokes_apply, trilinear_b
+from snse.operators import (OperatorContext, nonlinear_B, stokes_apply,
+                            trilinear_b)
 from snse.diagnostics import (
     CHECKS,
     EnergyLedger,
@@ -52,9 +53,10 @@ def test_unit_mode_norms():
         assert abs(n["H"] - 1.0) < 1e-12
         assert abs(n["V"] - math.sqrt(lam)) < 1e-11
         assert abs(n["DA"] - lam) < 1e-10
-        assert n["L4"] > 0
+        assert l4_norm(unit_stream_mode(12, l, m)) > 0
     nz = norms(zero_field(12), ctx)
-    assert all(nz[k] == 0.0 for k in ("H", "V", "DA", "L4"))
+    assert all(nz[k] == 0.0 for k in ("H", "V", "DA"))
+    assert l4_norm(zero_field(12)) == 0.0
 
 
 def test_scalar_field_norms():
@@ -87,6 +89,7 @@ def test_norms_consistent_across_truncation_embedding():
     u16 = SpectralField(16, c16, "stream")
     ctx16 = OperatorContext(16)
     n8, n16 = norms(u8, ctx16), norms(u16, ctx16)
+    n8["L4"], n16["L4"] = l4_norm(u8), l4_norm(u16)
     for k in ("H", "V", "DA", "L4"):
         assert abs(n8[k] - n16[k]) < 1e-12 * max(n8[k], 1.0)
 
@@ -181,9 +184,16 @@ def test_record_state_matches_direct_evaluations():
     ctx = OperatorContext(8)
     v = random_stream_field(8, rng, decay=1.5, norm=1.0)
     z = random_stream_field(8, rng, decay=2.0, norm=0.5)
-    F = random_stream_field(8, rng, decay=2.5, norm=0.3)
-    led = EnergyLedger(u0_h2=norms(SpectralField(8, v.coeffs + z.coeffs, "stream"), ctx)["H"] ** 2)
-    led.record_state(0.0, v, z, F, ctx)
+    f = random_stream_field(8, rng, decay=2.5, norm=0.3)
+    alpha = 0.4
+    u = SpectralField(8, v.coeffs + z.coeffs, "stream")
+    # N(v, z) = -B(v+z) + alpha z + f and F = -B(z) + alpha z + f
+    N = SpectralField(8, -nonlinear_B(u, ctx).coeffs + alpha * z.coeffs
+                      + f.coeffs, "stream")
+    F = SpectralField(8, -nonlinear_B(z, ctx).coeffs + alpha * z.coeffs
+                      + f.coeffs, "stream")
+    led = EnergyLedger(u0_h2=norms(u, ctx)["H"] ** 2)
+    led.record_state(0.0, v, z, N, F, ctx)
     from snse.harmonics import inner_h, norm_h
     nv = norms(v, ctx)
     assert abs(led.data["v_h2"][0] - nv["H"] ** 2) < 1e-14
@@ -192,7 +202,6 @@ def test_record_state_matches_direct_evaluations():
     assert abs(led.data["b_vvz"][0] - trilinear_b(v, v, z, ctx)) < 1e-14
     assert abs(led.data["f_v"][0] - inner_h(F, v)) < 1e-14
     assert abs(led.data["F_h2"][0] - norm_h(F) ** 2) < 1e-14
-    u = SpectralField(8, v.coeffs + z.coeffs, "stream")
     assert abs(led.data["u_l4"][0] - l4_norm(u)) < 1e-14
 
 

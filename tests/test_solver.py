@@ -8,6 +8,8 @@ import pytest
 
 from snse.harmonics import (
     SpectralField,
+    gauss_legendre_grid,
+    min_grid,
     n_modes,
     norm_h,
     random_stream_field,
@@ -15,7 +17,7 @@ from snse.harmonics import (
     zero_field,
 )
 from snse.noise import NoiseSpec
-from snse.operators import OperatorContext
+from snse.operators import OperatorContext, trilinear_b
 from snse.ou import make_ou_state
 from snse.diagnostics import EnergyLedger, energy_residual, norms
 from snse.solver import (
@@ -330,6 +332,56 @@ def test_energy_residual_second_order_unforced():
         res.append(abs(energy_residual(run(cfg, _quiet_spec(10)).ledger, 1.0)))
     assert 3.0 < res[0] / res[1] < 5.0
     assert 3.0 < res[1] / res[2] < 5.0
+
+
+def test_ledger_b_vvz_matches_trilinear_oracle():
+    # each row takes b(v,v,z) = (N(v,z), v) - (F, v) from the N the step
+    # reads; the independent quadrature of (nabla_v v) . z must agree, on
+    # the product grid and on a finer one
+    rng = np.random.default_rng(17)
+    for lmax in (1, 4, 8, 12):
+        n_lat, n_lon = min_grid(lmax, dealias=True)
+        for spectrum in ("paper", "ricci_shifted"):
+            for grid in (None, gauss_legendre_grid(n_lat + 3, n_lon + 8)):
+                ctx = OperatorContext(lmax, nu=0.5, omega=3.0, grid=grid,
+                                      spectrum=spectrum)
+                cfg = SolverConfig(
+                    lmax=lmax, dt=0.05, t_end=0.15, nu=0.5, omega=3.0,
+                    alpha=0.7, spectrum=spectrum,
+                    v0=random_stream_field(lmax, rng, decay=1.0, norm=1.0),
+                    f=random_stream_field(lmax, rng, decay=1.5, norm=0.5))
+                spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0",
+                                 delta=0.5, seed=lmax, lmax=lmax)
+                res = run(cfg, spec, snapshot_every=1, ctx=ctx)
+                led = res.ledger
+                assert led.n == len(res.snapshots) == 4
+                for k, (_, v, z) in enumerate(res.snapshots):
+                    v = SpectralField(lmax, v, "stream")
+                    z = SpectralField(lmax, z, "stream")
+                    nv, nz = norms(v, ctx), norms(z, ctx)
+                    scale = (nv["H"] * nv["V"] * nz["V"]
+                             + abs(led.data["f_v"][k]))
+                    err = abs(led.data["b_vvz"][k] - trilinear_b(v, v, z, ctx))
+                    assert err <= 1e-12 * scale, (lmax, spectrum, k, err)
+                # the last row's N is kept on the state the next step reads
+                st = res.state
+                assert np.array_equal(st.N, _nonlinear_rhs(
+                    st.v.coeffs, st.ou.z, cfg.f, cfg.alpha, ctx))
+
+
+def test_energy_residual_converges_on_aliased_grid():
+    # below the 2/3 rule the scheme integrates an aliased N; the ledger's
+    # b(v,v,z) comes from that N, so the budget still closes at second order
+    nu = 0.05
+    v0 = random_stream_field(8, np.random.default_rng(3), decay=1.0, norm=2.0)
+    ctx = OperatorContext(8, nu=nu, grid=gauss_legendre_grid(9, 17),
+                          dealias=False)
+    res = []
+    for dt in (0.01, 0.005):
+        cfg = SolverConfig(lmax=8, dt=dt, t_end=0.5, nu=nu, v0=v0)
+        res.append(abs(energy_residual(run(cfg, _quiet_spec(8), ctx=ctx).ledger,
+                                       nu)))
+    assert res[0] / res[1] >= 3.0
 
 
 def test_run_gates():
