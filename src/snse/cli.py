@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diagnostics import (b_form_constants, energy_residual,
-                          gronwall_bound_report, inequality_report)
+                          gronwall_bound_report, inequality_report, l4_grid)
 from .harmonics import (ParameterError, SpectralField, gauss_legendre_grid,
                         n_modes, random_stream_field, unit_stream_mode)
 from .noise import (NoiseSpec, PURPOSE_MC, PURPOSE_PATH, _positive_stable_batch,
@@ -488,6 +488,13 @@ def _write_report(cfg: ExperimentConfig, lines: list) -> None:
     _write_lines(os.path.join(cfg.output_dir, "report.txt"), head + lines)
 
 
+def _grid_line(ctx: OperatorContext) -> str:
+    """The grids a run transforms on: products on ctx.grid, |u|_L4 on its own."""
+    g, l4 = ctx.grid, l4_grid(ctx.lmax)
+    return (f"grid: product {g.n_lat} x {g.n_lon}  "
+            f"L4 {l4.n_lat} x {l4.n_lon}")
+
+
 def _finish(cfg: ExperimentConfig, rows: list, lines: list, ok: bool) -> int:
     """Tail of every verify mode: checks.csv from rows, (check, lhs, rhs,
     ratio, input_id) tuples, then report.txt from lines and the verdict;
@@ -549,10 +556,9 @@ def _simulate_path_task(payload: tuple) -> dict:
     }
 
 
-def _simulate_payloads(cfg: ExperimentConfig) -> list:
+def _simulate_payloads(cfg: ExperimentConfig, ctx: OperatorContext) -> list:
     scfg = cfg.solver_config()
     spec = cfg.noise_spec()
-    ctx = cfg.operator_context()
     payloads = []
     for i in range(cfg.n_paths):
         seed_i = cfg.seed if cfg.n_paths == 1 else path_seed(cfg.seed, i)
@@ -562,7 +568,8 @@ def _simulate_payloads(cfg: ExperimentConfig) -> list:
 
 
 def _mode_simulate(cfg: ExperimentConfig) -> int:
-    payloads = _simulate_payloads(cfg)
+    ctx = cfg.operator_context()
+    payloads = _simulate_payloads(cfg, ctx)
     if cfg.workers == 1 or cfg.n_paths == 1:
         results = [_simulate_path_task(p) for p in payloads]
     else:
@@ -577,7 +584,7 @@ def _mode_simulate(cfg: ExperimentConfig) -> int:
     _write_lines(os.path.join(cfg.output_dir, "diagnostics.csv"), diag)
 
     lines = [f"paths: {cfg.n_paths}  scheme: {cfg.scheme}  dt: {cfg.dt:g}  "
-             f"t_end: {cfg.t_end:g}"]
+             f"t_end: {cfg.t_end:g}", _grid_line(ctx)]
     failures = sorted({r["failure"].lower() for r in results if r["failure"]})
     for r in results:
         lines.append(f"path {r['index']:4d}: {r['summary']}")
@@ -617,7 +624,8 @@ def _mode_verify_operators(cfg: ExperimentConfig) -> int:
         "b2": rep.checks["b2"]["ratio"] <= 1.0 + 1e-12,
         "b5": rep.checks["b5"]["ratio"] <= 1.0 + 1e-12,
     }
-    lines = [f"samples: {n} random fields at lmax = {cfg.lmax}"]
+    lines = [f"samples: {n} random fields at lmax = {cfg.lmax}",
+             _grid_line(ctx)]
     lines += [f"{name}: worst ratio {rep.checks[name]['ratio']:.3e}  "
               f"[{'PASS' if ok else 'FAIL'}]" for name, ok in gates.items()]
     lines += [f"bform_{key}: {value:.6g}" for key, value in consts.items()]
@@ -722,7 +730,7 @@ def _mode_verify_energy(cfg: ExperimentConfig) -> int:
 
     rows: list = []
     oks: list = []
-    lines = [f"paths: {cfg.n_paths}  c_emp: {c_emp:.6g}"]
+    lines = [f"paths: {cfg.n_paths}  c_emp: {c_emp:.6g}", _grid_line(ctx)]
     observed_of = {"K1": "int_v2_V", "K2": "sup_v_h2",
                    "K3": "sup_v_v2", "K4": "int_av2"}
     for i in range(cfg.n_paths):

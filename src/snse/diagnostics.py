@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .harmonics import (
+    QuadratureGrid,
     SpectralField,
     _mode_weights,
     basis_eigenvalues,
@@ -23,11 +25,13 @@ from .harmonics import (
     inner_h,
     norm_h,
     scalar_synthesis,
+    smooth_length,
     vector_synthesis,
 )
 from .operators import OperatorContext, coriolis_apply, stokes_apply, trilinear_b
 
 __all__ = [
+    "l4_grid",
     "norms",
     "EnergyLedger",
     "energy_residual",
@@ -40,14 +44,15 @@ __all__ = [
 LAMBDA_1 = 2.0  # first positive eigenvalue of the vector Laplacian on the sphere
 
 
-def _l4_grid(lmax: int):
-    # |u|^4 of a band-limited field has degree <= 4 lmax: this grid
-    # integrates it exactly (and cheaply, the tables are cached)
-    return gauss_legendre_grid(2 * lmax + 2, 4 * lmax + 1)
+@lru_cache(maxsize=None)
+def l4_grid(lmax: int) -> QuadratureGrid:
+    """Grid on which |u|^4 (degree <= 4 lmax) of a band-limited field
+    integrates exactly, with the next 5-smooth n_lon above 4 lmax."""
+    return gauss_legendre_grid(2 * lmax + 2, smooth_length(4 * lmax + 1))
 
 
 def l4_norm(field: SpectralField) -> float:
-    grid = _l4_grid(field.lmax)
+    grid = l4_grid(field.lmax)
     if field.kind == "stream":
         vec = vector_synthesis(field, grid)
         mag2 = vec.values[0] ** 2 + vec.values[1] ** 2

@@ -35,13 +35,13 @@ __all__ = [
     "basis_eigenvalues",
     "gauss_legendre_grid",
     "min_grid",
+    "smooth_length",
     "eval_ylm",
     "scalar_analysis",
     "scalar_synthesis",
     "vector_synthesis",
     "vector_analysis",
     "gradient_synthesis",
-    "divergence_coeffs",
     "grid_integral",
     "inner_h",
     "norm_h",
@@ -125,6 +125,20 @@ def min_grid(lmax: int, dealias: bool = False) -> tuple[int, int]:
     return lmax + 1, 2 * lmax + 1
 
 
+def smooth_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: an FFT length that mixed-radix FFTs run
+    fast (a prime length can cost ten times as much; Temperton, JCP 1983)."""
+    k = max(n, 1)
+    while True:
+        rest = k
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return k
+        k += 1
+
+
 @lru_cache(maxsize=None)
 def gauss_legendre_grid(n_lat: int, n_lon: int) -> QuadratureGrid:
     for name, count in (("n_lat", n_lat), ("n_lon", n_lon)):
@@ -200,7 +214,7 @@ def zero_field(lmax: int, kind: str = "stream") -> SpectralField:
 
 
 # ---------------------------------------------------------------------------
-# Normalized associated Legendre tables
+# Normalized associated Legendre table
 # ---------------------------------------------------------------------------
 #
 # Pbar_l^m are fully normalized with Condon-Shortley phase:
@@ -217,59 +231,72 @@ def zero_field(lmax: int, kind: str = "stream") -> SpectralField:
 # and the theta-derivative
 #   d(Pbar_l^m)/d(theta) = (l mu Pbar_l^m - e_l^m Pbar_{l-1}^m)/sin(theta),
 #     e_l^m = sqrt((l^2-m^2)(2l+1)/(2l-1))   (e_m^m = 0).
+#
+# Only Pbar is tabulated, padded to P[m, j, l] (zero for l < m) so that one
+# batched matmul over m does every Legendre stage.  Derivatives never need a
+# second table: by the identity above, sum_l c_l dPbar_l is
+# (mu S[l c_l] - S[e_{l+1} c_{l+1}]) / sin(theta) with S the synthesis by
+# Pbar, and its adjoint, sum_j dPbar_l(theta_j) F_j, is
+# l (P^T (mu F/sin))_l - e_l (P^T (F/sin))_{l-1}.  Both divide by
+# sin(theta), which Gauss nodes never make 0.
 
 
 def _legendre_P(lmax: int, mu: np.ndarray, sin_theta: np.ndarray) -> np.ndarray:
-    nm = n_modes(lmax)
-    P = np.zeros((nm,) + mu.shape)
-    P[mode_index(0, 0)] = math.sqrt(1.0 / (4.0 * math.pi))
-    for m in range(1, lmax + 1):
-        P[mode_index(m, m)] = (
-            -math.sqrt((2 * m + 1) / (2.0 * m)) * sin_theta * P[mode_index(m - 1, m - 1)]
+    """P[m, ..., l] = Pbar_l^m at the points mu = cos(theta); zero for l < m."""
+    L = lmax + 1
+    P = np.zeros((L,) + np.shape(mu) + (L,))
+    per_m = (-1,) + (1,) * np.ndim(mu)
+    P[0, ..., 0] = math.sqrt(1.0 / (4.0 * math.pi))
+    for m in range(1, L):
+        P[m, ..., m] = (
+            -math.sqrt((2 * m + 1) / (2.0 * m)) * sin_theta * P[m - 1, ..., m - 1]
         )
     for m in range(0, lmax):
-        P[mode_index(m + 1, m)] = math.sqrt(2 * m + 3.0) * mu * P[mode_index(m, m)]
-        for l in range(m + 2, lmax + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            P[mode_index(l, m)] = a * (
-                mu * P[mode_index(l - 1, m)] - b * P[mode_index(l - 2, m)]
-            )
+        P[m, ..., m + 1] = math.sqrt(2 * m + 3.0) * mu * P[m, ..., m]
+    for l in range(2, L):
+        m = np.arange(l - 1)                       # every m <= l - 2 at once
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m)).reshape(per_m)
+        b = np.sqrt(((l - 1.0) ** 2 - m * m)
+                    / (4.0 * (l - 1.0) ** 2 - 1.0)).reshape(per_m)
+        P[: l - 1, ..., l] = a * (mu * P[: l - 1, ..., l - 1] - b * P[: l - 1, ..., l - 2])
     return P
 
 
-def _legendre_dP(lmax: int, mu: np.ndarray, sin_theta: np.ndarray,
-                 P: np.ndarray) -> np.ndarray:
-    # valid away from the poles only; Gauss nodes never hit sin(theta) = 0
-    dP = np.zeros_like(P)
-    for m in range(0, lmax + 1):
-        dP[mode_index(m, m)] = m * mu * P[mode_index(m, m)] / sin_theta
-        for l in range(m + 1, lmax + 1):
-            e = math.sqrt((l * l - m * m) * (2 * l + 1.0) / (2 * l - 1.0))
-            dP[mode_index(l, m)] = (
-                l * mu * P[mode_index(l, m)] - e * P[mode_index(l - 1, m)]
-            ) / sin_theta
-    return dP
-
-
 @lru_cache(maxsize=None)
-def _legendre_tables(n_lat: int, lmax: int):
-    """Cached tables on the n_lat Gauss grid: P, dP/dtheta, shape (n_modes, n_lat)."""
+def _legendre_table(n_lat: int, lmax: int) -> np.ndarray:
+    """Cached P[m, j, l] on the n_lat Gauss nodes, shape (lmax+1, n_lat, lmax+1)."""
     mu, _ = np.polynomial.legendre.leggauss(n_lat)
-    sin_theta = np.sin(np.arccos(mu))
-    P = _legendre_P(lmax, mu, sin_theta)
-    dP = _legendre_dP(lmax, mu, sin_theta, P)
+    P = _legendre_P(lmax, mu, np.sin(np.arccos(mu)))
     P.setflags(write=False)
-    dP.setflags(write=False)
-    return P, dP
+    return P
 
 
 @lru_cache(maxsize=None)
-def _m_slices(lmax: int) -> tuple:
-    """For each m, the flat indices of modes (l, m), l = m..lmax."""
-    return tuple(
-        np.array([mode_index(l, m) for l in range(m, lmax + 1)]) for m in range(lmax + 1)
-    )
+def _layout(lmax: int) -> tuple:
+    """Padded (m, l) layout of band limit lmax: the flat padded slot
+    m*(lmax+1) + l of each mode, then l, m and e_l^m (0 for l <= m) per
+    padded slot."""
+    L = lmax + 1
+    ls, ms = mode_degrees(lmax)
+    m, l = np.meshgrid(np.arange(L), np.arange(L), indexing="ij")
+    e = np.sqrt(np.maximum(l * l - m * m, 0) * (2 * l + 1) / np.maximum(2 * l - 1, 1))
+    out = (ms * L + ls, l.astype(np.float64), m.astype(np.float64), e)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _padded(coeffs: np.ndarray, lmax: int) -> np.ndarray:
+    """Flat coefficients (n_modes,) -> zero-padded C[m, l]."""
+    L = lmax + 1
+    C = np.zeros(L * L, dtype=np.complex128)
+    C[_layout(lmax)[0]] = coeffs
+    return C.reshape(L, L)
+
+
+def _flat(C: np.ndarray, lmax: int) -> np.ndarray:
+    """Padded C[m, l] -> flat coefficients (n_modes,); inverse of _padded."""
+    return C.reshape(-1)[_layout(lmax)[0]]
 
 
 def eval_ylm(l: int, m: int, theta, phi) -> complex | np.ndarray:
@@ -283,7 +310,7 @@ def eval_ylm(l: int, m: int, theta, phi) -> complex | np.ndarray:
     phi = np.asarray(phi, dtype=np.float64)
     ma = abs(m)
     P = _legendre_P(l, np.cos(theta), np.sin(theta))
-    val = P[mode_index(l, ma)] * np.exp(1j * ma * phi)
+    val = P[ma, ..., l] * np.exp(1j * ma * phi)
     if m < 0:
         val = (-1) ** ma * np.conj(val)
     if val.ndim == 0:
@@ -296,36 +323,39 @@ def eval_ylm(l: int, m: int, theta, phi) -> complex | np.ndarray:
 # ---------------------------------------------------------------------------
 # A real field with half-spectrum coefficients g_m(theta) (m >= 0) is
 #   f(theta, phi) = g_0 + sum_{m>=1} [g_m e^{i m phi} + conj(g_m) e^{-i m phi}],
-# which is exactly numpy's irfft of n_lon * [g_0, g_1, ...] and whose
-# analysis is rfft(f)/n_lon.  All synthesis/analysis below reduce,
-# per azimuthal index m, to a dense Legendre matrix product over latitude.
+# which is exactly numpy's unnormalized ("forward") irfft of [g_0, g_1, ...]
+# and whose analysis is the 1/n_lon-normalized rfft.  The Legendre stage
+# works on stacks of columns C[m, l, k]: the complex data is viewed as
+# interleaved real columns, so the real table multiplies every column of
+# every m in one matmul.
 
 
-def _half_spectrum(coeffs: np.ndarray, lmax: int, table: np.ndarray, n_lat: int,
-                   per_mode: np.ndarray | None = None) -> np.ndarray:
-    """g_m(theta_j) = sum_l c_{l,m} table_{l,m}(theta_j); shape (n_lat, lmax+1)."""
-    c = coeffs if per_mode is None else coeffs * per_mode
-    G = np.empty((n_lat, lmax + 1), dtype=np.complex128)
-    for m, idx in enumerate(_m_slices(lmax)):
-        G[:, m] = table[idx].T @ c[idx]
-    return G
+def _legendre_synthesis(X: np.ndarray, lmax: int, n_lat: int) -> np.ndarray:
+    """Half spectra G[k, j, m] = sum_l X[m, l, k] Pbar_l^m(theta_j)."""
+    P = _legendre_table(n_lat, lmax)
+    G = np.matmul(P, X.view(np.float64)).view(np.complex128)
+    return G.transpose(2, 1, 0)
 
 
-def _synthesize(G: np.ndarray, n_lon: int) -> np.ndarray:
-    n_half = n_lon // 2 + 1
-    F = np.zeros((G.shape[0], n_half), dtype=np.complex128)
-    F[:, : G.shape[1]] = G
-    return np.fft.irfft(F * n_lon, n=n_lon, axis=1)
+def _legendre_analysis(F: np.ndarray, lmax: int, n_lat: int) -> np.ndarray:
+    """Adjoint of _legendre_synthesis: A[m, l, k] = sum_j Pbar_l^m(theta_j) F[k, j, m]."""
+    P = _legendre_table(n_lat, lmax)
+    X = np.ascontiguousarray(F.transpose(2, 1, 0))
+    return np.matmul(P.transpose(0, 2, 1), X.view(np.float64)).view(np.complex128)
+
+
+def _synthesize(parts, n_lon: int) -> np.ndarray:
+    """Grid values (k, n_lat, n_lon) of the half spectra parts[k] (n_lat, m)."""
+    n_lat, n_m = parts[0].shape
+    H = np.zeros((len(parts), n_lat, n_lon // 2 + 1), dtype=np.complex128)
+    for k, G in enumerate(parts):
+        H[k, :, :n_m] = G
+    return np.fft.irfft(H, n=n_lon, axis=-1, norm="forward")
 
 
 def _analyze_half(values: np.ndarray, lmax: int) -> np.ndarray:
-    """rfft/n_lon, truncated/padded to m = 0..lmax columns."""
-    n_lon = values.shape[1]
-    F = np.fft.rfft(values, axis=1) / n_lon
-    out = np.zeros((values.shape[0], lmax + 1), dtype=np.complex128)
-    mmax = min(lmax, F.shape[1] - 1)
-    out[:, : mmax + 1] = F[:, : mmax + 1]
-    return out
+    """Half spectra (..., n_lat, lmax+1) of grid values (..., n_lat, n_lon)."""
+    return np.fft.rfft(values, axis=-1, norm="forward")[..., : lmax + 1]
 
 
 def _require_resolution(grid: QuadratureGrid, lmax: int):
@@ -340,9 +370,9 @@ def _require_resolution(grid: QuadratureGrid, lmax: int):
 def scalar_synthesis(f: SpectralField, grid: QuadratureGrid) -> GridField:
     """Evaluate a spectral scalar on the grid (inverse of scalar_analysis)."""
     _require_resolution(grid, f.lmax)
-    P, _ = _legendre_tables(grid.n_lat, f.lmax)
-    G = _half_spectrum(f.coeffs, f.lmax, P, grid.n_lat)
-    return GridField(grid, _synthesize(G, grid.n_lon))
+    X = _padded(f.coeffs, f.lmax)[..., None]
+    G = _legendre_synthesis(X, f.lmax, grid.n_lat)
+    return GridField(grid, _synthesize(G, grid.n_lon)[0])
 
 
 def scalar_analysis(f: GridField, lmax: int | None = None) -> SpectralField:
@@ -351,13 +381,25 @@ def scalar_analysis(f: GridField, lmax: int | None = None) -> SpectralField:
     if lmax is None:
         lmax = grid.max_resolved_l()
     _require_resolution(grid, lmax)
-    P, _ = _legendre_tables(grid.n_lat, lmax)
-    F = _analyze_half(f.values, lmax)          # (n_lat, lmax+1)
-    Fw = F * (2.0 * np.pi * grid.weight)[:, None]
-    coeffs = np.zeros(n_modes(lmax), dtype=np.complex128)
-    for m, idx in enumerate(_m_slices(lmax)):
-        coeffs[idx] = P[idx] @ Fw[:, m]
-    return SpectralField(lmax, coeffs, "scalar")
+    F = _analyze_half(f.values, lmax) * (2.0 * np.pi * grid.weight)[:, None]
+    A = _legendre_analysis(F[None], lmax, grid.n_lat)
+    return SpectralField(lmax, _flat(A[..., 0], lmax), "scalar")
+
+
+def _angular_derivatives(f: SpectralField, grid: QuadratureGrid):
+    """Half spectra of (1/sin theta) df/dphi and df/dtheta, each (n_lat, lmax+1)."""
+    _require_resolution(grid, f.lmax)
+    _, l, m, e = _layout(f.lmax)
+    C = _padded(f.coeffs, f.lmax)
+    # columns [i m c, l c, e_{l+1} c_{l+1}]: the synthesis S of the first is
+    # d/dphi, and (mu S[l c] - S[e_{l+1} c_{l+1}]) / sin(theta) is d/dtheta
+    X = np.zeros(C.shape + (3,), dtype=np.complex128)
+    X[..., 0] = 1j * m * C
+    X[..., 1] = l * C
+    X[:, :-1, 2] = (e * C)[:, 1:]
+    S = _legendre_synthesis(X, f.lmax, grid.n_lat)
+    sin = grid.sin_theta[:, None]
+    return S[0] / sin, (grid.mu[:, None] * S[1] - S[2]) / sin
 
 
 def vector_synthesis(psi: SpectralField, grid: QuadratureGrid) -> GridField:
@@ -365,26 +407,14 @@ def vector_synthesis(psi: SpectralField, grid: QuadratureGrid) -> GridField:
 
     u_theta = (1/sin theta) d(psi)/d(phi),  u_phi = -d(psi)/d(theta).
     """
-    _require_resolution(grid, psi.lmax)
-    P, dP = _legendre_tables(grid.n_lat, psi.lmax)
-    _, ms = mode_degrees(psi.lmax)
-    Gt = _half_spectrum(psi.coeffs, psi.lmax, P, grid.n_lat, per_mode=1j * ms)
-    Gt /= grid.sin_theta[:, None]
-    Gp = -_half_spectrum(psi.coeffs, psi.lmax, dP, grid.n_lat)
-    u = np.stack([_synthesize(Gt, grid.n_lon), _synthesize(Gp, grid.n_lon)])
-    return GridField(grid, u)
+    dphi, dtheta = _angular_derivatives(psi, grid)
+    return GridField(grid, _synthesize([dphi, -dtheta], grid.n_lon))
 
 
 def gradient_synthesis(chi: SpectralField, grid: QuadratureGrid) -> GridField:
     """Tangent gradient (d(chi)/d(theta), (1/sin theta) d(chi)/d(phi))."""
-    _require_resolution(grid, chi.lmax)
-    P, dP = _legendre_tables(grid.n_lat, chi.lmax)
-    _, ms = mode_degrees(chi.lmax)
-    Gt = _half_spectrum(chi.coeffs, chi.lmax, dP, grid.n_lat)
-    Gp = _half_spectrum(chi.coeffs, chi.lmax, P, grid.n_lat, per_mode=1j * ms)
-    Gp /= grid.sin_theta[:, None]
-    g = np.stack([_synthesize(Gt, grid.n_lon), _synthesize(Gp, grid.n_lon)])
-    return GridField(grid, g)
+    dphi, dtheta = _angular_derivatives(chi, grid)
+    return GridField(grid, _synthesize([dtheta, dphi], grid.n_lon))
 
 
 def _curl_coeffs(w: GridField, lmax: int) -> np.ndarray:
@@ -393,18 +423,20 @@ def _curl_coeffs(w: GridField, lmax: int) -> np.ndarray:
     Integration by parts against Curl conj(Y_{l,m}) avoids differentiating
     the samples:  (curl w)_{l,m} = (w, Curl Y_{l,m})
       = 2*pi sum_j w_j [ -i m Pbar(j)/sin(theta_j) * what_theta_m(j)
-                         - dPbar(j) * what_phi_m(j) ].
+                         - dPbar(j) * what_phi_m(j) ],
+    with the dPbar sum taken by the adjoint derivative identity.
     """
     grid = w.grid
     _require_resolution(grid, lmax)
-    P, dP = _legendre_tables(grid.n_lat, lmax)
-    Ft = _analyze_half(w.values[0], lmax) * (2.0 * np.pi * grid.weight)[:, None]
-    Fp = _analyze_half(w.values[1], lmax) * (2.0 * np.pi * grid.weight)[:, None]
-    Ft /= grid.sin_theta[:, None]
-    out = np.zeros(n_modes(lmax), dtype=np.complex128)
-    for m, idx in enumerate(_m_slices(lmax)):
-        out[idx] = -1j * m * (P[idx] @ Ft[:, m]) - dP[idx] @ Fp[:, m]
-    return out
+    F = _analyze_half(w.values, lmax) * (2.0 * np.pi * grid.weight)[:, None]
+    F /= grid.sin_theta[:, None]
+    cols = np.stack([F[0], grid.mu[:, None] * F[1], F[1]])
+    A = _legendre_analysis(cols, lmax, grid.n_lat)
+    _, l, m, e = _layout(lmax)
+    prev = np.zeros_like(A[..., 2])                # (P^T (F/sin))_{l-1}
+    prev[:, 1:] = A[:, :-1, 2]
+    out = -1j * m * A[..., 0] - (l * A[..., 1] - e * prev)
+    return _flat(out, lmax)
 
 
 def vector_analysis(w: GridField, lmax: int | None = None) -> SpectralField:
@@ -420,12 +452,6 @@ def vector_analysis(w: GridField, lmax: int | None = None) -> SpectralField:
     psi = np.zeros_like(zeta)
     psi[1:] = zeta[1:] / lam[1:]
     return SpectralField(lmax, psi, "stream")
-
-
-def divergence_coeffs(w: GridField, lmax: int) -> np.ndarray:
-    """Spectral coefficients of div w (= curl of the quarter-turned field)."""
-    rotated = GridField(w.grid, np.stack([-w.values[1], w.values[0]]))
-    return _curl_coeffs(rotated, lmax)
 
 
 # ---------------------------------------------------------------------------

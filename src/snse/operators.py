@@ -42,6 +42,7 @@ from .harmonics import (
     n_modes,
     scalar_analysis,
     scalar_synthesis,
+    smooth_length,
     vector_analysis,
     vector_synthesis,
 )
@@ -61,8 +62,10 @@ SPECTRA = ("paper", "ricci_shifted")
 
 
 def product_grid(lmax: int) -> QuadratureGrid:
-    """Smallest grid that dealiases quadratic products at band limit lmax."""
-    return gauss_legendre_grid(*min_grid(lmax, dealias=True))
+    """Grid that dealiases quadratic products at band limit lmax: the 2/3
+    rule's n_lat, and the smallest 5-smooth n_lon at or above its bound."""
+    n_lat, n_lon = min_grid(lmax, dealias=True)
+    return gauss_legendre_grid(n_lat, smooth_length(n_lon))
 
 
 @dataclass

@@ -298,6 +298,21 @@ def test_simulate_zero_data_writes_zero_rows(tmp_path):
     assert os.path.exists(os.path.join(out, "path0000_snap0000.bin"))
 
 
+def test_report_names_the_grids_used(tmp_path):
+    # default grids: the 2/3-rule n_lat with the next 5-smooth n_lon;
+    # an explicit config grid is reported as given
+    base = "[model]\nlmax = 12\n{grid}[time]\ndt = 0.1\nt_end = 0.1\n"
+    for grid, want in [
+            ("", "grid: product 19 x 40  L4 26 x 50"),
+            ("n_lat = 20\nn_lon = 37\n", "grid: product 20 x 37  L4 26 x 50")]:
+        path = write_cfg(tmp_path, base.format(grid=grid))
+        for mode in ("simulate", "verify-energy", "verify-operators"):
+            out = str(tmp_path / f"{mode}{len(grid)}")
+            assert main([mode, "--config", path, "--output", out]) == 0
+            lines = open(os.path.join(out, "report.txt")).read().splitlines()
+            assert lines.count(want) == 1, (mode, lines)
+
+
 def test_simulate_matches_library_run_exactly(tmp_path):
     out = str(tmp_path / "out")
     path = write_cfg(tmp_path, STOCHASTIC_RUN)

@@ -206,6 +206,12 @@ def _eval_scalar(f, theta, phi):
     return total.real
 
 
+def divergence_coeffs(w, lmax):
+    """Spectral coefficients of div w (= curl of the quarter-turned field)."""
+    rotated = sh.GridField(w.grid, np.stack([-w.values[1], w.values[0]]))
+    return sh._curl_coeffs(rotated, lmax)
+
+
 def test_discrete_divergence_vanishes():
     rng = np.random.default_rng(5)
     lmax = 10
@@ -213,7 +219,7 @@ def test_discrete_divergence_vanishes():
     for _ in range(5):
         psi = sh.random_stream_field(lmax, rng)
         w = sh.vector_synthesis(psi, g)
-        assert np.abs(sh.divergence_coeffs(w, lmax)).max() < 1e-10
+        assert np.abs(divergence_coeffs(w, lmax)).max() < 1e-10
 
 
 def test_vector_round_trip():
@@ -300,3 +306,73 @@ def test_stream_field_zeroes_l0():
 def test_spectral_field_shape_validation():
     with pytest.raises(ValueError):
         sh.SpectralField(3, np.zeros(5), "scalar")
+
+
+# ------------------------------------------------- FFT lengths and the table
+
+
+def _is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_smooth_length_is_the_least_5_smooth_length():
+    for n, want in [(37, 40), (49, 50), (97, 100), (193, 200), (257, 270),
+                    (1, 1), (7, 8), (40, 40)]:
+        assert sh.smooth_length(n) == want
+    for n in range(1, 400):
+        k = sh.smooth_length(n)
+        assert k >= n and _is_5_smooth(k)
+        assert not any(_is_5_smooth(j) for j in range(n, k))
+
+
+def test_legendre_table_fits_the_old_two_table_footprint():
+    # one padded P table, no dP table: at most the (lmax+1)(lmax+2) n_lat
+    # float64 that P and dP/dtheta took together
+    for n_lat, lmax in [(19, 12), (26, 12), (97, 64), (130, 64), (13, 12)]:
+        P = sh._legendre_table(n_lat, lmax)
+        assert P.dtype == np.float64
+        assert P.size <= (lmax + 1) * (lmax + 2) * n_lat
+
+
+# smooth default grids, odd explicit grids and prime explicit grids
+ROUND_TRIP_GRIDS = [
+    (5, None), (12, None), (32, None),
+    (12, (13, 25)), (12, (19, 37)), (7, (11, 17)), (20, (23, 43)),
+]
+
+
+def _grid(lmax, dims):
+    from snse.operators import product_grid
+    return product_grid(lmax) if dims is None else sh.gauss_legendre_grid(*dims)
+
+
+@pytest.mark.parametrize("lmax, dims", ROUND_TRIP_GRIDS)
+def test_round_trips_on_smooth_and_prime_grids(lmax, dims):
+    rng = np.random.default_rng(lmax)
+    g = _grid(lmax, dims)
+    for _ in range(3):
+        psi = sh.random_stream_field(lmax, rng)
+        chi = sh.SpectralField(lmax, sh.random_stream_field(lmax, rng).coeffs,
+                               "scalar")
+        back = sh.scalar_analysis(sh.scalar_synthesis(chi, g), lmax)
+        assert np.abs(back.coeffs - chi.coeffs).max() < 1e-12
+        back = sh.vector_analysis(sh.vector_synthesis(psi, g), lmax)
+        assert np.abs(back.coeffs - psi.coeffs).max() < 1e-12
+
+
+@pytest.mark.parametrize("lmax, dims", ROUND_TRIP_GRIDS)
+def test_leray_identity_on_smooth_and_prime_grids(lmax, dims):
+    # P(Curl psi + grad chi) = Curl psi: the gradient part is annihilated
+    rng = np.random.default_rng(100 + lmax)
+    g = _grid(lmax, dims)
+    for _ in range(3):
+        psi = sh.random_stream_field(lmax, rng)
+        chi = sh.SpectralField(lmax, sh.random_stream_field(lmax, rng).coeffs,
+                               "scalar")
+        w = sh.GridField(g, sh.vector_synthesis(psi, g).values
+                         + sh.gradient_synthesis(chi, g).values)
+        assert np.abs(sh.vector_analysis(w, lmax).coeffs - psi.coeffs).max() < 1e-12
+        assert np.abs(divergence_coeffs(sh.vector_synthesis(psi, g), lmax)).max() < 1e-12

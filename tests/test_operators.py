@@ -279,3 +279,28 @@ def test_context_validation():
     # dealias off accepts a merely-resolving grid
     ctx = op.OperatorContext(lmax=4, grid=small, dealias=False)
     assert ctx.grid is small
+
+
+# ------------------------------------------------------------- grid choice
+
+
+def test_product_and_l4_grids_take_smooth_fft_lengths():
+    from snse.diagnostics import l4_grid
+
+    for lmax, prod, l4 in [(64, (97, 200), (130, 270)),
+                           (12, (19, 40), (26, 50)),
+                           (32, (49, 100), (66, 135))]:
+        g = op.product_grid(lmax)
+        assert (g.n_lat, g.n_lon) == prod
+        assert g.n_lat == sh.min_grid(lmax, dealias=True)[0]
+        assert g.resolves_product(lmax)
+        assert (l4_grid(lmax).n_lat, l4_grid(lmax).n_lon) == l4
+        assert op.OperatorContext(lmax).grid is g
+
+
+def test_explicit_prime_grid_is_kept():
+    g = sh.gauss_legendre_grid(19, 37)                   # 37 = 3 * 12 + 1
+    assert op.OperatorContext(lmax=12, grid=g).grid is g
+    assert sh.min_grid(12, dealias=True) == (19, 37)     # the bound stays
+    with pytest.raises(ValueError, match="needs ≥ 37"):
+        op.OperatorContext(lmax=12, grid=sh.gauss_legendre_grid(19, 36))
