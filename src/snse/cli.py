@@ -36,8 +36,8 @@ from .diagnostics import (b_form_constants, energy_residual,
 from .harmonics import (ParameterError, SpectralField, gauss_legendre_grid,
                         n_modes, random_stream_field, unit_stream_mode)
 from .noise import (NoiseSpec, PURPOSE_MC, PURPOSE_PATH, _positive_stable_batch,
-                    check_summability, levy_increment_block,
-                    moment_scaling_estimate, substream)
+                    check_moment_order, check_summability,
+                    levy_increment_block, moment_scaling_estimate, substream)
 from .operators import OperatorContext
 from .ou import ou_moment_check, zlp_bound
 from .solver import (DIAGNOSTIC_COLUMNS, SolverConfig, StepFailure,
@@ -375,14 +375,10 @@ def parse_config(path: str, *, mode: str | None = None,
         scfg = replace(cfg, dt=probe_dt, t_end=probe_t_end).solver_config()
         if mode in _STEPPING_MODES:
             _initial_ou(ctx, scfg, spec)
+        check_moment_order(cfg.p, cfg.beta)
     except ParameterError as err:
         fail(_KEY_OF_PARAM.get(err.param, err.param), str(err))
 
-    if cfg.p <= 0:
-        fail("p", f"p = {cfg.p:g} must be positive")
-    if cfg.beta < 2.0 and cfg.p >= cfg.beta:
-        fail("p", f"p = {cfg.p:g} with beta = {cfg.beta:g}: p < β required "
-                  "(higher moments of the driving noise are infinite)")
     if not t_list or any(tv <= 0 for tv in t_list):
         fail("t", f"t = {t_raw!r} must be a comma-separated list of "
                   "positive times")

@@ -62,17 +62,12 @@ def l4_norm(field: SpectralField) -> float:
 
 
 def norms(field: SpectralField, ctx: OperatorContext) -> dict:
-    """Parseval norms H, V = |A^{1/2}.| and DA = |A.|; |.|_L4 is l4_norm."""
-    lam_b = basis_eigenvalues(field.lmax)
+    """Parseval norms H, V = |A^{1/2}.| and DA = |A.| of a field on the
+    context's band limit; |.|_L4 is l4_norm."""
     c2 = np.abs(field.coeffs) ** 2 * _mode_weights(field.lmax)
     if field.kind == "stream":
-        c2 = c2 * lam_b
-    if field.lmax == ctx.lmax:
-        lam_s = ctx.lam_stokes
-    elif ctx.spectrum == "paper":
-        lam_s = lam_b
-    else:
-        lam_s = np.where(lam_b > 0, lam_b - 2.0, 0.0)
+        c2 = c2 * basis_eigenvalues(field.lmax)
+    lam_s = ctx.lam_stokes
     return {
         "H": float(c2.sum()) ** 0.5,
         "V": float((c2 * lam_s).sum()) ** 0.5,

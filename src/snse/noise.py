@@ -36,8 +36,8 @@ __all__ = [
     "SigmaRule",
     "parse_sigma_rule",
     "substream",
-    "sample_positive_stable",
     "levy_increment_block",
+    "check_moment_order",
     "check_summability",
     "moment_scaling_estimate",
 ]
@@ -161,15 +161,16 @@ class LevyIncrementBlock:
     dL is stored in the m >= 0 complex layout: the m = 0 slot is a real
     N(0, dX) draw; an m > 0 slot packs the two independent N(0, dX) real
     coordinate draws as (xi1 - i xi2) sqrt(dX/2), so the implied real
-    coordinates are i.i.d. N(0, dX) as required.
+    coordinates are i.i.d. N(0, dX) as required.  A batch of blocks has
+    an array dX, and dL has the same leading shape.
     """
 
     dt: float
-    dX: float
+    dX: float | np.ndarray
     dL: np.ndarray
 
     def __post_init__(self):
-        if self.dX < 0:
+        if np.any(self.dX < 0):
             raise ValueError("subordinator increment must be >= 0")
 
 
@@ -198,19 +199,6 @@ def _positive_stable_batch(index: float, scale_t: float, rng: np.random.Generato
     return np.exp(logx)
 
 
-def sample_positive_stable(index: float, scale_t: float, rng: np.random.Generator) -> float:
-    """One increment of the increasing stable subordinator.
-
-    E exp(-r X) = exp(-scale_t * r^index); index = 1 degenerates to the
-    deterministic clock X = scale_t.
-    """
-    if not (0.0 < index <= 1.0):
-        raise ValueError("stability index of the subordinator must lie in (0, 1]")
-    if scale_t <= 0:
-        raise ValueError("scale_t must be positive")
-    return float(_positive_stable_batch(index, scale_t, rng, size=()))
-
-
 def _gaussian_mode_increments(rng: np.random.Generator, dX, lmax: int) -> np.ndarray:
     """Conditionally Gaussian coordinate increments in the complex layout.
 
@@ -233,14 +221,14 @@ def _gaussian_mode_increments(rng: np.random.Generator, dX, lmax: int) -> np.nda
     return out
 
 
-def levy_increment_block(spec: NoiseSpec, dt: float, rng: np.random.Generator) -> LevyIncrementBlock:
-    """Draw one increment block: shared dX, then per-mode Gaussians."""
+def levy_increment_block(spec: NoiseSpec, dt: float, rng: np.random.Generator,
+                         size=()) -> LevyIncrementBlock:
+    """Draw the shared clock dX, then per-mode Gaussians: one block (float
+    dX) or, for size != (), a batch.  At beta = 2, dX = dt draws nothing."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if spec.beta == 2.0:
-        dX = float(dt)  # deterministic clock: un-subordinated Wiener case
-    else:
-        dX = sample_positive_stable(spec.beta / 2.0, dt, rng)
+    X = _positive_stable_batch(spec.beta / 2.0, dt, rng, size)
+    dX = float(X) if X.ndim == 0 else X
     dL = _gaussian_mode_increments(rng, dX, spec.lmax)
     return LevyIncrementBlock(dt=float(dt), dX=dX, dL=dL)
 
@@ -266,6 +254,27 @@ def check_summability(spec: NoiseSpec, delta: float, *,
                              include_multiplicity, l_star, tol))
 
 
+def _tail_sum(term, lo: int, l_star: int) -> tuple:
+    """(partial, tail, slope) of sum_{l >= lo} term(l).
+
+    partial sums term over lo..l_star in chunks of 10^5 degrees; tail is the
+    integral-test estimate beyond l_star from the local log-log slope of
+    term there: inf when the slope is >= -1, and 0 (slope None) when term
+    vanishes at l_star.
+    """
+    partial = 0.0
+    for a in range(lo, l_star + 1, 10**5):
+        b = min(a + 10**5 - 1, l_star)
+        partial += term(np.arange(a, b + 1, dtype=np.float64)).sum()
+    x0, x1 = float(l_star), float(l_star) * 1.01
+    t0, t1 = float(term(np.array([x0]))[0]), float(term(np.array([x1]))[0])
+    if t0 == 0.0:
+        return float(partial), 0.0, None
+    slope = math.log(t1 / t0) / math.log(x1 / x0)
+    tail = math.inf if slope >= -1.0 - 1e-9 else t0 * x0 / (-slope - 1.0)
+    return float(partial), tail, slope
+
+
 @lru_cache(maxsize=None)
 def _summability(rule: SigmaRule, beta: float, delta: float,
                  include_multiplicity: bool, l_star: int, tol: float) -> dict:
@@ -282,38 +291,32 @@ def _summability(rule: SigmaRule, beta: float, delta: float,
         ls = np.arange(1, rule.l_cut + 1, dtype=np.float64)
         return {"value": float(term(ls).sum()), "converged": True,
                 "tail_bound": 0.0, "slope": None}
-
-    chunks = 0.0
-    for lo in range(1, l_star + 1, 10**5):
-        hi = min(lo + 10**5 - 1, l_star)
-        chunks += term(np.arange(lo, hi + 1, dtype=np.float64)).sum()
-    value = float(chunks)
-
-    # local log-log slope at the truncation point decides the tail
-    x0, x1 = float(l_star), float(l_star) * 1.01
-    t0, t1 = float(term(np.array([x0]))[0]), float(term(np.array([x1]))[0])
-    if t0 == 0.0:
-        return {"value": value, "converged": True, "tail_bound": 0.0, "slope": None}
-    slope = math.log(t1 / t0) / math.log(x1 / x0)
-    if slope >= -1.0 - 1e-9:
-        return {"value": value, "converged": False, "tail_bound": math.inf,
-                "slope": slope}
-    tail = t0 * x0 / (-slope - 1.0)  # integral of the fitted power beyond l_star
+    value, tail, slope = _tail_sum(term, 1, l_star)
     converged = tail < tol * max(value, 1e-300)
     return {"value": value, "converged": converged, "tail_bound": tail, "slope": slope}
 
 
+def check_moment_order(p: float, beta: float) -> None:
+    """The p-th moment of the noise is finite for p > 0, and only for
+    p < beta unless the noise is Gaussian (beta = 2)."""
+    if not p > 0:
+        raise ParameterError("p", f"p = {p:g} must be positive")
+    if beta < 2.0 and not p < beta:
+        raise ParameterError("p", f"p = {p:g} with beta = {beta:g}: p < β "
+                             "required (higher moments of the driving noise "
+                             "are infinite)")
+
+
 def moment_scaling_estimate(spec: NoiseSpec, delta: float, p: float,
-                            t_list, n_paths: int,
-                            rng: np.random.Generator | None = None) -> list:
+                            t_list, n_paths: int) -> list:
     """Monte-Carlo estimates of E | A^delta G L(t) |^p per t.
 
     Exact in distribution per time: conditionally on the clock X(t), every
     real coordinate of L(t) is N(0, X(t)), so each estimate needs a single
-    subordinator draw per path (no substepping).  Requires p < beta.
+    subordinator draw per path (no substepping).  p obeys
+    check_moment_order.
     """
-    if not (0.0 < p < spec.beta):
-        raise ValueError("moment order must satisfy 0 < p < beta")
+    check_moment_order(p, spec.beta)
     ls, ms = mode_degrees(spec.lmax)
     lam = (ls * (ls + 1.0)).astype(float)
     weight = spec.sigma_rule(ls) * np.where(ls >= 1, lam, 1.0) ** delta
@@ -321,14 +324,10 @@ def moment_scaling_estimate(spec: NoiseSpec, delta: float, p: float,
     wm[0] = 0.0
     out = []
     for i, t in enumerate(t_list):
-        g = rng if rng is not None else substream(spec.seed, PURPOSE_MC, i)
-        if spec.beta == 2.0:
-            X = np.full(n_paths, float(t))
-        else:
-            X = _positive_stable_batch(spec.beta / 2.0, float(t), g, n_paths)
+        g = substream(spec.seed, PURPOSE_MC, i)
+        X = _positive_stable_batch(spec.beta / 2.0, float(t), g, n_paths)
         xi2 = g.standard_normal((n_paths, len(ls))) ** 2
-        if np.any(ms > 0):
-            xi2 = np.where(ms == 0, xi2, 0.5 * (xi2 + g.standard_normal((n_paths, len(ls))) ** 2))
+        xi2 = np.where(ms == 0, xi2, 0.5 * (xi2 + g.standard_normal((n_paths, len(ls))) ** 2))
         norm2 = X * ((weight**2 * wm)[None, :] * xi2).sum(axis=1)
         out.append((float(t), float(np.mean(norm2 ** (p / 2.0)))))
     return out

@@ -23,7 +23,6 @@ hence skew-adjoint and energy-neutral.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

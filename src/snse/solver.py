@@ -21,8 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diagnostics import EnergyLedger, norms
-from .harmonics import (ParameterError, SpectralField, _mode_weights,
-                        basis_eigenvalues, zero_field)
+from .harmonics import ParameterError, SpectralField, zero_field
 from .noise import NoiseSpec, check_summability
 from .operators import OperatorContext, nonlinear_B
 from .ou import OUState, decay_rates, make_ou_state, ou_step
@@ -161,23 +160,20 @@ def recombine(state: SimState) -> SpectralField:
 
 def effective_force(z: SpectralField, f: SpectralField | None, alpha: float,
                     ctx: OperatorContext) -> SpectralField:
-    """F = -B(z) + alpha z + f, the force seen by the shifted equation."""
-    if f is not None and f.lmax != z.lmax:
-        raise ValueError("z and f must share lmax")
-    if z.coeffs.any():
-        out = -nonlinear_B(z, ctx).coeffs + alpha * z.coeffs
-    else:
-        out = np.zeros_like(z.coeffs)
-    if f is not None:
-        out = out + f.coeffs
-    return SpectralField(z.lmax, out, "stream")
+    """F = N(0, z) = -B(z) + alpha z + f, the force seen by the shifted
+    equation."""
+    return SpectralField(z.lmax, _nonlinear_rhs(0.0, z, f, alpha, ctx), "stream")
 
 
-def _nonlinear_rhs(v_coeffs: np.ndarray, z: SpectralField, f: SpectralField | None,
-                   alpha: float, ctx: OperatorContext) -> np.ndarray:
-    """N(v, z) = -B(v+z) + alpha z + f on raw coefficients."""
-    u = SpectralField(z.lmax, v_coeffs + z.coeffs, "stream")
-    out = -nonlinear_B(u, ctx).coeffs + alpha * z.coeffs
+def _nonlinear_rhs(v_coeffs: np.ndarray | float, z: SpectralField,
+                   f: SpectralField | None, alpha: float,
+                   ctx: OperatorContext) -> np.ndarray:
+    """N(v, z) = -B(v+z) + alpha z + f on raw coefficients; B(0) = 0 is
+    not evaluated."""
+    u = v_coeffs + z.coeffs
+    out = alpha * z.coeffs
+    if u.any():
+        out = -nonlinear_B(SpectralField(z.lmax, u, "stream"), ctx).coeffs + out
     if f is not None:
         out = out + f.coeffs
     return out
@@ -188,18 +184,12 @@ def _v_decay_factor(ctx: OperatorContext, nu: float, dt: float) -> np.ndarray:
     return np.exp(-dt * (nu * ctx.lam_stokes + 1j * ctx.coriolis_diag))
 
 
-def _v_norm_of(coeffs: np.ndarray, ctx: OperatorContext) -> float:
-    lam_b = basis_eigenvalues(ctx.lmax)
-    wm = _mode_weights(ctx.lmax)
-    return float(np.sqrt((wm * lam_b * ctx.lam_stokes * np.abs(coeffs) ** 2).sum()))
-
-
 def _require_finite(coeffs: np.ndarray, t: float, state: SimState) -> None:
     if not np.all(np.isfinite(coeffs)):
         raise BlowUpError(t, state=state)
 
 
-def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec, rng,
+def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec,
              ctx: OperatorContext) -> SimState:
     dt = cfg.dt
     E = _v_decay_factor(ctx, cfg.nu, dt)
@@ -207,7 +197,7 @@ def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec, rng,
     if N_n is None:
         N_n = _nonlinear_rhs(v_n, state.ou.z, cfg.f, cfg.alpha, ctx)
 
-    ou_next = ou_step(state.ou, dt, spec, rng)
+    ou_next = ou_step(state.ou, dt, spec)
     z_next = ou_next.z
     _require_finite(z_next.coeffs, state.t + dt, state)
 
@@ -226,7 +216,8 @@ def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec, rng,
                                                          cfg.alpha, ctx)
                 if not np.all(np.isfinite(w_new)):
                     raise BlowUpError(state.t + dt, state=state)
-                if _v_norm_of(w_new - w, ctx) < cfg.picard_tol:
+                dw = SpectralField(cfg.lmax, w_new - w, "stream")
+                if norms(dw, ctx)["V"] < cfg.picard_tol:
                     w = w_new
                     break
                 w = w_new
@@ -242,21 +233,21 @@ def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec, rng,
                     step_count=state.step_count + 1)
 
 
-def step_imex(state: SimState, cfg: SolverConfig, spec: NoiseSpec,
-              rng=None, *, ctx: OperatorContext) -> SimState:
+def step_imex(state: SimState, cfg: SolverConfig, spec: NoiseSpec, *,
+              ctx: OperatorContext) -> SimState:
     """One step: z by ou_step, then v by integrating-factor Euler or Heun."""
     if cfg.scheme not in ("imex_euler", "imex_heun"):
         raise ValueError("step_imex handles the imex_* schemes")
-    return _advance(state, cfg, spec, rng, ctx)
+    return _advance(state, cfg, spec, ctx)
 
 
-def step_picard(state: SimState, cfg: SolverConfig, spec: NoiseSpec,
-                rng=None, *, ctx: OperatorContext) -> SimState:
+def step_picard(state: SimState, cfg: SolverConfig, spec: NoiseSpec, *,
+                ctx: OperatorContext) -> SimState:
     """One step: z by ou_step, then v as the fixed point of the trapezoidal
     mild map, iterated from the Euler predictor."""
     if cfg.scheme != "picard":
         raise ValueError("step_picard requires scheme == 'picard'")
-    return _advance(state, cfg, spec, rng, ctx)
+    return _advance(state, cfg, spec, ctx)
 
 
 @dataclass
@@ -296,7 +287,7 @@ def _initial_ou(ctx: OperatorContext, cfg: SolverConfig, spec: NoiseSpec) -> OUS
         return make_ou_state(ctx, alpha=cfg.alpha)
     # undriven runs skip the Re kappa > 0 gate (nothing to convolve); the
     # curvature-shifted spectrum with alpha = 0 is then still integrable
-    return OUState(t=0.0, z=zero_field(cfg.lmax), alpha=cfg.alpha,
+    return OUState(t=0.0, z=zero_field(cfg.lmax),
                    kappa=decay_rates(ctx, cfg.alpha))
 
 

@@ -629,6 +629,26 @@ def test_verify_noise_mode_gaussian_clock_exact(tmp_path):
     assert "moment_slope" in rows
 
 
+def test_verify_noise_gaussian_admits_moments_beyond_two(tmp_path):
+    # p < β binds only stable noise: at beta = 2 every moment is finite
+    path = write_cfg(tmp_path, """\
+        [run]
+        n_paths = 5000
+        [model]
+        lmax = 6
+        [noise]
+        beta = 2
+        sigma = power:gamma=2.0
+        seed = 2
+        [verify]
+        p = 2
+    """)
+    out = str(tmp_path / "out")
+    assert main(["verify-noise", "--config", path, "--output", out]) == 0
+    (slope, target, _, _), = read_checks(out)["moment_slope"]
+    assert target == 1.0 and abs(slope - target) <= 0.05
+
+
 def test_verify_ou_mode(tmp_path):
     path = write_cfg(tmp_path, """\
         [run]

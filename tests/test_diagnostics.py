@@ -87,8 +87,7 @@ def test_norms_consistent_across_truncation_embedding():
     c16 = np.zeros(n_modes(16), complex)
     c16[: n_modes(8)] = u8.coeffs
     u16 = SpectralField(16, c16, "stream")
-    ctx16 = OperatorContext(16)
-    n8, n16 = norms(u8, ctx16), norms(u16, ctx16)
+    n8, n16 = norms(u8, OperatorContext(8)), norms(u16, OperatorContext(16))
     n8["L4"], n16["L4"] = l4_norm(u8), l4_norm(u16)
     for k in ("H", "V", "DA", "L4"):
         assert abs(n8[k] - n16[k]) < 1e-12 * max(n8[k], 1.0)

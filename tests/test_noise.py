@@ -14,17 +14,7 @@ from snse import noise as nz
 def test_positive_stable_degenerate_index_one():
     rng = nz.substream(0, 0)
     for t in (0.5, 1.0, 2.5):
-        assert nz.sample_positive_stable(1.0, t, rng) == t
-
-
-def test_positive_stable_domain_errors():
-    rng = nz.substream(0, 1)
-    with pytest.raises(ValueError):
-        nz.sample_positive_stable(0.0, 1.0, rng)
-    with pytest.raises(ValueError):
-        nz.sample_positive_stable(1.2, 1.0, rng)
-    with pytest.raises(ValueError):
-        nz.sample_positive_stable(0.5, -1.0, rng)
+        assert nz._positive_stable_batch(1.0, t, rng, ()) == t
 
 
 def test_positive_stable_strictly_positive():
@@ -115,6 +105,39 @@ def test_block_layout_and_validation():
     assert blk.dL[3].imag == 0.0
     with pytest.raises(ValueError):
         nz.levy_increment_block(spec, 0.0, nz.substream(0, 5))
+
+
+def test_batched_block_beta2_draws_no_clock():
+    # deterministic clock: dX == dt on every path and the generator's first
+    # bits go to the Gaussians
+    spec = nz.NoiseSpec(beta=2.0, sigma_rule="const:1.0", lmax=3, seed=0)
+    blk = nz.levy_increment_block(spec, 0.3, nz.substream(4, 2), 50)
+    assert blk.dX.shape == (50,) and np.all(blk.dX == 0.3)
+    ref = nz._gaussian_mode_increments(nz.substream(4, 2), np.full(50, 0.3), 3)
+    assert np.array_equal(blk.dL, ref)
+
+
+def test_batched_block_is_clock_then_gaussians():
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", lmax=3, seed=0)
+    blk = nz.levy_increment_block(spec, 0.2, nz.substream(4, 3), (6, 5))
+    rng = nz.substream(4, 3)
+    dX = nz._positive_stable_batch(0.75, 0.2, rng, (6, 5))
+    assert np.array_equal(blk.dX, dX)
+    assert np.array_equal(blk.dL, nz._gaussian_mode_increments(rng, dX, 3))
+    assert blk.dL.shape == (6, 5, 10) and np.all(blk.dL[..., 0] == 0.0)
+    with pytest.raises(ValueError):
+        nz.LevyIncrementBlock(dt=0.2, dX=np.array([0.1, -1e-3]), dL=blk.dL[0, :2])
+    one = nz.levy_increment_block(spec, 0.2, nz.substream(4, 3))
+    assert type(one.dX) is float and one.dL.shape == (10,)
+
+
+def test_tail_sum_partial_plus_tail():
+    partial, tail, slope = nz._tail_sum(lambda l: l**-2.0, 1, 10**5)
+    assert partial + tail == pytest.approx(math.pi**2 / 6.0, abs=1e-9)
+    assert slope == pytest.approx(-2.0, abs=1e-9)
+    assert nz._tail_sum(lambda l: 1.0 / l, 1, 10**5)[1] == math.inf
+    partial, tail, slope = nz._tail_sum(np.zeros_like, 1, 10**5)
+    assert (partial, tail, slope) == (0.0, 0.0, None)
 
 
 def test_counter_streams_reproducible_and_order_free():

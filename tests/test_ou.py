@@ -11,11 +11,43 @@ from scipy import stats
 
 from snse import noise as nz
 from snse import ou
-from snse.harmonics import SpectralField, norm_h, unit_stream_mode
+from snse.harmonics import (SpectralField, _mode_weights, basis_eigenvalues,
+                            norm_h, unit_stream_mode)
 from snse.operators import OperatorContext
 
 
 CTX4 = OperatorContext(lmax=4, nu=1.0, omega=0.0)
+
+
+def h_norm2_batch(coeffs, lmax, weight_exponent=0.0):
+    """|z|_H^2 (weight_exponent = 0) or |A^s z|_H^2 over the last axis."""
+    lam = basis_eigenvalues(lmax)
+    w = _mode_weights(lmax) * lam * np.where(lam > 0, lam, 1.0) ** (2.0 * weight_exponent)
+    return (np.abs(coeffs) ** 2 * w).sum(axis=-1)
+
+
+def sup_norm_growth(spec, delta, p, T_list, n_paths, *, n_time=64):
+    """E sup_{t<=T} |A^delta z_t|^p per horizon T (rotation-free, alpha 0,
+    nu 1) and its log-log slope over T_list; slope None when every
+    estimate vanishes."""
+    g = ou._mode_gain(spec)
+    kappa = basis_eigenvalues(spec.lmax)
+    estimates = []
+    for i, T in enumerate(T_list):
+        dt = float(T) / n_time
+        decay = np.exp(-kappa * dt)
+        gen = nz.substream(spec.seed, nz.PURPOSE_MC, 10_000 + i)
+        y = np.zeros((n_paths, kappa.size), dtype=np.complex128)
+        run_max = np.zeros(n_paths)
+        for _ in range(n_time):
+            y = decay * (y + g * nz.levy_increment_block(spec, dt, gen, n_paths).dL)
+            np.maximum(run_max, h_norm2_batch(y, spec.lmax, delta), out=run_max)
+        estimates.append((float(T), float(np.mean(run_max ** (p / 2.0)))))
+    vals = np.array([e[1] for e in estimates])
+    if np.any(vals <= 0) or len(estimates) < 2:
+        return {"slope": None, "estimates": estimates}
+    slope = float(np.polyfit(np.log([e[0] for e in estimates]), np.log(vals), 1)[0])
+    return {"slope": slope, "estimates": estimates}
 
 
 def test_sigma_zero_exact_decay():
@@ -102,9 +134,23 @@ def test_ito_isometry_direct_ensemble():
     spec = nz.NoiseSpec(beta=2.0, sigma_rule="band:l<=1,value=1.0", lmax=1, seed=21)
     Y = ou.ou_endpoint_ensemble(spec, 0.0, 1.0, 10**4, n_substeps=400,
                                 rng=nz.substream(5, 0))
-    got = float(np.mean(ou.h_norm2_batch(Y, 1)))
+    got = float(np.mean(h_norm2_batch(Y, 1)))
     exact = 3.0 * (1.0 - math.exp(-4.0)) / 4.0
     assert abs(got - exact) / exact < 0.03
+
+
+def test_endpoint_ensemble_is_the_written_out_recursion():
+    # one generator feeds every substep: clock, then Gaussians, per substep
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", lmax=3, seed=6)
+    Y = ou.ou_endpoint_ensemble(spec, 0.4, 0.5, 7, nu=0.8, n_substeps=5,
+                                rng=nz.substream(6, 0))
+    rng, delta = nz.substream(6, 0), 0.5 / 5
+    decay = np.exp(-(0.8 * basis_eigenvalues(3) + 0.4) * delta)
+    y = np.zeros((7, 10), dtype=np.complex128)
+    for _ in range(5):
+        dX = nz._positive_stable_batch(0.75, delta, rng, 7)
+        y = decay * (y + ou._mode_gain(spec) * nz._gaussian_mode_increments(rng, dX, 3))
+    assert np.array_equal(Y, y)
 
 
 def test_endpoint_ensemble_validation():
@@ -212,15 +258,15 @@ def test_zlp_constant_values():
 
 def test_sup_norm_growth_examples():
     zero = nz.NoiseSpec(beta=1.5, sigma_rule="zero", lmax=1, seed=77)
-    r0 = ou.sup_norm_growth(zero, 0.0, 1.0, [0.5, 1.0], 100)
+    r0 = sup_norm_growth(zero, 0.0, 1.0, [0.5, 1.0], 100)
     assert r0["slope"] is None
     assert all(v == 0.0 for _, v in r0["estimates"])
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=1,value=1.0", lmax=1, seed=77)
-    r = ou.sup_norm_growth(spec, 0.0, 1.0, [0.5, 1.0, 2.0, 4.0], 3000)
+    r = sup_norm_growth(spec, 0.0, 1.0, [0.5, 1.0, 2.0, 4.0], 3000)
     assert 0.0 < r["slope"] <= 1.0 / 1.5 + 0.1
     multi = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", lmax=6, seed=78)
-    lo = ou.sup_norm_growth(multi, 0.1, 1.0, [1.0], 2000)["estimates"][0][1]
-    hi = ou.sup_norm_growth(multi, 0.4, 1.0, [1.0], 2000)["estimates"][0][1]
+    lo = sup_norm_growth(multi, 0.1, 1.0, [1.0], 2000)["estimates"][0][1]
+    hi = sup_norm_growth(multi, 0.4, 1.0, [1.0], 2000)["estimates"][0][1]
     assert hi > lo
 
 
@@ -259,7 +305,7 @@ def test_substep_refinement_first_order_on_coupled_noise():
 
 def test_engine_and_stepper_agree_in_distribution():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=2,value=0.7", lmax=2, seed=41)
-    direct = ou.h_norm2_batch(
+    direct = h_norm2_batch(
         ou.ou_endpoint_ensemble(spec, 0.5, 0.6, 4000, n_substeps=300,
                                 rng=nz.substream(8, 0)), 2)
     engine = ou._conditional_h_norm2_samples(spec, 0.5, 0.6, 4000,

@@ -32,7 +32,6 @@ from snse.solver import (
     step_picard,
     _nonlinear_rhs,
     _v_decay_factor,
-    _v_norm_of,
 )
 
 
@@ -146,7 +145,7 @@ def test_picard_iteration_geometric_and_consistent(smooth_data):
     diffs, w_fixed = [], None
     for _ in range(50):
         w_new = base + 0.5 * dt * _nonlinear_rhs(w, st.ou.z, None, 0.0, ctx)
-        diffs.append(_v_norm_of(w_new - w, ctx))
+        diffs.append(norms(SpectralField(10, w_new - w, "stream"), ctx)["V"])
         w = w_new
         if diffs[-1] < tol:
             w_fixed = w
