@@ -168,30 +168,6 @@ class ExperimentConfig:
                                spectrum=self.spectrum)
 
 
-def _parse_field_descriptor(text: str) -> tuple:
-    """Validate an initial-data string; returns its parsed form.
-
-    Grammar:  zero | mode:l=L[,m=M][,amp=A] | random:decay=D,norm=N,seed=S
-    (random's parts are each optional).
-    """
-    body = text.strip()
-    if body == "zero":
-        return ("zero",)
-    head, _, rest = body.partition(":")
-    if head == "mode":
-        opts = _kv_opts(rest, {"l": int, "m": int, "amp": float}, body)
-        if "l" not in opts:
-            raise ValueError(f"field descriptor {body!r} needs l=<degree>")
-        return ("mode", opts["l"], opts.get("m", 0), opts.get("amp", 1.0))
-    if head == "random":
-        opts = _kv_opts(rest, {"decay": float, "norm": float, "seed": int}, body)
-        return ("random", opts.get("decay", 2.0), opts.get("norm", 1.0),
-                opts.get("seed", 0))
-    raise ValueError(f"field descriptor {body!r} must be 'zero', "
-                     "'mode:l=..[,m=..][,amp=..]' or "
-                     "'random:[decay=..][,norm=..][,seed=..]'")
-
-
 def _kv_opts(rest: str, casts: dict, origin: str) -> dict:
     opts = {}
     if rest.strip() == "":
@@ -215,21 +191,31 @@ def _kv_opts(rest: str, casts: dict, origin: str) -> dict:
 def build_field(descriptor: str, lmax: int) -> SpectralField | None:
     """Materialize an initial-data descriptor; 'zero' maps to None.
 
-    A malformed descriptor, or a mode outside the band limit, raises
-    ParameterError naming "descriptor".
+    Grammar:  zero | mode:l=L[,m=M][,amp=A] | random:decay=D,norm=N,seed=S
+    (random's parts are each optional).  A malformed descriptor, or a mode
+    outside the band limit, raises ParameterError naming "descriptor".
     """
+    body = descriptor.strip()
+    head, _, rest = body.partition(":")
     try:
-        kind, *args = _parse_field_descriptor(descriptor)
-        if kind == "zero":
+        if body == "zero":
             return None
-        if kind == "mode":
-            l, m, amp = args
-            field = unit_stream_mode(lmax, l, m)
-            field.coeffs *= amp
+        if head == "mode":
+            opts = _kv_opts(rest, {"l": int, "m": int, "amp": float}, body)
+            if "l" not in opts:
+                raise ValueError(f"field descriptor {body!r} needs l=<degree>")
+            field = unit_stream_mode(lmax, opts["l"], opts.get("m", 0))
+            field.coeffs *= opts.get("amp", 1.0)
             return field
-        decay, norm, seed = args
-        return random_stream_field(lmax, np.random.default_rng(seed),
-                                   decay=decay, norm=norm)
+        if head == "random":
+            opts = _kv_opts(rest, {"decay": float, "norm": float, "seed": int},
+                            body)
+            return random_stream_field(
+                lmax, np.random.default_rng(opts.get("seed", 0)),
+                decay=opts.get("decay", 2.0), norm=opts.get("norm", 1.0))
+        raise ValueError(f"field descriptor {body!r} must be 'zero', "
+                         "'mode:l=..[,m=..][,amp=..]' or "
+                         "'random:[decay=..][,norm=..][,seed=..]'")
     except ValueError as err:
         raise ParameterError("descriptor", str(err)) from None
 
@@ -311,6 +297,8 @@ def parse_config(path: str, *, mode: str | None = None,
     object holds.
     """
     values, lines = _read_file(path)
+    if seed is not None:                # an error in it cites no file line
+        lines.pop(("noise", "seed"), None)
 
     def get(section, key, default=None):
         return values.get((section, key), default)
@@ -379,9 +367,9 @@ def parse_config(path: str, *, mode: str | None = None,
     except ParameterError as err:
         fail(_KEY_OF_PARAM.get(err.param, err.param), str(err))
 
-    if not t_list or any(tv <= 0 for tv in t_list):
+    if not t_list or not all(0 < tv < math.inf for tv in t_list):
         fail("t", f"t = {t_raw!r} must be a comma-separated list of "
-                  "positive times")
+                  "finite positive times")
     for key, least in (("snapshot_every", 0), ("n_paths", 1), ("workers", 1)):
         if getattr(cfg, key) < least:
             fail(key, f"{key} must be >= {least}")
@@ -605,24 +593,24 @@ def _mode_verify_operators(cfg: ExperimentConfig) -> int:
     consts = b_form_constants(samples, ctx)
 
     rows = [(name, c["lhs"], c["rhs"], c["ratio"], c["input_id"])
-            for name, c in rep.checks.items()]
+            for name, c in rep.items()]
     rows += [(f"bform_{key}", value, 1.0, value, f"n={n}")
              for key, value in consts.items()]
 
     # b_antisym / coriolis_zero are identity residuals (exactly zero up to
     # round-off); the rest are bounds whose ratio may approach 1
     gates = {
-        "b_antisym": rep.checks["b_antisym"]["ratio"] <= 1e-9,
-        "coriolis_zero": rep.checks["coriolis_zero"]["ratio"] <= 1e-10,
-        "poincare": rep.checks["poincare"]["ratio"] <= 1.0 + 1e-12,
-        "ladyzhenskaya": rep.checks["ladyzhenskaya"]["ratio"] <= 1.0 + 1e-12,
-        "b1": rep.checks["b1"]["ratio"] <= 1.0 + 1e-12,
-        "b2": rep.checks["b2"]["ratio"] <= 1.0 + 1e-12,
-        "b5": rep.checks["b5"]["ratio"] <= 1.0 + 1e-12,
+        "b_antisym": rep["b_antisym"]["ratio"] <= 1e-9,
+        "coriolis_zero": rep["coriolis_zero"]["ratio"] <= 1e-10,
+        "poincare": rep["poincare"]["ratio"] <= 1.0 + 1e-12,
+        "ladyzhenskaya": rep["ladyzhenskaya"]["ratio"] <= 1.0 + 1e-12,
+        "b1": rep["b1"]["ratio"] <= 1.0 + 1e-12,
+        "b2": rep["b2"]["ratio"] <= 1.0 + 1e-12,
+        "b5": rep["b5"]["ratio"] <= 1.0 + 1e-12,
     }
     lines = [f"samples: {n} random fields at lmax = {cfg.lmax}",
              _grid_line(ctx)]
-    lines += [f"{name}: worst ratio {rep.checks[name]['ratio']:.3e}  "
+    lines += [f"{name}: worst ratio {rep[name]['ratio']:.3e}  "
               f"[{'PASS' if ok else 'FAIL'}]" for name, ok in gates.items()]
     lines += [f"bform_{key}: {value:.6g}" for key, value in consts.items()]
     return _finish(cfg, rows, lines, all(gates.values()))
@@ -793,6 +781,7 @@ def main(argv: list | None = None) -> int:
     try:
         cfg = parse_config(args.config, mode=args.mode, seed=args.seed,
                            output_dir=args.output)
+        os.makedirs(cfg.output_dir, exist_ok=True)
     except (ConfigError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -107,10 +107,6 @@ class QuadratureGrid:
     sin_theta: np.ndarray
     phi: np.ndarray
 
-    def max_resolved_l(self) -> int:
-        """Largest band limit this grid can analyze exactly (degree-wise)."""
-        return min(self.n_lat - 1, (self.n_lon - 1) // 2)
-
     def resolves_product(self, lmax: int) -> bool:
         """2/3-rule check: quadratic products of band limit lmax are exact."""
         n_lat, n_lon = min_grid(lmax, dealias=True)
@@ -203,10 +199,6 @@ class GridField:
         )
         if not ok:
             raise ValueError(f"values shape {self.values.shape} does not match grid")
-
-    @property
-    def tangent(self) -> bool:
-        return self.values.ndim == 3
 
 
 def zero_field(lmax: int, kind: str = "stream") -> SpectralField:
@@ -375,11 +367,9 @@ def scalar_synthesis(f: SpectralField, grid: QuadratureGrid) -> GridField:
     return GridField(grid, _synthesize(G, grid.n_lon)[0])
 
 
-def scalar_analysis(f: GridField, lmax: int | None = None) -> SpectralField:
+def scalar_analysis(f: GridField, lmax: int) -> SpectralField:
     """Project a scalar grid field onto harmonics up to lmax."""
     grid = f.grid
-    if lmax is None:
-        lmax = grid.max_resolved_l()
     _require_resolution(grid, lmax)
     F = _analyze_half(f.values, lmax) * (2.0 * np.pi * grid.weight)[:, None]
     A = _legendre_analysis(F[None], lmax, grid.n_lat)
@@ -439,14 +429,12 @@ def _curl_coeffs(w: GridField, lmax: int) -> np.ndarray:
     return _flat(out, lmax)
 
 
-def vector_analysis(w: GridField, lmax: int | None = None) -> SpectralField:
+def vector_analysis(w: GridField, lmax: int) -> SpectralField:
     """Stream coefficients of the divergence-free part of a tangent field.
 
     psi_{l,m} = (curl w)_{l,m} / (l(l+1)): this is the Leray projection
     realized spectrally — gradient (curl-free) components are annihilated.
     """
-    if lmax is None:
-        lmax = w.grid.max_resolved_l()
     zeta = _curl_coeffs(w, lmax)
     lam = basis_eigenvalues(lmax)
     psi = np.zeros_like(zeta)

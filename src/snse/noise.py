@@ -67,7 +67,6 @@ class SigmaRule:
     gamma: float = 0.0
     l_cut: int = 0
     value: float = 0.0
-    text: str = ""
 
     def __call__(self, l: np.ndarray | int) -> np.ndarray:
         l = np.asarray(l, dtype=np.float64)
@@ -89,7 +88,7 @@ def parse_sigma_rule(text: str) -> SigmaRule:
     "const:0.05", "zero"."""
     raw = text.strip()
     if raw == "zero":
-        return SigmaRule("zero", text=raw)
+        return SigmaRule("zero")
     if ":" not in raw:
         raise ValueError(f"malformed sigma rule {text!r}")
     kind, _, args = raw.partition(":")
@@ -99,16 +98,16 @@ def parse_sigma_rule(text: str) -> SigmaRule:
             k, _, v = args.partition("=")
             if k.strip() != "gamma":
                 raise ValueError
-            return SigmaRule("power", gamma=float(v), text=raw)
+            return SigmaRule("power", gamma=float(v))
         if kind == "band":
             lpart, _, vpart = args.partition(",")
             lk, _, lv = lpart.partition("<=")
             vk, _, vv = vpart.partition("=")
             if lk.strip() != "l" or vk.strip() != "value":
                 raise ValueError
-            return SigmaRule("band", l_cut=int(lv), value=float(vv), text=raw)
+            return SigmaRule("band", l_cut=int(lv), value=float(vv))
         if kind == "const":
-            return SigmaRule("const", value=float(args), text=raw)
+            return SigmaRule("const", value=float(args))
     except (ValueError, TypeError) as exc:
         raise ValueError(f"malformed sigma rule {text!r}") from exc
     raise ValueError(f"unknown sigma rule kind {kind!r} in {text!r}")
@@ -144,6 +143,8 @@ class NoiseSpec:
             object.__setattr__(self, "sigma_rule", rule)
         if not self.delta >= 0:
             raise ParameterError("delta", f"delta = {self.delta:g} must be >= 0")
+        if self.seed < 0:
+            raise ParameterError("seed", f"seed = {self.seed} must be >= 0")
         if self.n_substeps < 1:
             raise ParameterError("n_substeps", "n_substeps must be >= 1")
         if self.lmax < 1:

@@ -51,7 +51,6 @@ __all__ = [
     "product_grid",
     "stokes_apply",
     "coriolis_apply",
-    "cross_radial",
     "curl_scalar",
     "trilinear_b",
     "nonlinear_B",
@@ -80,7 +79,6 @@ class OperatorContext:
     grid: QuadratureGrid | None = None
     dealias: bool = True
     spectrum: str = "paper"
-    lam_basis: np.ndarray = field(init=False, repr=False)
     lam_stokes: np.ndarray = field(init=False, repr=False)
     coriolis_diag: np.ndarray = field(init=False, repr=False)
 
@@ -103,7 +101,6 @@ class OperatorContext:
                 raise ParameterError(name, f"{name} = {have} cannot {task} at "
                                      f"lmax = {self.lmax} (needs ≥ {least})")
         lam = basis_eigenvalues(self.lmax)
-        self.lam_basis = lam
         if self.spectrum == "paper":
             self.lam_stokes = lam.copy()
         else:
@@ -132,13 +129,6 @@ def stokes_apply(u: SpectralField, s: float, ctx: OperatorContext | None = None)
     return SpectralField(u.lmax, out, u.kind)
 
 
-def cross_radial(w: GridField) -> GridField:
-    """xhat x w for a tangent field: (w_theta, w_phi) -> (-w_phi, w_theta)."""
-    if not w.tangent:
-        raise ValueError("tangent field required")
-    return GridField(w.grid, np.stack([-w.values[1], w.values[0]]))
-
-
 def coriolis_apply(u: SpectralField, ctx: OperatorContext, path: str = "spectral") -> SpectralField:
     """Projected rotation term on stream coefficients.
 
@@ -150,8 +140,9 @@ def coriolis_apply(u: SpectralField, ctx: OperatorContext, path: str = "spectral
         return SpectralField(u.lmax, u.coeffs * (1j * ctx.coriolis_diag), u.kind)
     if path == "grid":
         g = ctx.grid
-        w = vector_synthesis(u, g)
-        rot = cross_radial(w).values * (2.0 * ctx.omega * g.mu)[None, :, None]
+        w = vector_synthesis(u, g).values
+        # xhat x w: (w_theta, w_phi) -> (-w_phi, w_theta)
+        rot = np.stack([-w[1], w[0]]) * (2.0 * ctx.omega * g.mu)[None, :, None]
         return vector_analysis(GridField(g, rot), u.lmax)
     raise ValueError(f"unknown path {path!r}")
 

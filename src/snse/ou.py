@@ -65,13 +65,12 @@ __all__ = [
 class OUState:
     """Per-mode state of the stochastic convolution.
 
-    t: current time; z: stream-function coefficients; kappa: per-mode
-    complex decay rates (Re kappa > 0 away from l = 0), the damping shift
-    included; substep_index: absolute substep counter driving the noise
-    streams.
+    z: stream-function coefficients; kappa: per-mode complex decay rates
+    (Re kappa > 0 away from l = 0), the damping shift included;
+    substep_index: absolute substep counter driving the noise streams.
+    The clock is the solver's (SimState.t).
     """
 
-    t: float
     z: SpectralField
     kappa: np.ndarray
     substep_index: int = 0
@@ -94,7 +93,7 @@ def make_ou_state(ctx: OperatorContext, alpha: float = 0.0, *,
         z0 = zero_field(ctx.lmax, "stream")
     if z0.kind != "stream" or z0.lmax != ctx.lmax:
         raise ValueError("z0 must be a stream field on the context band limit")
-    return OUState(t=0.0, z=z0.copy(), kappa=kappa)
+    return OUState(z=z0.copy(), kappa=kappa)
 
 
 def _mode_gain(spec: NoiseSpec) -> np.ndarray:
@@ -137,7 +136,7 @@ def ou_step(state: OUState, dt: float, spec: NoiseSpec, *,
             gen = substream(spec.seed, PURPOSE_SUBSTEP, state.substep_index + j)
             blk = levy_increment_block(spec, delta, gen)
         y = decay * (y + g * blk.dL)
-    return OUState(t=state.t + dt, z=SpectralField(state.z.lmax, y, "stream"),
+    return OUState(z=SpectralField(state.z.lmax, y, "stream"),
                    kappa=state.kappa, substep_index=state.substep_index + n)
 
 

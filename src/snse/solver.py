@@ -149,7 +149,6 @@ class SimState:
     v: SpectralField
     ou: OUState
     ledger: EnergyLedger
-    step_count: int = 0
     N: np.ndarray | None = None
 
 
@@ -229,8 +228,7 @@ def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec,
             v_next = w
     _require_finite(v_next, state.t + dt, state)
     return SimState(t=state.t + dt, v=SpectralField(cfg.lmax, v_next, "stream"),
-                    ou=ou_next, ledger=state.ledger,
-                    step_count=state.step_count + 1)
+                    ou=ou_next, ledger=state.ledger)
 
 
 def step_imex(state: SimState, cfg: SolverConfig, spec: NoiseSpec, *,
@@ -264,9 +262,6 @@ class SimResult:
     def ledger(self) -> EnergyLedger:
         return self.state.ledger
 
-    def recombine(self) -> SpectralField:
-        return recombine(self.state)
-
     def diagnostic_table(self) -> np.ndarray:
         """Columns: t, |v|_H, |v|_V, |Av|_H, |v+z|_L4 and the running
         integrals of |v|_V^2, b(v,v,z), (F,v)."""
@@ -287,8 +282,7 @@ def _initial_ou(ctx: OperatorContext, cfg: SolverConfig, spec: NoiseSpec) -> OUS
         return make_ou_state(ctx, alpha=cfg.alpha)
     # undriven runs skip the Re kappa > 0 gate (nothing to convolve); the
     # curvature-shifted spectrum with alpha = 0 is then still integrable
-    return OUState(t=0.0, z=zero_field(cfg.lmax),
-                   kappa=decay_rates(ctx, cfg.alpha))
+    return OUState(z=zero_field(cfg.lmax), kappa=decay_rates(ctx, cfg.alpha))
 
 
 def _record(state: SimState, cfg: SolverConfig, ctx: OperatorContext) -> None:
@@ -329,11 +323,8 @@ def run(cfg: SolverConfig, spec: NoiseSpec, seed: int | None = None, *,
             cfg.lmax, cfg.nu, cfg.omega, cfg.spectrum):
         raise ValueError("operator context disagrees with the solver config")
     v0 = cfg.v0 if cfg.v0 is not None else zero_field(cfg.lmax)
-    with np.errstate(over="ignore"):    # a huge v0 fails at its ledger row
-        u0_h2 = norms(v0, ctx)["H"] ** 2
     state = SimState(t=0.0, v=SpectralField(cfg.lmax, v0.coeffs.copy(), "stream"),
-                     ou=_initial_ou(ctx, cfg, spec),
-                     ledger=EnergyLedger(u0_h2=u0_h2))
+                     ou=_initial_ou(ctx, cfg, spec), ledger=EnergyLedger())
     result = SimResult(cfg=cfg, spec=spec, ctx=ctx, state=state)
 
     def snap(s: SimState):

@@ -8,6 +8,7 @@ import math
 import os
 import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -299,8 +300,8 @@ def test_criterion_10_worker_count_determinism(tmp_path):
         outputs.append(out)
     names = sorted(os.listdir(outputs[0]))
     identical = names == sorted(os.listdir(outputs[1])) and all(
-        open(os.path.join(outputs[0], n), "rb").read()
-        == open(os.path.join(outputs[1], n), "rb").read()
+        Path(outputs[0], n).read_bytes()
+        == Path(outputs[1], n).read_bytes()
         for n in names)
     elapsed = time.time() - t0
     ok = identical and len(names) > 2

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -237,13 +238,13 @@ def test_snapshot_rejects_corruption(tmp_path):
     c = np.zeros(nm, dtype=np.complex128)
     path = str(tmp_path / "state.bin")
     write_snapshot(path, lmax, "paper", 0.0, c, c)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     bad_magic = str(tmp_path / "bad_magic.bin")
-    open(bad_magic, "wb").write(b"XXXX" + blob[4:])
+    Path(bad_magic).write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(ValueError, match="magic"):
         read_snapshot(bad_magic)
     short = str(tmp_path / "short.bin")
-    open(short, "wb").write(blob[:-8])
+    Path(short).write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="truncated"):
         read_snapshot(short)
     wrong_amp = str(tmp_path / "coeff_shape.bin")
@@ -287,7 +288,7 @@ def test_simulate_zero_data_writes_zero_rows(tmp_path):
                  "--config", write_cfg(tmp_path, MINIMAL),
                  "--output", out])
     assert code == 0
-    lines = open(os.path.join(out, "diagnostics.csv")).read().splitlines()
+    lines = Path(out, "diagnostics.csv").read_text().splitlines()
     assert lines[0] == DIAGNOSTICS_HEADER
     assert len(lines) == 1 + 4                  # t = 0 plus 3 steps
     for k, line in enumerate(lines[1:]):
@@ -309,7 +310,7 @@ def test_report_names_the_grids_used(tmp_path):
         for mode in ("simulate", "verify-energy", "verify-operators"):
             out = str(tmp_path / f"{mode}{len(grid)}")
             assert main([mode, "--config", path, "--output", out]) == 0
-            lines = open(os.path.join(out, "report.txt")).read().splitlines()
+            lines = Path(out, "report.txt").read_text().splitlines()
             assert lines.count(want) == 1, (mode, lines)
 
 
@@ -320,7 +321,7 @@ def test_simulate_matches_library_run_exactly(tmp_path):
     cfg = parse_config(path, mode="simulate")
     res = run(cfg.solver_config(), cfg.noise_spec(), seed=cfg.seed)
     table = res.diagnostic_table()
-    lines = open(os.path.join(out, "diagnostics.csv")).read().splitlines()
+    lines = Path(out, "diagnostics.csv").read_text().splitlines()
     got = np.array([[float(x) for x in line.split(",")]
                     for line in lines[1:]])
     assert got.shape == table.shape
@@ -339,7 +340,7 @@ def test_simulate_is_deterministic_and_seed_sensitive(tmp_path):
     main(["simulate", "--config", path, "--output", outs[0]])
     main(["simulate", "--config", path, "--output", outs[1]])
     main(["simulate", "--config", path, "--output", outs[2], "--seed", "12"])
-    read = lambda d: open(os.path.join(d, "diagnostics.csv"), "rb").read()
+    read = lambda d: Path(d, "diagnostics.csv").read_bytes()
     assert read(outs[0]) == read(outs[1])
     assert read(outs[0]) != read(outs[2])
 
@@ -356,11 +357,11 @@ def test_ensemble_worker_count_invariance(tmp_path):
     names = sorted(os.listdir(out1))
     assert names == sorted(os.listdir(out2))
     for name in names:
-        b1 = open(os.path.join(out1, name), "rb").read()
-        b2 = open(os.path.join(out2, name), "rb").read()
+        b1 = Path(out1, name).read_bytes()
+        b2 = Path(out2, name).read_bytes()
         assert b1 == b2, f"{name} differs between worker counts"
     # three paths, header written once
-    lines = open(os.path.join(out1, "diagnostics.csv")).read().splitlines()
+    lines = Path(out1, "diagnostics.csv").read_text().splitlines()
     assert lines[0] == DIAGNOSTICS_HEADER
     assert sum(line == DIAGNOSTICS_HEADER for line in lines) == 1
     assert len(lines) == 1 + 3 * 5
@@ -383,9 +384,9 @@ def test_blow_up_exit_code_and_partial_artifacts(tmp_path):
     with np.errstate(all="ignore"):
         code = main(["simulate", "--config", path, "--output", out])
     assert code == 1
-    report = open(os.path.join(out, "report.txt")).read()
+    report = Path(out, "report.txt").read_text()
     assert "BLOW-UP" in report and "FAIL" in report
-    lines = open(os.path.join(out, "diagnostics.csv")).read().splitlines()
+    lines = Path(out, "diagnostics.csv").read_text().splitlines()
     assert lines[0] == DIAGNOSTICS_HEADER       # partial table still valid
     for line in lines[1:]:
         assert all(math.isfinite(float(x)) for x in line.split(","))
@@ -408,7 +409,7 @@ def test_blow_up_is_silent(tmp_path, capsys):
     """)
     out = str(tmp_path / "out")
     assert main(["simulate", "--config", path, "--output", out]) == 1
-    assert "BLOW-UP" in open(os.path.join(out, "report.txt")).read()
+    assert "BLOW-UP" in Path(out, "report.txt").read_text()
     assert capsys.readouterr().err == ""
 
 
@@ -428,9 +429,9 @@ def test_blow_up_at_first_row(tmp_path, capsys):
     for mode in ("simulate", "verify-energy"):
         out = str(tmp_path / mode)
         assert main([mode, "--config", path, "--output", out]) == 1
-        report = open(os.path.join(out, "report.txt")).read()
+        report = Path(out, "report.txt").read_text()
         assert "BLOW-UP at t = 0" in report and "result: FAIL" in report
-    csv = open(os.path.join(tmp_path / "simulate", "diagnostics.csv")).read()
+    csv = Path(tmp_path / "simulate", "diagnostics.csv").read_text()
     assert csv.splitlines() == [DIAGNOSTICS_HEADER]
     assert capsys.readouterr().err == ""
 
@@ -456,10 +457,10 @@ def test_non_contraction_exit_code_and_partial_artifacts(tmp_path):
     path = write_cfg(tmp_path, NON_CONTRACTING)
     out = str(tmp_path / "sim")
     assert main(["simulate", "--config", path, "--output", out]) == 1
-    report = open(os.path.join(out, "report.txt")).read()
+    report = Path(out, "report.txt").read_text()
     assert "[NO CONTRACTION at t = 5]" in report
     assert "result: FAIL (no contraction)" in report
-    lines = open(os.path.join(out, "diagnostics.csv")).read().splitlines()
+    lines = Path(out, "diagnostics.csv").read_text().splitlines()
     assert lines[0] == DIAGNOSTICS_HEADER and len(lines) == 2   # t = 0 only
     back = read_snapshot(os.path.join(out, "path0000_snap0000.bin"))
     assert back["t"] == 0.0
@@ -467,7 +468,7 @@ def test_non_contraction_exit_code_and_partial_artifacts(tmp_path):
                                                  8).coeffs)
     out = str(tmp_path / "energy")
     assert main(["verify-energy", "--config", path, "--output", out]) == 1
-    report = open(os.path.join(out, "report.txt")).read()
+    report = Path(out, "report.txt").read_text()
     assert "path0: NO CONTRACTION at t = 5" in report
     assert "result: FAIL" in report
 
@@ -530,12 +531,35 @@ def test_config_errors_cite_the_offending_line(tmp_path, capsys):
         assert loc in err and expect in err, (text, err)
 
 
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    for mode in ("simulate", "verify-operators", "verify-noise", "verify-ou",
+                 "verify-energy"):
+        path = write_cfg(tmp_path, MINIMAL + "[noise]\nseed = -1\n")
+        assert main([mode, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert ":7:" in err and "seed = -1 must be >= 0" in err, err
+        # the command line's value cites no line of the file
+        assert main([mode, "--config", path, "--seed", "-2"]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: seed = -2 must be >= 0" in err, err
+
+
+def test_verify_times_must_be_finite(tmp_path, capsys):
+    for mode in ("verify-ou", "verify-noise"):
+        for t in ("nan", "inf", "0.1,1e400"):
+            path = write_cfg(tmp_path, "[model]\nlmax = 4\n[verify]\n"
+                                       f"t = {t}\n")
+            assert main([mode, "--config", path]) == 2
+            err = capsys.readouterr().err
+            assert ":4:" in err and "finite positive times" in err, err
+
+
 # ---------------------------------------------------------------------------
 # verify modes
 # ---------------------------------------------------------------------------
 
 def read_checks(out):
-    lines = open(os.path.join(out, "checks.csv")).read().splitlines()
+    lines = Path(out, "checks.csv").read_text().splitlines()
     assert lines[0] == "check,lhs,rhs,ratio,input_id"
     rows = {}
     for line in lines[1:]:
@@ -562,7 +586,7 @@ def test_verify_operators_mode(tmp_path):
     assert rows["b_antisym"][0][2] < 1e-9
     assert rows["coriolis_zero"][0][2] < 1e-10
     assert rows["poincare"][0][2] <= 1.0 + 1e-12
-    assert "result: PASS" in open(os.path.join(out, "report.txt")).read()
+    assert "result: PASS" in Path(out, "report.txt").read_text()
 
 
 def test_verify_operators_checks_csv_schema(tmp_path):
@@ -571,7 +595,7 @@ def test_verify_operators_checks_csv_schema(tmp_path):
     path = write_cfg(tmp_path, "[run]\nn_paths = 3\n[model]\nlmax = 8\n")
     out = str(tmp_path / "out")
     assert main(["verify-operators", "--config", path, "--output", out]) == 0
-    lines = open(os.path.join(out, "checks.csv")).read().splitlines()
+    lines = Path(out, "checks.csv").read_text().splitlines()
     assert lines[0] == "check,lhs,rhs,ratio,input_id"
     rows = [line.split(",") for line in lines[1:]]
     assert [r[0] for r in rows[:len(CHECKS)]] == list(CHECKS)
@@ -700,7 +724,7 @@ def test_verify_energy_mode(tmp_path):
             assert lhs <= rhs * (1 + 1e-9)
             assert tag in ("path0", "path1")
     assert "energy_residual" in rows
-    assert "result: PASS" in open(os.path.join(out, "report.txt")).read()
+    assert "result: PASS" in Path(out, "report.txt").read_text()
 
 
 def test_verify_energy_zero_data_trivial(tmp_path):
@@ -727,6 +751,15 @@ def test_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", bad])
     assert exc.value.code == 2
+
+
+def test_output_naming_a_file_is_a_config_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["simulate", "--config", write_cfg(tmp_path, MINIMAL),
+                 "--output", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(taken) in err, err
 
 
 def test_console_invocation(tmp_path):

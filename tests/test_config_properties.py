@@ -34,7 +34,7 @@ VALUES = {
                "band:l<=3,value=0.1", "const:0"), ("nope:1", "power")),
     "delta": ((0.0, 0.5), (-0.5,)),
     "n_substeps": ((1, 2), (0,)),
-    "seed": ((0, 5), ()),
+    "seed": ((0, 5), (-1,)),
     "dt": ((0.05, 0.1), (0.0, -0.1)),
     "t_end": ((0.1, 0.2, 0.30000000000000004, 0.25),
               (0.0, 0.09999999999)),
@@ -47,7 +47,7 @@ VALUES = {
             "bogus")),
     "f": (("zero", "mode:l=2,m=1,amp=0.1"), ("mode:l=0", "mode:m=1")),
     "p": ((0.5, 1.0, 1.8), (0.0, -1.0)),
-    "t": (("0.1,1", "0.5"), ("-1,1", "0", "a,b")),
+    "t": (("0.1,1", "0.5"), ("-1,1", "0", "a,b", "nan", "inf")),
 }
 KEYS = [(section, key) for section, keys in _SCHEMA.items()
         for key in keys if key != "output_dir"]

@@ -37,7 +37,7 @@ class _Cfg:
 def _decay_ledger(T=1.0, n=2001, nu=1.0):
     # closed-form run v(t) = e^{-2 nu t} Z_{1,0}: |v|^2 = e^{-4 nu t},
     # |v|_V^2 = 2 e^{-4 nu t}, |Av|^2 = 4 e^{-4 nu t}, z = F = 0
-    led = EnergyLedger(u0_h2=1.0)
+    led = EnergyLedger()
     for t in np.linspace(0.0, T, n):
         e = math.exp(-4.0 * nu * t)
         led.append_row(t=t, v_h2=e, v_v2=2 * e, av2=4 * e, b_vvz=0.0,
@@ -107,10 +107,10 @@ def test_l4_norm_grid_is_exact():
 def test_poincare_saturates_exactly_on_lowest_band():
     ctx = OperatorContext(6)
     rep = inequality_report([unit_stream_mode(6, 1, 1)], ctx)
-    assert abs(rep.checks["poincare"]["ratio"] - 1.0) < 1e-12
+    assert abs(rep["poincare"]["ratio"] - 1.0) < 1e-12
     # strictly away from saturation once all content sits above l = 1
     rep2 = inequality_report([unit_stream_mode(6, 4, 2)], ctx)
-    assert rep2.checks["poincare"]["ratio"] < 0.11
+    assert rep2["poincare"]["ratio"] < 0.11
 
 
 def test_inequality_report_ratios_bounded_on_random_fields():
@@ -120,10 +120,10 @@ def test_inequality_report_ratios_bounded_on_random_fields():
                for i in range(6)]
     rep = inequality_report(samples, ctx)
     for name in CHECKS:
-        assert rep.checks[name]["ratio"] <= 1.0, name
+        assert rep[name]["ratio"] <= 1.0, name
     # rotational energy neutrality and convective antisymmetry are exact
-    assert rep.checks["coriolis_zero"]["lhs"] < 1e-10
-    assert rep.checks["b_antisym"]["ratio"] < 1e-12
+    assert rep["coriolis_zero"]["lhs"] < 1e-10
+    assert rep["b_antisym"]["ratio"] < 1e-12
 
 
 def test_ladyzhenskaya_ratio_stable_under_truncation_doubling():
@@ -133,8 +133,8 @@ def test_ladyzhenskaya_ratio_stable_under_truncation_doubling():
     c16 = np.zeros(n_modes(16), complex)
     c16[: n_modes(8)] = u8.coeffs
     u16 = SpectralField(16, c16, "stream")
-    r8 = inequality_report([u8], OperatorContext(8)).checks["ladyzhenskaya"]["ratio"]
-    r16 = inequality_report([u16], OperatorContext(16)).checks["ladyzhenskaya"]["ratio"]
+    r8 = inequality_report([u8], OperatorContext(8))["ladyzhenskaya"]["ratio"]
+    r16 = inequality_report([u16], OperatorContext(16))["ladyzhenskaya"]["ratio"]
     assert abs(r8 - r16) < 1e-12
     assert 0.1 < r8 < 1.0
 
@@ -191,7 +191,7 @@ def test_record_state_matches_direct_evaluations():
                       + f.coeffs, "stream")
     F = SpectralField(8, -nonlinear_B(z, ctx).coeffs + alpha * z.coeffs
                       + f.coeffs, "stream")
-    led = EnergyLedger(u0_h2=norms(u, ctx)["H"] ** 2)
+    led = EnergyLedger()
     led.record_state(0.0, v, z, N, F, ctx)
     from snse.harmonics import inner_h, norm_h
     nv = norms(v, ctx)
@@ -240,7 +240,7 @@ def test_gronwall_report_exact_unforced_case():
 
 def test_gronwall_report_arithmetic_with_force_and_noise_terms():
     # synthetic constant series make every trapezoid a product
-    led = EnergyLedger(u0_h2=3.0)
+    led = EnergyLedger()
     for t in (0.0, 0.5, 1.0):
         led.append_row(t=t, v_h2=2.0, v_v2=4.0, av2=8.0, b_vvz=0.1,
                        f_v=0.2, F_h2=0.3, z_h2=0.5, z_v2=0.7, u_l4=1.0)
@@ -255,8 +255,6 @@ def test_gronwall_report_arithmetic_with_force_and_noise_terms():
     assert rep["K3"] == pytest.approx((4.0 + 0.3 / eps_da) * math.exp(theta))
     grow = C_eps * (2 * 16 + 2 * 4 * 0.7 + 0.5 * 0.7 * 4)
     assert rep["K4"] == pytest.approx((4.0 + grow + 0.3 / eps_da) / nu)
-    assert rep["C1"] == 0.7 and rep["C2"] == 0.5
-    assert rep["K4_display"] > 0.0
 
 
 def test_gronwall_report_validation():

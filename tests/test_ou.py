@@ -55,7 +55,6 @@ def test_sigma_zero_exact_decay():
     st = ou.make_ou_state(CTX4, 0.0, z0=unit_stream_mode(4, 1, 0))
     out = ou.ou_step(st, 0.7, spec)
     assert out.z.coeffs[1] == pytest.approx(math.exp(-2 * 0.7) * st.z.coeffs[1], rel=1e-14)
-    assert out.t == pytest.approx(0.7)
     assert out.substep_index == 4
 
 

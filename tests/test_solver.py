@@ -70,7 +70,7 @@ def test_zero_data_zero_trajectory():
     res = run(SolverConfig(lmax=8, dt=0.1, t_end=0.5), _quiet_spec(8))
     assert not res.state.v.coeffs.any()
     assert res.ledger.sup("v_h2") == 0.0
-    assert not res.recombine().coeffs.any()
+    assert not recombine(res.state).coeffs.any()
 
 
 def test_effective_force_cases():
@@ -421,7 +421,7 @@ def test_snapshot_cadence_and_recombine():
     assert times == [k * 0.05 for k in (0, 3, 6, 9, 10)]
     t_last, v_last, z_last = res.snapshots[-1]
     assert np.array_equal(v_last, res.state.v.coeffs)
-    u = res.recombine()
+    u = recombine(res.state)
     assert np.array_equal(u.coeffs, v_last + z_last)
     assert norm_h(u) <= norm_h(res.state.v) + norm_h(res.state.ou.z) + 1e-15
     st = res.state
