@@ -361,7 +361,7 @@ def parse_config(path: str, *, mode: str | None = None,
             if mode in _STEPPING_MODES and value is None:
                 raise ConfigError(f"{path}: mode {mode} needs {key} in [time]")
         scfg = replace(cfg, dt=probe_dt, t_end=probe_t_end).solver_config()
-        if mode in _STEPPING_MODES:
+        if mode in _STEPPING_MODES + ("verify-ou",):
             _initial_ou(ctx, scfg, spec)
         check_moment_order(cfg.p, cfg.beta)
     except ParameterError as err:
@@ -374,8 +374,7 @@ def parse_config(path: str, *, mode: str | None = None,
         if getattr(cfg, key) < least:
             fail(key, f"{key} must be >= {least}")
 
-    if mode != "verify-operators" and not check_summability(
-            spec, cfg.delta)["converged"]:
+    if mode != "verify-operators" and not check_summability(spec)["converged"]:
         fail("sigma", f"noise spectrum fails the summability check at "
                       f"delta = {cfg.delta:g}")
     return cfg
@@ -648,7 +647,7 @@ def _mode_verify_noise(cfg: ExperimentConfig) -> int:
     zero_noise = all(spec.sigma_rule(np.arange(1, 64)) == 0.0)
     if not zero_noise:
         target = cfg.p / spec.beta
-        ests = moment_scaling_estimate(spec, cfg.delta, cfg.p, cfg.t_list, n)
+        ests = moment_scaling_estimate(spec, cfg.p, cfg.t_list, n)
         ts = np.log([t for t, _ in ests])
         ys = np.log([m for _, m in ests])
         slope = float(np.polyfit(ts, ys, 1)[0])
@@ -666,13 +665,12 @@ def _mode_verify_noise(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _mode_verify_ou(cfg: ExperimentConfig) -> int:
-    spec = cfg.noise_spec()
+    spec, ctx = cfg.noise_spec(), cfg.operator_context()
     n = cfg.n_paths
     rows: list = []
     oks: list = []
     for k, t in enumerate(cfg.t_list):
-        chk = ou_moment_check(spec, cfg.alpha, cfg.p, t, n, nu=cfg.nu,
-                              counter=k)
+        chk = ou_moment_check(spec, ctx, cfg.alpha, cfg.p, t, n, counter=k)
         ceiling = chk["c_tilde"] * chk["bound"]
         rows.append((f"ou_moment_t{t:g}", chk["empirical"], ceiling,
                      chk["ratio"], f"n={n}"))
@@ -681,9 +679,8 @@ def _mode_verify_ou(cfg: ExperimentConfig) -> int:
     # dissipation monotonicity: a larger damping shift can only lower the
     # moment bound
     t_ref = max(cfg.t_list)
-    b_lo = zlp_bound(t_ref, cfg.p, spec, cfg.alpha, spec.lmax, nu=cfg.nu)
-    b_hi = zlp_bound(t_ref, cfg.p, spec, cfg.alpha + 4.0, spec.lmax,
-                     nu=cfg.nu)
+    b_lo = zlp_bound(t_ref, cfg.p, spec, ctx, cfg.alpha)
+    b_hi = zlp_bound(t_ref, cfg.p, spec, ctx, cfg.alpha + 4.0)
     ratio = b_hi / b_lo if b_lo > 0 else (0.0 if b_hi == 0 else math.inf)
     rows.append(("bound_alpha_monotone", b_hi, b_lo, ratio,
                  f"alpha {cfg.alpha:g} -> {cfg.alpha + 4:g}"))

@@ -22,7 +22,6 @@ from .harmonics import (
     grid_integral,
     inner_h,
     norm_h,
-    scalar_synthesis,
     smooth_length,
     vector_synthesis,
 )
@@ -50,12 +49,8 @@ def l4_grid(lmax: int) -> QuadratureGrid:
 
 def l4_norm(field: SpectralField) -> float:
     grid = l4_grid(field.lmax)
-    if field.kind == "stream":
-        vec = vector_synthesis(field, grid)
-        mag2 = vec.values[0] ** 2 + vec.values[1] ** 2
-    else:
-        mag2 = scalar_synthesis(field, grid).values ** 2
-    return float(grid_integral(grid, mag2**2)) ** 0.25
+    vec = vector_synthesis(field, grid).values
+    return float(grid_integral(grid, (vec[0] ** 2 + vec[1] ** 2) ** 2)) ** 0.25
 
 
 def norms(field: SpectralField, ctx: OperatorContext) -> dict:

@@ -118,8 +118,9 @@ class NoiseSpec:
     """Stable-noise description.
 
     beta in (0, 2]; sigma_rule maps degree l to amplitude; delta is the
-    regularity exponent used by the summability hypothesis; n_substeps is
-    the subordinator resolution per solver step.  lmax is the mode
+    regularity exponent of the summability hypothesis and of
+    moment_scaling_estimate; n_substeps is the subordinator resolution per
+    solver step.  lmax is the mode
     truncation of the cylindrical process (the solver's band limit):
     increment blocks share SpectralField's mode layout, so the truncation
     is carried here rather than passed per draw.
@@ -239,20 +240,16 @@ def levy_increment_block(spec: NoiseSpec, dt: float, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 
-def check_summability(spec: NoiseSpec, delta: float, *,
-                      include_multiplicity: bool = False,
-                      l_star: int = 10**6, tol: float = 1e-3) -> dict:
-    """Partial sum of sum_l [mult] |sigma_l|^beta (l(l+1))^(beta*delta)
-    with an integral-test tail bound.
+def check_summability(spec: NoiseSpec) -> dict:
+    """Partial sum of sum_l |sigma_l|^beta (l(l+1))^(beta*delta), one term
+    per degree, with an integral-test tail bound.
 
-    value is the partial sum to l_star; converged means the estimated tail
-    is below tol relative to the sum.  include_multiplicity=False sums one
-    term per degree (the default used for run validation); True weights
-    each degree by its (2l+1) mode count.  The verdict is computed once per
-    process for each distinct argument set; every call returns a fresh dict.
+    value is the partial sum to l = 10^6; converged means the estimated
+    tail is below 1e-3 relative to the sum.  The verdict is computed once
+    per process for each (rule, beta, delta); every call returns a fresh
+    dict.
     """
-    return dict(_summability(spec.sigma_rule, spec.beta, delta,
-                             include_multiplicity, l_star, tol))
+    return dict(_summability(spec.sigma_rule, spec.beta, spec.delta))
 
 
 def _tail_sum(term, lo: int, l_star: int) -> tuple:
@@ -277,14 +274,9 @@ def _tail_sum(term, lo: int, l_star: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _summability(rule: SigmaRule, beta: float, delta: float,
-                 include_multiplicity: bool, l_star: int, tol: float) -> dict:
+def _summability(rule: SigmaRule, beta: float, delta: float) -> dict:
     def term(l: np.ndarray) -> np.ndarray:
-        lam = l * (l + 1.0)
-        t = np.abs(rule(l)) ** beta * lam ** (beta * delta)
-        if include_multiplicity:
-            t = t * (2.0 * l + 1.0)
-        return t
+        return np.abs(rule(l)) ** beta * (l * (l + 1.0)) ** (beta * delta)
 
     if rule.kind == "zero" or (rule.kind == "const" and rule.value == 0.0):
         return {"value": 0.0, "converged": True, "tail_bound": 0.0, "slope": None}
@@ -292,8 +284,8 @@ def _summability(rule: SigmaRule, beta: float, delta: float,
         ls = np.arange(1, rule.l_cut + 1, dtype=np.float64)
         return {"value": float(term(ls).sum()), "converged": True,
                 "tail_bound": 0.0, "slope": None}
-    value, tail, slope = _tail_sum(term, 1, l_star)
-    converged = tail < tol * max(value, 1e-300)
+    value, tail, slope = _tail_sum(term, 1, 10**6)
+    converged = tail < 1e-3 * max(value, 1e-300)
     return {"value": value, "converged": converged, "tail_bound": tail, "slope": slope}
 
 
@@ -308,9 +300,9 @@ def check_moment_order(p: float, beta: float) -> None:
                              "are infinite)")
 
 
-def moment_scaling_estimate(spec: NoiseSpec, delta: float, p: float,
-                            t_list, n_paths: int) -> list:
-    """Monte-Carlo estimates of E | A^delta G L(t) |^p per t.
+def moment_scaling_estimate(spec: NoiseSpec, p: float, t_list,
+                            n_paths: int) -> list:
+    """Monte-Carlo estimates of E | A^delta G L(t) |^p per t, delta of spec.
 
     Exact in distribution per time: conditionally on the clock X(t), every
     real coordinate of L(t) is N(0, X(t)), so each estimate needs a single
@@ -320,7 +312,7 @@ def moment_scaling_estimate(spec: NoiseSpec, delta: float, p: float,
     check_moment_order(p, spec.beta)
     ls, ms = mode_degrees(spec.lmax)
     lam = (ls * (ls + 1.0)).astype(float)
-    weight = spec.sigma_rule(ls) * np.where(ls >= 1, lam, 1.0) ** delta
+    weight = spec.sigma_rule(ls) * np.where(ls >= 1, lam, 1.0) ** spec.delta
     wm = _mode_weights(spec.lmax)
     wm[0] = 0.0
     out = []

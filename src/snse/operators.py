@@ -100,16 +100,19 @@ class OperatorContext:
             if have < least:
                 raise ParameterError(name, f"{name} = {have} cannot {task} at "
                                      f"lmax = {self.lmax} (needs ≥ {least})")
+        ls, ms = mode_degrees(self.lmax)
+        self.lam_stokes = self.stokes_eigenvalues(ls)
         lam = basis_eigenvalues(self.lmax)
-        if self.spectrum == "paper":
-            self.lam_stokes = lam.copy()
-        else:
-            self.lam_stokes = np.where(lam > 0, lam - 2.0, 0.0)
-        _, ms = mode_degrees(self.lmax)
         diag = np.zeros(n_modes(self.lmax))
         diag[1:] = -2.0 * self.omega * ms[1:] / lam[1:]
         # rotation acts as multiplication by 1j * coriolis_diag
         self.coriolis_diag = diag
+
+    def stokes_eigenvalues(self, l) -> np.ndarray:
+        """lam_l of the spectrum at degree(s) l, also past lmax; 0 at l = 0."""
+        l = np.asarray(l, dtype=np.float64)
+        lam = l * (l + 1.0)
+        return lam if self.spectrum == "paper" else np.where(l >= 1, lam - 2.0, 0.0)
 
 
 def stokes_apply(u: SpectralField, s: float, ctx: OperatorContext | None = None) -> SpectralField:

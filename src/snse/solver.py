@@ -178,9 +178,9 @@ def _nonlinear_rhs(v_coeffs: np.ndarray | float, z: SpectralField,
     return out
 
 
-def _v_decay_factor(ctx: OperatorContext, nu: float, dt: float) -> np.ndarray:
+def _v_decay_factor(ctx: OperatorContext, dt: float) -> np.ndarray:
     # exact semigroup of the diagonal part nu A + C (alpha acts on z only)
-    return np.exp(-dt * (nu * ctx.lam_stokes + 1j * ctx.coriolis_diag))
+    return np.exp(-dt * decay_rates(ctx, 0.0))
 
 
 def _require_finite(coeffs: np.ndarray, t: float, state: SimState) -> None:
@@ -191,7 +191,7 @@ def _require_finite(coeffs: np.ndarray, t: float, state: SimState) -> None:
 def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec,
              ctx: OperatorContext) -> SimState:
     dt = cfg.dt
-    E = _v_decay_factor(ctx, cfg.nu, dt)
+    E = _v_decay_factor(ctx, dt)
     v_n, N_n = state.v.coeffs, state.N
     if N_n is None:
         N_n = _nonlinear_rhs(v_n, state.ou.z, cfg.f, cfg.alpha, ctx)
@@ -278,7 +278,7 @@ class SimResult:
 
 
 def _initial_ou(ctx: OperatorContext, cfg: SolverConfig, spec: NoiseSpec) -> OUState:
-    if np.any(spec.sigma_per_mode() > 0):
+    if np.any(spec.sigma_per_mode() != 0):
         return make_ou_state(ctx, alpha=cfg.alpha)
     # undriven runs skip the Re kappa > 0 gate (nothing to convolve); the
     # curvature-shifted spectrum with alpha = 0 is then still integrable
@@ -312,8 +312,7 @@ def run(cfg: SolverConfig, spec: NoiseSpec, seed: int | None = None, *,
         raise ValueError(f"noise lmax {spec.lmax} != config lmax {cfg.lmax}")
     if seed is not None:
         spec = replace(spec, seed=int(seed))
-    summ = check_summability(spec, spec.delta)
-    if not summ["converged"]:
+    if not check_summability(spec)["converged"]:
         raise ValueError("noise spectrum fails the summability check at "
                          f"delta = {spec.delta:g}")
     if ctx is None:

@@ -166,8 +166,7 @@ def test_criterion_06_moment_scaling_slope():
     beta, p = 1.5, 1.0
     spec = NoiseSpec(beta=beta, sigma_rule="power:gamma=2.0", delta=0.5,
                      seed=0, lmax=8)
-    ests = moment_scaling_estimate(spec, 0.5, p, (0.25, 0.5, 1.0, 2.0, 4.0),
-                                   10_000)
+    ests = moment_scaling_estimate(spec, p, (0.25, 0.5, 1.0, 2.0, 4.0), 10_000)
     ts = np.log([t for t, _ in ests])
     ys = np.log([m for _, m in ests])
     slope = float(np.polyfit(ts, ys, 1)[0])
@@ -185,7 +184,8 @@ def test_criterion_07_ou_moment_bounds():
     # Gaussian case saturates the second-moment identity
     g_spec = NoiseSpec(beta=2.0, sigma_rule="band:l<=4,value=0.3", seed=0,
                        lmax=8)
-    chk = ou_moment_check(g_spec, 0.5, 2.0, 2.0, n, max_kappa_dt=0.01)
+    ctx = OperatorContext(8)
+    chk = ou_moment_check(g_spec, ctx, 0.5, 2.0, 2.0, n, max_kappa_dt=0.01)
     gauss_ratio = chk["empirical"] / chk["bound"]
     gauss_ok = abs(gauss_ratio - 1.0) <= 0.03
     # heavy-tailed case stays below the displayed bound at every horizon
@@ -193,11 +193,11 @@ def test_criterion_07_ou_moment_bounds():
     stable_ratios = []
     stable_ok = True
     for k, t in enumerate((0.1, 1.0, 10.0)):
-        chk = ou_moment_check(s_spec, 0.5, 1.0, t, n, counter=k)
+        chk = ou_moment_check(s_spec, ctx, 0.5, 1.0, t, n, counter=k)
         stable_ratios.append(chk["ratio"])
         stable_ok = stable_ok and chk["passed"]
     # a larger damping shift strictly lowers the bound
-    bounds = [zlp_bound(1.0, 1.0, s_spec, a, 8) for a in (0.5, 2.0, 8.0)]
+    bounds = [zlp_bound(1.0, 1.0, s_spec, ctx, a) for a in (0.5, 2.0, 8.0)]
     mono_ok = bounds[0] > bounds[1] > bounds[2]
     elapsed = time.time() - t0
     ok = gauss_ok and stable_ok and mono_ok and elapsed < 120.0

@@ -698,6 +698,66 @@ def test_verify_ou_mode(tmp_path):
     assert hi <= lo
 
 
+SHIFTED_OU = """\
+    [run]
+    n_paths = 2000
+    [model]
+    lmax = 6
+    alpha = {alpha}
+    spectrum = ricci_shifted
+    [noise]
+    beta = 1.5
+    sigma = band:l<=4,value={value}
+    [time]
+    dt = 0.1
+    t_end = 0.2
+    [verify]
+    t = 0.5
+"""
+
+
+def test_verify_ou_uses_the_configured_spectrum(tmp_path, capsys):
+    # l = 1 is the zero mode of the shifted spectrum: undamped it does not
+    # decay, as simulate already refuses
+    path = write_cfg(tmp_path, SHIFTED_OU.format(alpha=0, value=0.5))
+    assert main(["verify-ou", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}:5:" in err and "needs alpha > 0" in err, err
+    undriven = write_cfg(tmp_path, SHIFTED_OU.format(alpha=0, value=0))
+    assert main(["verify-ou", "--config", undriven,
+                 "--output", str(tmp_path / "undriven")]) == 0
+    out = str(tmp_path / "out")
+    path = write_cfg(tmp_path, SHIFTED_OU.format(alpha=0.1, value=0.5))
+    assert main(["verify-ou", "--config", path, "--output", out]) == 0
+    # kappa_1 = alpha under the shifted spectrum, 2 nu + alpha under the
+    # paper one: the shifted bound is the larger
+    (_, rhs, _, _), = read_checks(out)["ou_moment_t0.5"]
+    paper = str(tmp_path / "paper")
+    path = write_cfg(tmp_path, SHIFTED_OU.format(alpha=0.1, value=0.5)
+                     .replace("ricci_shifted", "paper"))
+    assert main(["verify-ou", "--config", path, "--output", paper]) == 0
+    (_, rhs_paper, _, _), = read_checks(paper)["ou_moment_t0.5"]
+    assert rhs > rhs_paper
+
+
+def test_negative_amplitudes_drive_the_noise(tmp_path):
+    # symmetric noise: sigma_l and -sigma_l give the same law
+    checks = []
+    for value in (0.5, -0.5):
+        out = str(tmp_path / f"out{value}")
+        path = write_cfg(tmp_path, SHIFTED_OU.format(alpha=0.1, value=value))
+        assert main(["verify-ou", "--config", path, "--output", out]) == 0
+        checks.append(Path(out, "checks.csv").read_bytes())
+    assert checks[0] == checks[1]
+
+
+def test_negative_amplitudes_meet_the_decay_gate(tmp_path):
+    # a driven zero mode needs damping whatever the sign of its amplitude
+    path = write_cfg(tmp_path, SHIFTED_OU.format(alpha=0, value=-0.5))
+    assert main(["simulate", "--config", path,
+                 "--output", str(tmp_path / "sim")]) == 2
+
+
 def test_verify_energy_mode(tmp_path):
     path = write_cfg(tmp_path, """\
         [run]

@@ -3,6 +3,7 @@ independent stable distribution (KS), Monte-Carlo characteristic functions,
 and direct summation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -175,19 +176,21 @@ def test_sigma_rule_parsing():
 
 
 def test_summability_zero_and_band():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", lmax=4)
-    res = nz.check_summability(spec, 0.5)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", delta=0.5, lmax=4)
+    res = nz.check_summability(spec)
     assert res == {"value": 0.0, "converged": True, "tail_bound": 0.0, "slope": None}
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=8,value=0.1", lmax=4)
-    res = nz.check_summability(spec, 0.5)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=8,value=0.1", delta=0.5,
+                        lmax=4)
+    res = nz.check_summability(spec)
     assert res["converged"] and res["tail_bound"] == 0.0
     expect = sum(0.1**1.5 * (l * (l + 1.0)) ** 0.75 for l in range(1, 9))
     assert res["value"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_summability_power_law_matches_direct_sum():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", lmax=4)
-    res = nz.check_summability(spec, 0.5)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
+                        lmax=4)
+    res = nz.check_summability(spec)
     ls = np.arange(1, 10**6 + 1, dtype=np.float64)
     direct = float(np.sum(ls**-3.0 * (ls * (ls + 1.0)) ** 0.75))
     assert res["converged"]
@@ -195,49 +198,53 @@ def test_summability_power_law_matches_direct_sum():
 
 
 def test_summability_divergent_has_diagnostic():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", lmax=4)
-    res = nz.check_summability(spec, 0.5, include_multiplicity=True)
+    # |sigma_l|^beta lambda_l^(beta delta) ~ l^-2 l^1.5 = l^-0.5
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule=f"power:gamma={4 / 3!r}",
+                        delta=0.5, lmax=4)
+    res = nz.check_summability(spec)
     assert not res["converged"]
     assert res["slope"] == pytest.approx(-0.5, abs=0.01)
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:0.3", lmax=4)
-    assert not nz.check_summability(spec, 0.0)["converged"]
+    assert not nz.check_summability(spec)["converged"]
 
 
 def test_summability_verdict_cached_per_argument_set():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.5", lmax=4)
-    first = nz.check_summability(spec, 0.25)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.5", delta=0.25,
+                        lmax=4)
+    first = nz.check_summability(spec)
     first["converged"] = "mutated"
     before = nz._summability.cache_info()
     # another band limit or seed shares the verdict; the caller's copy is
     # its own
     again = nz.check_summability(nz.NoiseSpec(beta=1.5, seed=7, lmax=9,
-                                              sigma_rule="power:gamma=2.5"),
-                                 0.25)
+                                              sigma_rule="power:gamma=2.5",
+                                              delta=0.25))
     assert nz._summability.cache_info().hits == before.hits + 1
     assert again["converged"] is True and again is not first
-    nz.check_summability(spec, 0.25, tol=1e-4)
+    nz.check_summability(replace(spec, delta=0.3))
     assert nz._summability.cache_info().misses == before.misses + 1
 
 
 def test_moment_scaling_domain_error():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", lmax=2)
     with pytest.raises(ValueError):
-        nz.moment_scaling_estimate(spec, 0.0, 1.5, [1.0], 10)
+        nz.moment_scaling_estimate(spec, 1.5, [1.0], 10)
     with pytest.raises(ValueError):
-        nz.moment_scaling_estimate(spec, 0.0, 1.8, [1.0], 10)
+        nz.moment_scaling_estimate(spec, 1.8, [1.0], 10)
 
 
 def test_moment_scaling_single_mode_slope():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=1,value=1.0", lmax=1, seed=5)
-    est = nz.moment_scaling_estimate(spec, 0.0, 1.0, [0.25, 0.5, 1.0, 2.0, 4.0], 10**4)
+    est = nz.moment_scaling_estimate(spec, 1.0, [0.25, 0.5, 1.0, 2.0, 4.0], 10**4)
     logs = np.log(np.array(est))
     slope = np.polyfit(logs[:, 0], logs[:, 1], 1)[0]
     assert slope == pytest.approx(1.0 / 1.5, abs=0.05)
 
 
 def test_moment_scaling_monotone_in_t():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", lmax=6, seed=8)
-    est = nz.moment_scaling_estimate(spec, 0.25, 1.0, [0.1, 1.0, 10.0], 4000)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", delta=0.25,
+                        lmax=6, seed=8)
+    est = nz.moment_scaling_estimate(spec, 1.0, [0.1, 1.0, 10.0], 4000)
     vals = [e[1] for e in est]
     assert vals[0] < vals[1] < vals[2]
 
@@ -246,7 +253,7 @@ def test_moment_scaling_truncated_two_mode_vs_bruteforce():
     # high-resolution brute-force MC oracle with a separate stream
     spec = nz.NoiseSpec(beta=1.6, sigma_rule="band:l<=2,value=1.0", lmax=2, seed=12)
     t = 0.7
-    (_, est), = nz.moment_scaling_estimate(spec, 0.0, 1.0, [t], 2 * 10**5)
+    (_, est), = nz.moment_scaling_estimate(spec, 1.0, [t], 2 * 10**5)
     rng = nz.substream(1234, 77)
     n = 10**6
     X = nz._positive_stable_batch(0.8, t, rng, n)

@@ -16,7 +16,9 @@ from snse.harmonics import (SpectralField, _mode_weights, basis_eigenvalues,
 from snse.operators import OperatorContext
 
 
+CTX1 = OperatorContext(lmax=1)
 CTX4 = OperatorContext(lmax=4, nu=1.0, omega=0.0)
+CTX8 = OperatorContext(lmax=8)
 
 
 def h_norm2_batch(coeffs, lmax, weight_exponent=0.0):
@@ -131,7 +133,7 @@ def test_zonal_coefficients_stay_real_under_rotation():
 def test_ito_isometry_direct_ensemble():
     # all three l=1 coordinates driven: E|z|^2 = 3 sigma^2 (1-e^{-2kt})/(2k)
     spec = nz.NoiseSpec(beta=2.0, sigma_rule="band:l<=1,value=1.0", lmax=1, seed=21)
-    Y = ou.ou_endpoint_ensemble(spec, 0.0, 1.0, 10**4, n_substeps=400,
+    Y = ou.ou_endpoint_ensemble(spec, CTX1, 0.0, 1.0, 10**4, n_substeps=400,
                                 rng=nz.substream(5, 0))
     got = float(np.mean(h_norm2_batch(Y, 1)))
     exact = 3.0 * (1.0 - math.exp(-4.0)) / 4.0
@@ -141,8 +143,8 @@ def test_ito_isometry_direct_ensemble():
 def test_endpoint_ensemble_is_the_written_out_recursion():
     # one generator feeds every substep: clock, then Gaussians, per substep
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", lmax=3, seed=6)
-    Y = ou.ou_endpoint_ensemble(spec, 0.4, 0.5, 7, nu=0.8, n_substeps=5,
-                                rng=nz.substream(6, 0))
+    Y = ou.ou_endpoint_ensemble(spec, OperatorContext(3, nu=0.8), 0.4, 0.5, 7,
+                                n_substeps=5, rng=nz.substream(6, 0))
     rng, delta = nz.substream(6, 0), 0.5 / 5
     decay = np.exp(-(0.8 * basis_eigenvalues(3) + 0.4) * delta)
     y = np.zeros((7, 10), dtype=np.complex128)
@@ -155,7 +157,7 @@ def test_endpoint_ensemble_is_the_written_out_recursion():
 def test_endpoint_ensemble_validation():
     spec = nz.NoiseSpec(beta=2.0, sigma_rule="zero", lmax=1)
     with pytest.raises(ValueError):
-        ou.ou_endpoint_ensemble(spec, 0.0, 0.0, 10)
+        ou.ou_endpoint_ensemble(spec, CTX1, 0.0, 0.0, 10)
 
 
 def test_conditional_engine_matches_stable_closed_form():
@@ -168,7 +170,7 @@ def test_conditional_engine_matches_stable_closed_form():
         q, a = p / 2.0, 0.75
         exact = (I ** (q / a) * math.gamma(1 - q / a) / math.gamma(1 - q)
                  * 2.0**q * math.gamma((3 + p) / 2.0) / math.gamma(1.5))
-        n2 = ou._conditional_h_norm2_samples(spec, alpha, t, 10**5,
+        n2 = ou._conditional_h_norm2_samples(spec, CTX1, alpha, t, 10**5,
                                              max_kappa_dt=0.01,
                                              rng=nz.substream(7, key))
         assert float(np.mean(n2**q)) == pytest.approx(exact, rel=tol)
@@ -183,7 +185,7 @@ def test_shared_clock_ratio_matches_chi_square_theory():
         m_p = 2.0 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
         theory = (2.0 ** (p / 2) * math.gamma((3 + p) / 2.0) / math.gamma(1.5)
                   / (3.0 ** (p / 1.5) * m_p))
-        chk = ou.ou_moment_check(spec, 0.3, p, 0.7, 10**5,
+        chk = ou.ou_moment_check(spec, CTX1, 0.3, p, 0.7, 10**5,
                                  rng=nz.substream(7, key), max_kappa_dt=0.01)
         assert chk["ratio"] == pytest.approx(theory, abs=0.04)
     assert theory > 1.0  # p = 0.5 case documents the dependence excess
@@ -193,54 +195,65 @@ def test_moment_check_gaussian_ito_equality():
     # beta = 2, p = 2: constant is exactly 1 and the bound is the Ito
     # second moment, so the ratio sits at 1 up to sampling + substep bias
     spec = nz.NoiseSpec(beta=2.0, sigma_rule="band:l<=4,value=0.3", lmax=4, seed=1001)
-    chk = ou.ou_moment_check(spec, 0.5, 2.0, 2.0, 10**4, max_kappa_dt=0.01)
+    chk = ou.ou_moment_check(spec, CTX4, 0.5, 2.0, 2.0, 10**4, max_kappa_dt=0.01)
     assert chk["c_tilde"] == pytest.approx(1.0, abs=1e-14)
     assert abs(chk["empirical"] / chk["bound"] - 1.0) < 0.02
 
 
 def test_moment_check_stable_bounded():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", lmax=8, seed=2024)
-    chk = ou.ou_moment_check(spec, 0.5, 1.0, 1.0, 10**4, counter=101)
+    chk = ou.ou_moment_check(spec, CTX8, 0.5, 1.0, 1.0, 10**4, counter=101)
     assert chk["passed"] and chk["ratio"] < 0.95
 
 
 def test_moment_check_ratio_stable_over_decade():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", lmax=8, seed=2024)
-    r1 = ou.ou_moment_check(spec, 0.5, 1.0, 0.5, 10**4, counter=201)["ratio"]
-    r2 = ou.ou_moment_check(spec, 0.5, 1.0, 5.0, 10**4, counter=202)["ratio"]
+    r1 = ou.ou_moment_check(spec, CTX8, 0.5, 1.0, 0.5, 10**4, counter=201)["ratio"]
+    r2 = ou.ou_moment_check(spec, CTX8, 0.5, 1.0, 5.0, 10**4, counter=202)["ratio"]
     assert abs(r2 / r1 - 1.0) < 0.2
 
 
 def test_moment_check_trivial_and_domain():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", lmax=4, seed=0)
-    chk = ou.ou_moment_check(spec, 0.5, 1.0, 1.0, 100)
+    chk = ou.ou_moment_check(spec, CTX4, 0.5, 1.0, 1.0, 100)
     assert chk["empirical"] == 0.0 and chk["ratio"] == 0.0 and chk["passed"]
     live = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", lmax=4)
     with pytest.raises(ValueError):
-        ou.ou_moment_check(live, 0.0, 1.5, 1.0, 10)
+        ou.ou_moment_check(live, CTX4, 0.0, 1.5, 1.0, 10)
 
 
 def test_zlp_bound_examples():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", lmax=8)
-    assert ou.zlp_bound(0.0, 1.0, spec, 0.5, 8) == 0.0
+    assert ou.zlp_bound(0.0, 1.0, spec, CTX8, 0.5) == 0.0
     band = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=8,value=0.1", lmax=8)
     expect = sum(
         (2 * l + 1) * 0.1**1.5 / (1.5 * (l * (l + 1) + 0.25)) for l in range(1, 9)
     ) ** (1 / 1.5)
-    assert ou.zlp_bound(math.inf, 1.0, band, 0.25, 8) == pytest.approx(expect, rel=1e-12)
-    vals = [ou.zlp_bound(1.0, 1.0, spec, a, 8) for a in (0.25, 0.5, 1.0, 2.0)]
+    assert ou.zlp_bound(math.inf, 1.0, band, CTX8, 0.25) == pytest.approx(expect, rel=1e-12)
+    vals = [ou.zlp_bound(1.0, 1.0, spec, CTX8, a) for a in (0.25, 0.5, 1.0, 2.0)]
     assert all(x > y for x, y in zip(vals, vals[1:]))
     # explicit truncation point is immaterial once the tail is summed
-    assert ou.zlp_bound(1.0, 1.0, spec, 0.5, 8) == pytest.approx(
-        ou.zlp_bound(1.0, 1.0, spec, 0.5, 64), rel=1e-9)
+    assert ou.zlp_bound(1.0, 1.0, spec, CTX8, 0.5) == pytest.approx(
+        ou.zlp_bound(1.0, 1.0, spec, OperatorContext(64), 0.5), rel=1e-9)
     divergent = nz.NoiseSpec(beta=1.5, sigma_rule="const:0.3", lmax=8)
-    assert ou.zlp_bound(1.0, 1.0, divergent, 0.5, 8) == math.inf
+    assert ou.zlp_bound(1.0, 1.0, divergent, CTX8, 0.5) == math.inf
     with pytest.raises(ValueError):
-        ou.zlp_bound(1.0, 1.6, spec, 0.5, 8)
+        ou.zlp_bound(1.0, 1.6, spec, CTX8, 0.5)
     with pytest.raises(ValueError):
-        ou.zlp_bound(-1.0, 1.0, spec, 0.5, 8)
-    no_mult = ou.zlp_bound(1.0, 1.0, spec, 0.5, 8, include_multiplicity=False)
-    assert no_mult < ou.zlp_bound(1.0, 1.0, spec, 0.5, 8)
+        ou.zlp_bound(-1.0, 1.0, spec, CTX8, 0.5)
+
+
+def test_zlp_bound_follows_the_context_spectrum():
+    # ricci_shifted: kappa_l = nu (l(l+1) - 2) + alpha, so l = 1 is damped
+    # by alpha alone
+    band = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=8,value=0.1", lmax=8)
+    ctx = OperatorContext(8, nu=0.7, spectrum="ricci_shifted")
+    expect = sum(
+        (2 * l + 1) * 0.1**1.5 / (1.5 * (0.7 * (l * (l + 1) - 2) + 0.25))
+        for l in range(1, 9)
+    ) ** (1 / 1.5)
+    assert ou.zlp_bound(math.inf, 1.0, band, ctx, 0.25) == pytest.approx(expect, rel=1e-12)
+    assert expect > ou.zlp_bound(math.inf, 1.0, band, OperatorContext(8, nu=0.7), 0.25)
 
 
 def test_zlp_constant_values():
@@ -304,10 +317,11 @@ def test_substep_refinement_first_order_on_coupled_noise():
 
 def test_engine_and_stepper_agree_in_distribution():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=2,value=0.7", lmax=2, seed=41)
+    ctx = OperatorContext(lmax=2)
     direct = h_norm2_batch(
-        ou.ou_endpoint_ensemble(spec, 0.5, 0.6, 4000, n_substeps=300,
+        ou.ou_endpoint_ensemble(spec, ctx, 0.5, 0.6, 4000, n_substeps=300,
                                 rng=nz.substream(8, 0)), 2)
-    engine = ou._conditional_h_norm2_samples(spec, 0.5, 0.6, 4000,
+    engine = ou._conditional_h_norm2_samples(spec, ctx, 0.5, 0.6, 4000,
                                              max_kappa_dt=0.002,
                                              rng=nz.substream(8, 1))
     assert stats.ks_2samp(direct, engine).pvalue > 0.01

@@ -138,7 +138,7 @@ def test_picard_iteration_geometric_and_consistent(smooth_data):
     ctx = OperatorContext(10, nu=nu)
     st = SimState(t=0.0, v=v0, ou=make_ou_state(ctx, alpha=0.0),
                   ledger=EnergyLedger())
-    E = _v_decay_factor(ctx, nu, dt)
+    E = _v_decay_factor(ctx, dt)
     N_n = _nonlinear_rhs(v0.coeffs, st.ou.z, None, 0.0, ctx)
     base = E * v0.coeffs + 0.5 * dt * E * N_n
     w = E * (v0.coeffs + dt * N_n)
