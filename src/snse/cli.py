@@ -154,11 +154,9 @@ class ExperimentConfig:
                 fields[key] = build_field(getattr(self, key), self.lmax)
             except ParameterError as err:
                 raise ParameterError(key, str(err)) from None
-        return SolverConfig(lmax=self.lmax, dt=self.dt, t_end=self.t_end,
-                            nu=self.nu, omega=self.omega, alpha=self.alpha,
+        return SolverConfig(dt=self.dt, t_end=self.t_end, alpha=self.alpha,
                             scheme=self.scheme, picard_tol=self.picard_tol,
-                            picard_max_iter=self.picard_max_iter,
-                            spectrum=self.spectrum, **fields)
+                            picard_max_iter=self.picard_max_iter, **fields)
 
     def operator_context(self) -> OperatorContext:
         grid = (gauss_legendre_grid(self.n_lat, self.n_lon)
@@ -373,6 +371,9 @@ def parse_config(path: str, *, mode: str | None = None,
     for key, least in (("snapshot_every", 0), ("n_paths", 1), ("workers", 1)):
         if getattr(cfg, key) < least:
             fail(key, f"{key} must be >= {least}")
+    if mode == "verify-noise" and len(set(t_list)) < 2:
+        fail("t", f"t = {t_raw!r} must hold two distinct times for the "
+                  "verify-noise moment slope")
 
     if mode != "verify-operators" and not check_summability(spec)["converged"]:
         fail("sigma", f"noise spectrum fails the summability check at "
@@ -500,11 +501,10 @@ def _simulate_path_task(payload: tuple) -> dict:
     Returns pre-formatted CSV lines so the parent's concatenation is
     byte-identical no matter where the path ran.
     """
-    scfg, spec, ctx, seed, snapshot_every, outdir, index = payload
+    scfg, spec, ctx, snapshot_every, outdir, index = payload
     failure, status = None, "ok"
     try:
-        res = run(scfg, spec, seed=seed, snapshot_every=snapshot_every,
-                  ctx=ctx)
+        res = run(scfg, spec, ctx=ctx, snapshot_every=snapshot_every)
     except StepFailure as err:
         res, failure = err.result, err.status
         status = f"{err.status} at t = {err.t:g}"
@@ -517,7 +517,7 @@ def _simulate_path_task(payload: tuple) -> dict:
     names = []
     for j, (t, v, z) in enumerate(snaps):
         name = f"path{index:04d}_snap{j:04d}.bin"
-        write_snapshot(os.path.join(outdir, name), scfg.lmax, scfg.spectrum,
+        write_snapshot(os.path.join(outdir, name), ctx.lmax, ctx.spectrum,
                        t, v, z)
         names.append(name)
 
@@ -527,7 +527,7 @@ def _simulate_path_task(payload: tuple) -> dict:
                    f"|v|_H = {math.sqrt(led.series('v_h2')[-1]):.6g}  "
                    f"sup|v|_H^2 = {led.sup('v_h2'):.6g}  "
                    f"int|v|_V^2 = {led.integral('v_v2'):.6g}  "
-                   f"energy residual = {energy_residual(led, scfg.nu):.3e}")
+                   f"energy residual = {energy_residual(led, ctx.nu):.3e}")
     else:                               # the t = 0 row already failed
         summary = "no ledger row"
     return {
@@ -539,20 +539,19 @@ def _simulate_path_task(payload: tuple) -> dict:
     }
 
 
-def _simulate_payloads(cfg: ExperimentConfig, ctx: OperatorContext) -> list:
-    scfg = cfg.solver_config()
+def _path_specs(cfg: ExperimentConfig) -> list:
+    """The NoiseSpec of each path: a single path keeps the config seed,
+    path i of an ensemble takes path_seed(seed, i)."""
     spec = cfg.noise_spec()
-    payloads = []
-    for i in range(cfg.n_paths):
-        seed_i = cfg.seed if cfg.n_paths == 1 else path_seed(cfg.seed, i)
-        payloads.append((scfg, spec, ctx, seed_i, cfg.snapshot_every,
-                         cfg.output_dir, i))
-    return payloads
+    return [spec if cfg.n_paths == 1 else
+            replace(spec, seed=path_seed(cfg.seed, i))
+            for i in range(cfg.n_paths)]
 
 
 def _mode_simulate(cfg: ExperimentConfig) -> int:
-    ctx = cfg.operator_context()
-    payloads = _simulate_payloads(cfg, ctx)
+    scfg, ctx = cfg.solver_config(), cfg.operator_context()
+    payloads = [(scfg, spec, ctx, cfg.snapshot_every, cfg.output_dir, i)
+                for i, spec in enumerate(_path_specs(cfg))]
     if cfg.workers == 1 or cfg.n_paths == 1:
         results = [_simulate_path_task(p) for p in payloads]
     else:
@@ -698,7 +697,6 @@ def _mode_verify_ou(cfg: ExperimentConfig) -> int:
 
 def _mode_verify_energy(cfg: ExperimentConfig) -> int:
     scfg = cfg.solver_config()
-    spec = cfg.noise_spec()
     ctx = cfg.operator_context()
 
     # empirical constant for the convective estimates, measured on fields
@@ -714,16 +712,15 @@ def _mode_verify_energy(cfg: ExperimentConfig) -> int:
     lines = [f"paths: {cfg.n_paths}  c_emp: {c_emp:.6g}", _grid_line(ctx)]
     observed_of = {"K1": "int_v2_V", "K2": "sup_v_h2",
                    "K3": "sup_v_v2", "K4": "int_av2"}
-    for i in range(cfg.n_paths):
-        seed_i = cfg.seed if cfg.n_paths == 1 else path_seed(cfg.seed, i)
+    for i, spec in enumerate(_path_specs(cfg)):
         tag = f"path{i}"
         try:
-            res = run(scfg, spec, seed=seed_i, ctx=ctx)
+            res = run(scfg, spec, ctx=ctx)
         except StepFailure as err:
             lines.append(f"{tag}: {err.status} at t = {err.t:g}")
             oks.append(False)
             continue
-        rep = gronwall_bound_report(res.ledger, scfg, c_emp=c_emp)
+        rep = gronwall_bound_report(res.ledger, ctx.nu, c_emp=c_emp)
         for name, obs_key in observed_of.items():
             obs = rep["observed"][obs_key]
             bound = rep[name]
@@ -731,7 +728,7 @@ def _mode_verify_energy(cfg: ExperimentConfig) -> int:
                                                    else math.inf)
             rows.append((f"{name}_{obs_key}", obs, bound, ratio, tag))
             oks.append(rep["satisfied"][name])
-        resid = energy_residual(res.ledger, scfg.nu)
+        resid = energy_residual(res.ledger, ctx.nu)
         scale = max(rep["observed"]["sup_v_h2"], 1.0)
         rows.append(("energy_residual", abs(resid), 0.0,
                      abs(resid) / scale, tag))

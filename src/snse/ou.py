@@ -199,9 +199,12 @@ def _conditional_h_norm2_samples(spec: NoiseSpec, ctx: OperatorContext,
     E2 = np.exp(-2.0 * kap * delta)
     gen = rng if rng is not None else substream(spec.seed, PURPOSE_MC, counter)
     if spec.beta == 2.0:
-        # deterministic clock: geometric sum in closed form
-        S = np.broadcast_to(delta * E2 * (1.0 - E2**n) / (1.0 - E2),
-                            (n_paths, degs.size))
+        # deterministic clock: geometric sum in closed form; its limit is
+        # n delta where the substep factor is 1 (a zero rate)
+        with np.errstate(invalid="ignore"):
+            S = np.where(E2 == 1.0, n * delta,
+                         delta * E2 * (1.0 - E2**n) / (1.0 - E2))
+        S = np.broadcast_to(S, (n_paths, degs.size))
     else:
         S = np.zeros((n_paths, degs.size))
         for _ in range(n):
@@ -257,8 +260,9 @@ def zlp_bound(t: float, p: float, spec: NoiseSpec, ctx: OperatorContext,
     def term(l: np.ndarray) -> np.ndarray:
         bk = beta * (ctx.nu * ctx.stokes_eigenvalues(l) + alpha)
         amp = np.abs(rule(l)) ** beta
-        with np.errstate(invalid="ignore"):  # 0/0 at an undriven zero mode
-            out = amp * (-np.expm1(-bk * t)) / bk
+        # a zero rate takes the limit amp t (0/0 otherwise; 0 inf at t = inf)
+        with np.errstate(invalid="ignore"):
+            out = np.where(bk == 0.0, amp * t, amp * (-np.expm1(-bk * t)) / bk)
         return np.where(amp > 0, out * (2.0 * l + 1.0), 0.0)
 
     head = float(term(np.arange(1, ctx.lmax + 1, dtype=np.float64)).sum())

@@ -16,7 +16,7 @@ noise-coupled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -80,27 +80,20 @@ class ContractionError(StepFailure):
 
 @dataclass
 class SolverConfig:
-    """Run parameters.  f and v0 are stream-function fields (divergence-free
-    by representation); f is constant in time."""
+    """Time scheme and data of a run; the model (lmax, nu, omega, spectrum)
+    is the OperatorContext's.  f and v0 are stream-function fields
+    (divergence-free by representation); f is constant in time."""
 
-    lmax: int
     dt: float
     t_end: float
-    nu: float = 1.0
-    omega: float = 0.0
     alpha: float = 0.0
     scheme: str = "imex_heun"
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
     f: SpectralField | None = None
     v0: SpectralField | None = None
-    spectrum: str = "paper"
 
     def __post_init__(self):
-        if self.lmax < 1:
-            raise ParameterError("lmax", f"lmax = {self.lmax} must be >= 1")
-        if not self.nu > 0:
-            raise ParameterError("nu", f"nu = {self.nu:g} must be positive")
         if not self.alpha >= 0:
             raise ParameterError("alpha", f"alpha = {self.alpha:g} must be >= 0")
         if not self.dt > 0:
@@ -128,9 +121,6 @@ class SolverConfig:
                 continue
             if fld.kind != "stream":
                 raise ParameterError(name, f"{name} must be a stream-function field")
-            if fld.lmax != self.lmax:
-                raise ParameterError(name, f"{name} lmax {fld.lmax} != config "
-                                     f"lmax {self.lmax}")
             if not np.all(np.isfinite(fld.coeffs)):
                 raise ParameterError(name, f"{name} has non-finite coefficients")
 
@@ -215,7 +205,7 @@ def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec,
                                                          cfg.alpha, ctx)
                 if not np.all(np.isfinite(w_new)):
                     raise BlowUpError(state.t + dt, state=state)
-                dw = SpectralField(cfg.lmax, w_new - w, "stream")
+                dw = SpectralField(ctx.lmax, w_new - w, "stream")
                 if norms(dw, ctx)["V"] < cfg.picard_tol:
                     w = w_new
                     break
@@ -227,7 +217,7 @@ def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec,
                     f"t = {state.t + dt:.6g}; reduce dt", state.t + dt, state)
             v_next = w
     _require_finite(v_next, state.t + dt, state)
-    return SimState(t=state.t + dt, v=SpectralField(cfg.lmax, v_next, "stream"),
+    return SimState(t=state.t + dt, v=SpectralField(ctx.lmax, v_next, "stream"),
                     ou=ou_next, ledger=state.ledger)
 
 
@@ -282,7 +272,7 @@ def _initial_ou(ctx: OperatorContext, cfg: SolverConfig, spec: NoiseSpec) -> OUS
         return make_ou_state(ctx, alpha=cfg.alpha)
     # undriven runs skip the Re kappa > 0 gate (nothing to convolve); the
     # curvature-shifted spectrum with alpha = 0 is then still integrable
-    return OUState(z=zero_field(cfg.lmax), kappa=decay_rates(ctx, cfg.alpha))
+    return OUState(z=zero_field(ctx.lmax), kappa=decay_rates(ctx, cfg.alpha))
 
 
 def _record(state: SimState, cfg: SolverConfig, ctx: OperatorContext) -> None:
@@ -294,36 +284,28 @@ def _record(state: SimState, cfg: SolverConfig, ctx: OperatorContext) -> None:
         state.N = _nonlinear_rhs(state.v.coeffs, z, cfg.f, cfg.alpha, ctx)
     F = effective_force(z, cfg.f, cfg.alpha, ctx)
     state.ledger.record_state(state.t, state.v, z,
-                              SpectralField(cfg.lmax, state.N, "stream"), F, ctx)
+                              SpectralField(ctx.lmax, state.N, "stream"), F, ctx)
 
 
-def run(cfg: SolverConfig, spec: NoiseSpec, seed: int | None = None, *,
-        snapshot_every: int = 0, ctx: OperatorContext | None = None) -> SimResult:
-    """Integrate to t_end, recording the energy ledger at every step.
+def run(cfg: SolverConfig, spec: NoiseSpec, *, ctx: OperatorContext,
+        snapshot_every: int = 0) -> SimResult:
+    """Integrate to t_end on the model of ctx, recording the energy ledger
+    at every step.
 
-    seed overrides spec.seed; snapshot_every > 0 stores (t, v, z)
-    coefficient snapshots every that many steps (plus the endpoint).
-    ctx supplies a pre-built operator context (custom quadrature grid);
-    its lmax / nu / omega / spectrum must agree with cfg.  A failed step
-    (blow-up, or a Picard iteration that does not contract) aborts with the
-    partial result and last good state attached to the raised error.
+    snapshot_every > 0 stores (t, v, z) coefficient snapshots every that
+    many steps (plus the endpoint).  A failed step (blow-up, or a Picard
+    iteration that does not contract) aborts with the partial result and
+    last good state attached to the raised error.
     """
-    if spec.lmax != cfg.lmax:
-        raise ValueError(f"noise lmax {spec.lmax} != config lmax {cfg.lmax}")
-    if seed is not None:
-        spec = replace(spec, seed=int(seed))
+    for name, fld in (("noise", spec), ("v0", cfg.v0), ("f", cfg.f)):
+        if fld is not None and fld.lmax != ctx.lmax:
+            raise ValueError(f"{name} lmax {fld.lmax} != operator lmax {ctx.lmax}")
     if not check_summability(spec)["converged"]:
         raise ValueError("noise spectrum fails the summability check at "
                          f"delta = {spec.delta:g}")
-    if ctx is None:
-        ctx = OperatorContext(cfg.lmax, nu=cfg.nu, omega=cfg.omega,
-                              spectrum=cfg.spectrum)
-    elif (ctx.lmax, ctx.nu, ctx.omega, ctx.spectrum) != (
-            cfg.lmax, cfg.nu, cfg.omega, cfg.spectrum):
-        raise ValueError("operator context disagrees with the solver config")
-    v0 = cfg.v0 if cfg.v0 is not None else zero_field(cfg.lmax)
-    state = SimState(t=0.0, v=SpectralField(cfg.lmax, v0.coeffs.copy(), "stream"),
-                     ou=_initial_ou(ctx, cfg, spec), ledger=EnergyLedger())
+    v0 = cfg.v0.copy() if cfg.v0 is not None else zero_field(ctx.lmax)
+    state = SimState(t=0.0, v=v0, ou=_initial_ou(ctx, cfg, spec),
+                     ledger=EnergyLedger())
     result = SimResult(cfg=cfg, spec=spec, ctx=ctx, state=state)
 
     def snap(s: SimState):

@@ -103,9 +103,10 @@ def test_criterion_03_single_mode_decay_exact():
     worst = 0.0
     for dt in (0.1, 0.05, 0.01):
         for scheme in ("imex_euler", "imex_heun"):
-            cfg = SolverConfig(lmax=5, dt=dt, t_end=1.0, nu=nu, omega=omega,
-                               scheme=scheme, v0=unit_stream_mode(5, l, 2))
-            res = run(cfg, NoiseSpec(beta=2.0, lmax=5))
+            cfg = SolverConfig(dt=dt, t_end=1.0, scheme=scheme,
+                               v0=unit_stream_mode(5, l, 2))
+            res = run(cfg, NoiseSpec(beta=2.0, lmax=5),
+                      ctx=OperatorContext(5, nu=nu, omega=omega))
             got = norm_h(res.state.v)
             exact = math.exp(-nu * l * (l + 1.0) * 1.0)
             worst = max(worst, abs(got - exact) / exact)
@@ -213,20 +214,21 @@ def test_criterion_08_energy_residual_convergence():
     t0 = time.time()
     rng = np.random.default_rng(4)
     v0 = random_stream_field(12, rng, decay=2.5, norm=1.0)
+    ctx = OperatorContext(12, nu=0.5)
     residuals = []
     for dt, nsub in ((0.1, 8), (0.05, 4), (0.025, 2), (0.0125, 1)):
-        cfg = SolverConfig(lmax=12, dt=dt, t_end=1.0, nu=0.5,
-                           scheme="imex_heun", v0=v0)
+        cfg = SolverConfig(dt=dt, t_end=1.0, scheme="imex_heun", v0=v0)
         spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
                          seed=11, n_substeps=nsub, lmax=12)
-        residuals.append(abs(energy_residual(run(cfg, spec).ledger, cfg.nu)))
+        residuals.append(abs(energy_residual(run(cfg, spec, ctx=ctx).ledger,
+                                             ctx.nu)))
     ratios = [residuals[i] / residuals[i + 1] for i in range(3)]
     shrink_ok = all(r >= 1.7 for r in ratios)
     # noise-free forced run: level-one constants hold along the whole path
-    cfg = SolverConfig(lmax=12, dt=0.025, t_end=1.0, nu=0.5,
-                       scheme="imex_heun", v0=v0, f=unit_stream_mode(12, 3, 1))
-    rep = gronwall_bound_report(run(cfg, NoiseSpec(beta=2.0, lmax=12)).ledger,
-                                cfg)
+    cfg = SolverConfig(dt=0.025, t_end=1.0, scheme="imex_heun", v0=v0,
+                       f=unit_stream_mode(12, 3, 1))
+    rep = gronwall_bound_report(
+        run(cfg, NoiseSpec(beta=2.0, lmax=12), ctx=ctx).ledger, ctx.nu)
     k_ok = bool(rep["satisfied"]["K1"] and rep["satisfied"]["K2"])
     elapsed = time.time() - t0
     ok = shrink_ok and k_ok and elapsed < 60.0
@@ -243,11 +245,10 @@ def _refinement_stats(lmax: int, dt: float, nsub: int) -> tuple:
         wide = zero_field(lmax)
         wide.coeffs[:v0.coeffs.size] = v0.coeffs   # l-major prefix embeds
         v0 = wide
-    cfg = SolverConfig(lmax=lmax, dt=dt, t_end=0.5, nu=0.5,
-                       scheme="imex_heun", v0=v0)
+    cfg = SolverConfig(dt=dt, t_end=0.5, scheme="imex_heun", v0=v0)
     spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
                      seed=11, n_substeps=nsub, lmax=lmax)
-    led = run(cfg, spec).ledger
+    led = run(cfg, spec, ctx=OperatorContext(lmax, nu=0.5)).ledger
     return led.sup("v_v2"), led.integral("av2")
 
 

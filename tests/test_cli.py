@@ -319,7 +319,8 @@ def test_simulate_matches_library_run_exactly(tmp_path):
     path = write_cfg(tmp_path, STOCHASTIC_RUN)
     assert main(["simulate", "--config", path, "--output", out]) == 0
     cfg = parse_config(path, mode="simulate")
-    res = run(cfg.solver_config(), cfg.noise_spec(), seed=cfg.seed)
+    res = run(cfg.solver_config(), cfg.noise_spec(),
+              ctx=cfg.operator_context())
     table = res.diagnostic_table()
     lines = Path(out, "diagnostics.csv").read_text().splitlines()
     got = np.array([[float(x) for x in line.split(",")]
@@ -489,16 +490,17 @@ def test_spectrum_reaches_the_solver(tmp_path):
         v0 = mode:l=1
     """)
     cfg = parse_config(path, mode="simulate", output_dir=str(tmp_path / "s"))
-    assert cfg.solver_config().spectrum == "ricci_shifted"
+    assert cfg.operator_context().spectrum == "ricci_shifted"
     assert run_experiment(cfg) == 0
     back = read_snapshot(os.path.join(cfg.output_dir, "path0000_snap0000.bin"))
     assert back["spectrum"] == "ricci_shifted"
     scfg, spec = cfg.solver_config(), cfg.noise_spec()
-    res = run(scfg, spec, seed=cfg.seed)
+    ctx = cfg.operator_context()
+    res = run(scfg, spec, ctx=ctx)
     assert res.ctx.spectrum == "ricci_shifted"
     assert np.array_equal(back["v"], res.state.v.coeffs)
     # l = 1 is the zero mode of the shifted spectrum, damped under the paper one
-    paper = run(replace(scfg, spectrum="paper"), spec, seed=cfg.seed)
+    paper = run(scfg, spec, ctx=replace(ctx, spectrum="paper"))
     assert not np.array_equal(back["v"], paper.state.v.coeffs)
     cfg = parse_config(path, mode="verify-energy",
                        output_dir=str(tmp_path / "e"))
@@ -552,6 +554,19 @@ def test_verify_times_must_be_finite(tmp_path, capsys):
             assert main([mode, "--config", path]) == 2
             err = capsys.readouterr().err
             assert ":4:" in err and "finite positive times" in err, err
+
+
+def test_verify_noise_needs_two_distinct_times(tmp_path, capsys):
+    # the moment slope is a fit over the times: one time fits no line
+    for t in ("0.5", "0.5,0.5"):
+        path = write_cfg(tmp_path, "[model]\nlmax = 4\n[noise]\n"
+                                   "sigma = power:gamma=2.0\n[verify]\n"
+                                   f"t = {t}\n")
+        assert main(["verify-noise", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert ":6:" in err and "two distinct times" in err, err
+        # verify-ou checks each time on its own
+        assert parse_config(path, mode="verify-ou").t_list == (0.5,) * t.count("0.5")
 
 
 # ---------------------------------------------------------------------------

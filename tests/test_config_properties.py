@@ -1,12 +1,15 @@
 """Property tests of config validation: every value is judged by the
-constructor that owns it, and parse_config either rejects a text with a
-ConfigError citing a line or returns a config whose domain objects build."""
+constructor that owns it, parse_config either rejects a text with a
+ConfigError citing a line or returns a config whose domain objects build,
+and a config it accepts runs to a documented exit status."""
+
+import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from snse.cli import _SCHEMA, ConfigError, MODES, parse_config
+from snse.cli import _SCHEMA, ConfigError, MODES, main, parse_config
 from snse.harmonics import ParameterError, gauss_legendre_grid
 from snse.noise import NoiseSpec
 from snse.operators import OperatorContext
@@ -53,18 +56,28 @@ KEYS = [(section, key) for section, keys in _SCHEMA.items()
         for key in keys if key != "output_dir"]
 
 
+# the valid values of a run small enough to execute in a property test:
+# lmax <= 4, at most 3 paths (every mode's sample count), times <= 0.5 and
+# at most 6 steps of dt
+RUN_VALUES = {key: (valid, ()) for key, (valid, _) in VALUES.items()}
+RUN_VALUES.update(lmax=((1, 4), ()), t=(("0.5", "0.25,0.5"), ()))
+RUN_KEYS = [("run", "mode"), ("run", "n_paths"), ("model", "lmax"),
+            ("time", "dt"), ("time", "t_end"), ("verify", "t")]
+
+
 @st.composite
-def config_texts(draw):
+def config_texts(draw, values=VALUES, required=()):
     chosen = draw(st.lists(st.sampled_from(KEYS), unique=True, max_size=12))
     if draw(st.integers(0, 9)):
         chosen.append(("model", "lmax"))
+    chosen += required
     lines = []
     for section in _SCHEMA:
         keys = [k for s, k in KEYS if s == section and (s, k) in chosen]
         if keys:
             lines.append(f"[{section}]")
         for key in keys:
-            valid, invalid = VALUES[key]
+            valid, invalid = values[key]
             pool = invalid if invalid and draw(st.integers(0, 7)) == 0 else valid
             lines.append(f"{key} = {draw(st.sampled_from(pool))}")
     return "\n".join(lines) + "\n"
@@ -87,6 +100,34 @@ def test_config_text_is_rejected_or_builds(tmp_path, text, mode):
         cfg.solver_config()
 
 
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=config_texts(RUN_VALUES, RUN_KEYS))
+@example(text="[run]\nmode = verify-noise\nn_paths = 3\n[model]\nlmax = 4\n"
+              "[noise]\nsigma = power:gamma=2.0\n[verify]\nt = 0.5\n")
+@example(text="[run]\nmode = verify-energy\nn_paths = 1\n[model]\nlmax = 1\n"
+              "spectrum = ricci_shifted\n[time]\ndt = 0.05\nt_end = 0.1\n")
+def test_accepted_config_runs_to_an_exit_status(tmp_path, capfd, text):
+    # exit 0 (pass), 1 (blow-up or a failed check) or 2 (config error), with
+    # nothing on stderr but the config error, in this process or a worker
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    try:
+        mode = parse_config(str(path)).mode
+    except ConfigError:
+        return
+    capfd.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main([mode, "--config", str(path),
+                       "--output", str(tmp_path / "out")])
+    err = capfd.readouterr().err
+    assert status in (0, 1, 2)
+    assert not caught, [str(w.message) for w in caught]
+    assert all(line.startswith("config error: ")
+               for line in err.splitlines()), err
+
+
 def test_constructors_name_the_offending_parameter():
     cases = [
         (lambda: OperatorContext(lmax=0), "lmax"),
@@ -101,10 +142,9 @@ def test_constructors_name_the_offending_parameter():
         (lambda: NoiseSpec(beta=1.5, sigma_rule="nope:1"), "sigma_rule"),
         (lambda: NoiseSpec(beta=1.5, delta=-1.0), "delta"),
         (lambda: NoiseSpec(beta=1.5, n_substeps=0), "n_substeps"),
-        (lambda: SolverConfig(lmax=4, dt=0.1, t_end=0.09999999999), "t_end"),
-        (lambda: SolverConfig(lmax=4, dt=0.1, t_end=1.0, alpha=-1.0), "alpha"),
-        (lambda: SolverConfig(lmax=4, dt=0.1, t_end=1.0, scheme="rk4"),
-         "scheme"),
+        (lambda: SolverConfig(dt=0.1, t_end=0.09999999999), "t_end"),
+        (lambda: SolverConfig(dt=0.1, t_end=1.0, alpha=-1.0), "alpha"),
+        (lambda: SolverConfig(dt=0.1, t_end=1.0, scheme="rk4"), "scheme"),
     ]
     for build, param in cases:
         with pytest.raises(ParameterError) as err:

@@ -29,11 +29,6 @@ from snse.diagnostics import (
 )
 
 
-class _Cfg:
-    def __init__(self, nu=1.0):
-        self.nu = nu
-
-
 def _decay_ledger(T=1.0, n=2001, nu=1.0):
     # closed-form run v(t) = e^{-2 nu t} Z_{1,0}: |v|^2 = e^{-4 nu t},
     # |v|_V^2 = 2 e^{-4 nu t}, |Av|^2 = 4 e^{-4 nu t}, z = F = 0
@@ -226,7 +221,7 @@ def test_energy_residual_vanishes_on_closed_form_decay():
 
 def test_gronwall_report_exact_unforced_case():
     led = _decay_ledger()
-    rep = gronwall_bound_report(led, _Cfg(nu=1.0), c_emp=0.5)
+    rep = gronwall_bound_report(led, 1.0, c_emp=0.5)
     # no force, no noise: K1 = |v0|^2 / (3 nu / 2) with no Young remainder
     assert rep["K1"] == pytest.approx(2.0 / 3.0, abs=1e-15)
     assert rep["K2"] == pytest.approx(1.0, abs=1e-15)
@@ -245,7 +240,7 @@ def test_gronwall_report_arithmetic_with_force_and_noise_terms():
         led.append_row(t=t, v_h2=2.0, v_v2=4.0, av2=8.0, b_vvz=0.1,
                        f_v=0.2, F_h2=0.3, z_h2=0.5, z_v2=0.7, u_l4=1.0)
     nu = 2.0
-    rep = gronwall_bound_report(led, _Cfg(nu=nu), c_emp=1.0)
+    rep = gronwall_bound_report(led, nu, c_emp=1.0)
     eps, eps_da = nu, 4.0 * nu / 13.0
     num1 = 2.0 + (2 / eps) * (2.0 * 0.7) + (2 / eps) * 0.3 + (eps / 2) * 2.0
     assert rep["K1"] == pytest.approx(num1 / (2 * nu - eps / 2))
@@ -259,9 +254,9 @@ def test_gronwall_report_arithmetic_with_force_and_noise_terms():
 
 def test_gronwall_report_validation():
     with pytest.raises(ValueError):
-        gronwall_bound_report(_decay_ledger(), _Cfg(nu=0.0), c_emp=1.0)
+        gronwall_bound_report(_decay_ledger(), 0.0, c_emp=1.0)
     short = EnergyLedger()
     short.append_row(t=0.0, v_h2=1.0, v_v2=2.0, av2=4.0, b_vvz=0.0, f_v=0.0,
                      F_h2=0.0, z_h2=0.0, z_v2=0.0, u_l4=0.0)
     with pytest.raises(ValueError):
-        gronwall_bound_report(short, _Cfg(), c_emp=1.0)
+        gronwall_bound_report(short, 1.0, c_emp=1.0)

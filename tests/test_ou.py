@@ -256,6 +256,22 @@ def test_zlp_bound_follows_the_context_spectrum():
     assert expect > ou.zlp_bound(math.inf, 1.0, band, OperatorContext(8, nu=0.7), 0.25)
 
 
+def test_zero_decay_rate_takes_the_limit():
+    # ricci_shifted with alpha = 0 leaves the driven l = 1 undamped: its
+    # term is the kappa -> 0 limit sigma^beta 3 t, not 0/0
+    ctx = OperatorContext(4, spectrum="ricci_shifted")
+    t = 0.5
+    for beta in (1.5, 2.0):
+        spec = nz.NoiseSpec(beta=beta, sigma_rule="band:l<=2,value=0.5", lmax=4)
+        bk = beta * 4.0                     # l = 2: nu (l(l+1) - 2) = 4
+        expect = (0.5**beta * 3 * t
+                  + 5 * 0.5**beta * (1 - math.exp(-bk * t)) / bk) ** (1 / beta)
+        assert ou.zlp_bound(t, 1.0, spec, ctx, 0.0) == pytest.approx(expect, rel=1e-12)
+        samples = ou._conditional_h_norm2_samples(
+            spec, ctx, 0.0, t, 200, rng=np.random.default_rng(1))
+        assert np.all(np.isfinite(samples)) and np.all(samples > 0)
+
+
 def test_zlp_constant_values():
     assert ou.zlp_constant(2.0, 2.0) == pytest.approx(1.0, rel=1e-14)
     assert ou.zlp_constant(1.0, 2.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-14)

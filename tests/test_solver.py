@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,16 +44,20 @@ def _quiet_spec(lmax, **kw):
 
 
 def test_config_validation():
-    ok = dict(lmax=6, dt=0.1, t_end=1.0)
+    ok = dict(dt=0.1, t_end=1.0)
     SolverConfig(**ok)
     for bad in (dict(dt=0.0), dict(t_end=0.05), dict(t_end=0.55),
                 dict(scheme="leapfrog"), dict(picard_tol=0.0),
-                dict(picard_max_iter=0), dict(nu=0.0), dict(alpha=-1.0),
-                dict(v0=unit_stream_mode(5, 1, 0)),
+                dict(picard_max_iter=0), dict(alpha=-1.0),
                 dict(f=SpectralField(6, np.zeros(n_modes(6), complex), "scalar"))):
         with pytest.raises(ValueError):
             SolverConfig(**{**ok, **bad})
     assert SolverConfig(**ok).n_steps == 10
+    with pytest.raises(ValueError):
+        OperatorContext(6, nu=0.0)
+    with pytest.raises(ValueError):
+        run(SolverConfig(**ok, v0=unit_stream_mode(5, 1, 0)), _quiet_spec(6),
+            ctx=OperatorContext(6))
 
 
 def test_single_mode_exact_decay():
@@ -60,14 +65,16 @@ def test_single_mode_exact_decay():
     spec = _quiet_spec(8)
     for scheme in ("imex_euler", "imex_heun"):
         for dt in (0.1, 0.05, 0.01):
-            cfg = SolverConfig(lmax=8, dt=dt, t_end=1.0, nu=1.0, scheme=scheme,
+            cfg = SolverConfig(dt=dt, t_end=1.0, scheme=scheme,
                                v0=unit_stream_mode(8, 1, 0))
-            got = math.sqrt(run(cfg, spec).ledger.series("v_h2")[-1])
+            got = math.sqrt(run(cfg, spec, ctx=OperatorContext(8, nu=1.0))
+                            .ledger.series("v_h2")[-1])
             assert abs(got - math.exp(-2.0)) < 1e-8 * math.exp(-2.0)
 
 
 def test_zero_data_zero_trajectory():
-    res = run(SolverConfig(lmax=8, dt=0.1, t_end=0.5), _quiet_spec(8))
+    res = run(SolverConfig(dt=0.1, t_end=0.5), _quiet_spec(8),
+              ctx=OperatorContext(8))
     assert not res.state.v.coeffs.any()
     assert res.ledger.sup("v_h2") == 0.0
     assert not recombine(res.state).coeffs.any()
@@ -98,9 +105,10 @@ def test_effective_force_cases():
 
 
 def _endpoint(scheme, dt, v0, f):
-    cfg = SolverConfig(lmax=10, dt=dt, t_end=0.5, nu=0.5, omega=2.0,
-                       scheme=scheme, v0=v0, f=f, picard_tol=1e-13)
-    return run(cfg, _quiet_spec(10)).state.v.coeffs
+    cfg = SolverConfig(dt=dt, t_end=0.5, scheme=scheme, v0=v0, f=f,
+                       picard_tol=1e-13)
+    ctx = OperatorContext(10, nu=0.5, omega=2.0)
+    return run(cfg, _quiet_spec(10), ctx=ctx).state.v.coeffs
 
 
 @pytest.fixture(scope="module")
@@ -155,8 +163,7 @@ def test_picard_iteration_geometric_and_consistent(smooth_data):
     ratios = [head[i + 1] / head[i] for i in range(len(head) - 1)]
     assert all(r < 1.0 for r in ratios)
     assert max(ratios) < 3.0 * min(ratios)  # roughly geometric
-    cfg = SolverConfig(lmax=10, dt=dt, t_end=dt, nu=nu, scheme="picard",
-                       picard_tol=tol, v0=v0)
+    cfg = SolverConfig(dt=dt, t_end=dt, scheme="picard", picard_tol=tol, v0=v0)
     st2 = step_picard(st, cfg, _quiet_spec(10), ctx=ctx)
     assert np.array_equal(st2.v.coeffs, w_fixed)
 
@@ -176,7 +183,7 @@ def test_picard_linear_problem_single_iteration(monkeypatch):
     ctx = OperatorContext(8)
     st = SimState(t=0.0, v=unit_stream_mode(8, 3, 2),
                   ou=make_ou_state(ctx, alpha=0.0), ledger=EnergyLedger())
-    cfg = SolverConfig(lmax=8, dt=0.05, t_end=0.05, scheme="picard",
+    cfg = SolverConfig(dt=0.05, t_end=0.05, scheme="picard",
                        picard_tol=1e-10, v0=unit_stream_mode(8, 3, 2))
     step_picard(st, cfg, _quiet_spec(8), ctx=ctx)
     assert calls["n"] == 2  # predictor force + one corrector application
@@ -185,7 +192,7 @@ def test_picard_linear_problem_single_iteration(monkeypatch):
 def test_picard_contraction_failure_raises(smooth_data):
     v0, _ = smooth_data
     big = SpectralField(10, v0.coeffs * 40.0, "stream")
-    cfg = SolverConfig(lmax=10, dt=0.5, t_end=0.5, scheme="picard",
+    cfg = SolverConfig(dt=0.5, t_end=0.5, scheme="picard",
                        picard_tol=1e-12, picard_max_iter=8, v0=big)
     ctx = OperatorContext(10)
     st = SimState(t=0.0, v=big, ou=make_ou_state(ctx, alpha=0.0),
@@ -198,9 +205,9 @@ def test_picard_contraction_failure_raises(smooth_data):
 
 def test_monotone_energy_decay_unforced():
     rng = np.random.default_rng(4)
-    cfg = SolverConfig(lmax=10, dt=0.02, t_end=1.0, scheme="imex_heun",
+    cfg = SolverConfig(dt=0.02, t_end=1.0, scheme="imex_heun",
                        v0=random_stream_field(10, rng, decay=2.0, norm=0.8))
-    h = run(cfg, _quiet_spec(10)).ledger.series("v_h2")
+    h = run(cfg, _quiet_spec(10), ctx=OperatorContext(10)).ledger.series("v_h2")
     assert np.all(np.diff(h) < 0)
 
 
@@ -209,9 +216,11 @@ def test_rotation_neutral_on_linear_trajectory():
     # every norm of the trajectory is rotation-blind for any dt
     series = {}
     for omega in (0.0, 7.0):
-        cfg = SolverConfig(lmax=8, dt=0.1, t_end=1.0, omega=omega,
-                           scheme="imex_heun", v0=unit_stream_mode(8, 5, 3))
-        series[omega] = run(cfg, _quiet_spec(8)).ledger.series("v_h2")
+        cfg = SolverConfig(dt=0.1, t_end=1.0, scheme="imex_heun",
+                           v0=unit_stream_mode(8, 5, 3))
+        series[omega] = run(cfg, _quiet_spec(8),
+                            ctx=OperatorContext(8, omega=omega)
+                            ).ledger.series("v_h2")
     assert np.max(np.abs(series[0.0] - series[7.0])) < 1e-13
 
 
@@ -226,9 +235,10 @@ def test_rotation_decoherence_is_weak_and_vanishes_with_amplitude():
         out = {}
         for omega in (0.0, 5.0):
             v0 = SpectralField(12, amp * shape.coeffs, "stream")
-            cfg = SolverConfig(lmax=12, dt=0.01, t_end=1.0, omega=omega,
-                               scheme="imex_heun", v0=v0)
-            out[omega] = run(cfg, _quiet_spec(12)).ledger.series("v_h2")
+            cfg = SolverConfig(dt=0.01, t_end=1.0, scheme="imex_heun", v0=v0)
+            out[omega] = run(cfg, _quiet_spec(12),
+                             ctx=OperatorContext(12, omega=omega)
+                             ).ledger.series("v_h2")
         return np.max(np.abs(out[0.0] - out[5.0]))
 
     d_full, d_small = sup_diff(1.0), sup_diff(0.1)
@@ -240,13 +250,13 @@ def test_bitwise_reproducibility_and_seed_override():
     spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
                      seed=33, n_substeps=2, lmax=10)
     rng = np.random.default_rng(1)
-    cfg = SolverConfig(lmax=10, dt=0.02, t_end=0.3, omega=2.0, alpha=1.0,
-                       scheme="imex_heun",
+    cfg = SolverConfig(dt=0.02, t_end=0.3, alpha=1.0, scheme="imex_heun",
                        v0=random_stream_field(10, rng, decay=2.0, norm=0.8))
-    r1, r2 = run(cfg, spec), run(cfg, spec)
+    ctx = OperatorContext(10, omega=2.0)
+    r1, r2 = run(cfg, spec, ctx=ctx), run(cfg, spec, ctx=ctx)
     assert np.array_equal(r1.state.v.coeffs, r2.state.v.coeffs)
     assert np.array_equal(r1.diagnostic_table(), r2.diagnostic_table())
-    r3 = run(cfg, spec, seed=99)
+    r3 = run(cfg, replace(spec, seed=99), ctx=ctx)
     assert not np.array_equal(r1.state.v.coeffs, r3.state.v.coeffs)
 
 
@@ -259,9 +269,10 @@ def test_noise_path_invariant_under_dt_refinement():
     def z_snaps(dt, nsub, every):
         spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
                          seed=77, n_substeps=nsub, lmax=10)
-        cfg = SolverConfig(lmax=10, dt=dt, t_end=0.4, alpha=1.0, omega=2.0,
-                           scheme="imex_heun", v0=v0)
-        res = run(cfg, spec, snapshot_every=every)
+        cfg = SolverConfig(dt=dt, t_end=0.4, alpha=1.0, scheme="imex_heun",
+                           v0=v0)
+        res = run(cfg, spec, ctx=OperatorContext(10, omega=2.0),
+                  snapshot_every=every)
         return {round(t, 10): z for (t, _, z) in res.snapshots}
 
     za, zb = z_snaps(0.1, 4, 1), z_snaps(0.05, 2, 2)
@@ -273,12 +284,13 @@ def test_noise_path_invariant_under_dt_refinement():
 def test_blow_up_attaches_partial_result():
     rng = np.random.default_rng(1)
     v0 = random_stream_field(10, rng, decay=2.0, norm=0.8)
-    cfg = SolverConfig(lmax=10, dt=0.1, t_end=5.0, scheme="imex_euler",
+    cfg = SolverConfig(dt=0.1, t_end=5.0, scheme="imex_euler",
                        v0=SpectralField(10, v0.coeffs * 1e8, "stream"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(BlowUpError) as exc:
-            run(cfg, _quiet_spec(10), snapshot_every=1)
+            run(cfg, _quiet_spec(10), ctx=OperatorContext(10),
+                snapshot_every=1)
     err = exc.value
     assert err.t <= 5.0
     assert err.result is not None and err.result.ledger.n >= 1
@@ -293,9 +305,10 @@ def test_galerkin_endpoint_cauchy():
     ends = {}
     for lm in (12, 16, 24):
         c = base24.coeffs[: n_modes(lm)].copy()
-        cfg = SolverConfig(lmax=lm, dt=0.005, t_end=0.5, nu=0.2,
-                           scheme="imex_heun", v0=SpectralField(lm, c, "stream"))
-        ends[lm] = math.sqrt(run(cfg, _quiet_spec(lm)).ledger.series("v_h2")[-1])
+        cfg = SolverConfig(dt=0.005, t_end=0.5, scheme="imex_heun",
+                           v0=SpectralField(lm, c, "stream"))
+        res = run(cfg, _quiet_spec(lm), ctx=OperatorContext(lm, nu=0.2))
+        ends[lm] = math.sqrt(res.ledger.series("v_h2")[-1])
     d1, d2 = abs(ends[16] - ends[12]), abs(ends[24] - ends[16])
     assert d1 > d2 > 0.0
     assert d1 < 1e-3
@@ -310,9 +323,9 @@ def test_perturbation_growth_within_gronwall_factor():
     v0p = SpectralField(10, v0.coeffs + 1e-6 * pert.coeffs, "stream")
     out = {}
     for tag, field in (("base", v0), ("pert", v0p)):
-        cfg = SolverConfig(lmax=10, dt=0.01, t_end=0.25, alpha=1.0, omega=1.0,
-                           scheme="imex_heun", v0=field)
-        out[tag] = run(cfg, spec)
+        cfg = SolverConfig(dt=0.01, t_end=0.25, alpha=1.0, scheme="imex_heun",
+                           v0=field)
+        out[tag] = run(cfg, spec, ctx=OperatorContext(10, omega=1.0))
     w0 = norm_h(SpectralField(10, v0p.coeffs - v0.coeffs, "stream"))
     wT = norm_h(SpectralField(10, out["pert"].state.v.coeffs
                               - out["base"].state.v.coeffs, "stream"))
@@ -327,8 +340,9 @@ def test_energy_residual_second_order_unforced():
     v0 = random_stream_field(10, rng, decay=2.0, norm=1.0)
     res = []
     for dt in (0.025, 0.0125, 0.00625):
-        cfg = SolverConfig(lmax=10, dt=dt, t_end=1.0, scheme="imex_heun", v0=v0)
-        res.append(abs(energy_residual(run(cfg, _quiet_spec(10)).ledger, 1.0)))
+        cfg = SolverConfig(dt=dt, t_end=1.0, scheme="imex_heun", v0=v0)
+        res.append(abs(energy_residual(
+            run(cfg, _quiet_spec(10), ctx=OperatorContext(10)).ledger, 1.0)))
     assert 3.0 < res[0] / res[1] < 5.0
     assert 3.0 < res[1] / res[2] < 5.0
 
@@ -345,8 +359,7 @@ def test_ledger_b_vvz_matches_trilinear_oracle():
                 ctx = OperatorContext(lmax, nu=0.5, omega=3.0, grid=grid,
                                       spectrum=spectrum)
                 cfg = SolverConfig(
-                    lmax=lmax, dt=0.05, t_end=0.15, nu=0.5, omega=3.0,
-                    alpha=0.7, spectrum=spectrum,
+                    dt=0.05, t_end=0.15, alpha=0.7,
                     v0=random_stream_field(lmax, rng, decay=1.0, norm=1.0),
                     f=random_stream_field(lmax, rng, decay=1.5, norm=0.5))
                 spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0",
@@ -377,46 +390,45 @@ def test_energy_residual_converges_on_aliased_grid():
                           dealias=False)
     res = []
     for dt in (0.01, 0.005):
-        cfg = SolverConfig(lmax=8, dt=dt, t_end=0.5, nu=nu, v0=v0)
+        cfg = SolverConfig(dt=dt, t_end=0.5, v0=v0)
         res.append(abs(energy_residual(run(cfg, _quiet_spec(8), ctx=ctx).ledger,
                                        nu)))
     assert res[0] / res[1] >= 3.0
 
 
 def test_run_gates():
-    cfg = SolverConfig(lmax=8, dt=0.1, t_end=0.5)
+    cfg, ctx = SolverConfig(dt=0.1, t_end=0.5), OperatorContext(8)
     with pytest.raises(ValueError):  # noise truncation must match
-        run(cfg, _quiet_spec(10))
+        run(cfg, _quiet_spec(10), ctx=ctx)
     divergent = NoiseSpec(beta=1.5, sigma_rule="const:0.05", delta=0.5,
                           seed=0, n_substeps=1, lmax=8)
     with pytest.raises(ValueError):
-        run(cfg, divergent)
+        run(cfg, divergent, ctx=ctx)
 
 
 def test_run_undriven_shifted_spectrum():
     # with no driven mode the Re kappa > 0 gate is moot; the shifted
     # spectrum leaves the lowest band undamped instead of failing
-    cfg = SolverConfig(lmax=6, dt=0.1, t_end=0.5, spectrum="ricci_shifted",
-                       v0=unit_stream_mode(6, 1, 0), scheme="imex_euler")
-    res = run(cfg, _quiet_spec(6))
+    cfg = SolverConfig(dt=0.1, t_end=0.5, v0=unit_stream_mode(6, 1, 0),
+                       scheme="imex_euler")
+    ctx = OperatorContext(6, spectrum="ricci_shifted")
+    res = run(cfg, _quiet_spec(6), ctx=ctx)
     h = res.ledger.series("v_h2")
     np.testing.assert_allclose(h, h[0], rtol=1e-12)  # zero eigenvalue: no decay
     driven = NoiseSpec(beta=2.0, sigma_rule="const:0.1", delta=0.0, seed=0,
                        n_substeps=1, lmax=6)
-    cfg2 = SolverConfig(lmax=6, dt=0.1, t_end=0.5, spectrum="ricci_shifted",
-                        alpha=0.0)
+    cfg2 = SolverConfig(dt=0.1, t_end=0.5, alpha=0.0)
     with pytest.raises(ValueError):
-        run(cfg2, driven)
+        run(cfg2, driven, ctx=ctx)
 
 
 def test_snapshot_cadence_and_recombine():
     spec = NoiseSpec(beta=2.0, sigma_rule="band:l<=4,value=0.2", delta=0.5,
                      seed=5, n_substeps=1, lmax=8)
     rng = np.random.default_rng(12)
-    cfg = SolverConfig(lmax=8, dt=0.05, t_end=0.5, alpha=0.5,
-                       scheme="imex_heun",
+    cfg = SolverConfig(dt=0.05, t_end=0.5, alpha=0.5, scheme="imex_heun",
                        v0=random_stream_field(8, rng, decay=2.0, norm=0.5))
-    res = run(cfg, spec, snapshot_every=3)
+    res = run(cfg, spec, ctx=OperatorContext(8), snapshot_every=3)
     times = [t for (t, _, _) in res.snapshots]
     assert times == [k * 0.05 for k in (0, 3, 6, 9, 10)]
     t_last, v_last, z_last = res.snapshots[-1]
@@ -430,9 +442,9 @@ def test_snapshot_cadence_and_recombine():
 
 def test_diagnostic_table_layout():
     rng = np.random.default_rng(6)
-    cfg = SolverConfig(lmax=8, dt=0.1, t_end=0.5, scheme="imex_heun",
+    cfg = SolverConfig(dt=0.1, t_end=0.5, scheme="imex_heun",
                        v0=random_stream_field(8, rng, decay=2.0, norm=0.7))
-    res = run(cfg, _quiet_spec(8))
+    res = run(cfg, _quiet_spec(8), ctx=OperatorContext(8))
     tab = res.diagnostic_table()
     assert tab.shape == (6, 8)
     assert np.array_equal(tab[:, 0], np.arange(6) * 0.1)
@@ -447,24 +459,26 @@ def test_energy_residual_below_1e10_at_fine_step():
     # at lmax = 1 the convection term vanishes (rigid rotations are steady),
     # so the only residual source is trapezoidal quadrature of the recorded
     # dissipation series: O(dt^2), comfortably below 1e-10 at dt = 1e-5
-    cfg = SolverConfig(lmax=1, dt=1e-5, t_end=0.05, nu=1.0,
-                       scheme="imex_heun", v0=unit_stream_mode(1, 1, 0))
-    res = run(cfg, _quiet_spec(1))
-    assert abs(energy_residual(res.ledger, cfg.nu)) < 1e-10
+    cfg = SolverConfig(dt=1e-5, t_end=0.05, scheme="imex_heun",
+                       v0=unit_stream_mode(1, 1, 0))
+    ctx = OperatorContext(1, nu=1.0)
+    res = run(cfg, _quiet_spec(1), ctx=ctx)
+    assert abs(energy_residual(res.ledger, ctx.nu)) < 1e-10
 
 
 def test_gronwall_constants_hold_across_ten_seeds():
     from snse.diagnostics import gronwall_bound_report
 
     rng = np.random.default_rng(4)
-    cfg = SolverConfig(lmax=6, dt=0.05, t_end=0.5, nu=0.5,
+    cfg = SolverConfig(dt=0.05, t_end=0.5,
                        v0=random_stream_field(6, rng, decay=2.5, norm=1.0))
+    ctx = OperatorContext(6, nu=0.5)
     spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
                      lmax=6)
     worst = 0.0
     for seed in range(10):
-        res = run(cfg, spec, seed=seed)
-        rep = gronwall_bound_report(res.ledger, cfg)
+        res = run(cfg, replace(spec, seed=seed), ctx=ctx)
+        rep = gronwall_bound_report(res.ledger, ctx.nu)
         assert all(rep["satisfied"].values()), f"seed {seed}: {rep['satisfied']}"
         worst = max(worst, rep["observed"]["sup_v_h2"] / rep["K2"])
         # a heavy clock jump may saturate the exponential bound to inf;
@@ -476,7 +490,9 @@ def test_gronwall_constants_hold_across_ten_seeds():
 def test_gronwall_zero_data_is_trivially_satisfied():
     from snse.diagnostics import gronwall_bound_report
 
-    cfg = SolverConfig(lmax=4, dt=0.1, t_end=0.4)
-    rep = gronwall_bound_report(run(cfg, _quiet_spec(4)).ledger, cfg)
+    cfg = SolverConfig(dt=0.1, t_end=0.4)
+    ctx = OperatorContext(4)
+    rep = gronwall_bound_report(run(cfg, _quiet_spec(4), ctx=ctx).ledger,
+                                ctx.nu)
     assert rep["K1"] == rep["K2"] == rep["K3"] == rep["K4"] == 0.0
     assert all(rep["satisfied"].values())
