@@ -285,16 +285,21 @@ def gronwall_bound_report(ledger: EnergyLedger, nu: float, *,
     if ledger.n < 2:
         raise ValueError("need a recorded run (>= 2 ledger rows)")
 
-    def _safe_exp(x: float) -> float:
+    # past float range (heavy-tailed exponents, a huge c_emp) a constant is
+    # astronomically large but still a bound, so it saturates to inf
+    def _saturate(f, *args) -> float:
         try:
-            return math.exp(x)
+            return f(*args)
         except OverflowError:
             return math.inf
+
+    def _times_c_eps(x):  # a zero integrand stays 0, also at C(eps) = inf
+        return np.where(x > 0, C_eps, 0.0) * x
     eps = nu
     eps_da = 4.0 * nu / 13.0
     denom1 = 2.0 * nu - eps / 2.0          # = 3 nu / 2
     denom2 = 2.0 * nu - 13.0 * eps_da / 4.0  # = nu
-    C_eps = 27.0 * c_emp**4 / (256.0 * eps_da**3)
+    C_eps = 27.0 * _saturate(pow, c_emp, 4) / (256.0 * eps_da**3)
 
     t = ledger.series("t")
     v_h2, v_v2 = ledger.series("v_h2"), ledger.series("v_v2")
@@ -308,13 +313,11 @@ def gronwall_bound_report(ledger: EnergyLedger, nu: float, *,
     K1 = num1 / denom1
     K2 = denom1 * K1
 
-    theta = C_eps * (v_h2 * v_v2 + v_h2 * z_v2 + z_h2 * z_v2)
+    theta = _times_c_eps(v_h2 * v_v2 + v_h2 * z_v2 + z_h2 * z_v2)
     int_theta = float(np.trapezoid(theta, t))
-    # heavy-tailed noise paths can push the exponent past float range; the
-    # bound is then astronomically large but still a bound, so saturate
-    K3 = (v_v2[0] + int_F2 / eps_da) * _safe_exp(int_theta)
+    K3 = (v_v2[0] + int_F2 / eps_da) * _saturate(math.exp, int_theta)
 
-    grow = C_eps * (v_h2 * v_v2**2 + v_h2 * v_v2 * z_v2 + z_h2 * z_v2 * v_v2)
+    grow = _times_c_eps(v_h2 * v_v2**2 + v_h2 * v_v2 * z_v2 + z_h2 * z_v2 * v_v2)
     K4 = (v_v2[0] + float(np.trapezoid(grow, t)) + int_F2 / eps_da) / denom2
 
     observed = {

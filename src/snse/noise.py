@@ -13,7 +13,8 @@ i.e. a symmetric beta-stable marginal, while distinct coordinates are
 uncorrelated but dependent through the shared clock.
 
 Per-mode amplitudes sigma_l depend on the degree l only; the (2l+1)-fold
-multiplicity is handled where sums over modes are taken.
+multiplicity is handled where sums over modes are taken.  The truncation
+is the band limit of the field that is driven.
 
 Randomness is counter-based: every draw site derives a fresh Philox stream
 from (seed, purpose, counter), so increment streams are reproducible
@@ -120,10 +121,8 @@ class NoiseSpec:
     beta in (0, 2]; sigma_rule maps degree l to amplitude; delta is the
     regularity exponent of the summability hypothesis and of
     moment_scaling_estimate; n_substeps is the subordinator resolution per
-    solver step.  lmax is the mode
-    truncation of the cylindrical process (the solver's band limit):
-    increment blocks share SpectralField's mode layout, so the truncation
-    is carried here rather than passed per draw.
+    solver step.  The law does not depend on a truncation: every draw
+    takes the band limit of the field it drives.
     """
 
     beta: float
@@ -131,7 +130,6 @@ class NoiseSpec:
     delta: float = 0.0
     seed: int = 0
     n_substeps: int = 1
-    lmax: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.beta <= 2.0):
@@ -148,12 +146,9 @@ class NoiseSpec:
             raise ParameterError("seed", f"seed = {self.seed} must be >= 0")
         if self.n_substeps < 1:
             raise ParameterError("n_substeps", "n_substeps must be >= 1")
-        if self.lmax < 1:
-            raise ParameterError("lmax", f"lmax = {self.lmax} must be >= 1")
 
-    def sigma_per_mode(self) -> np.ndarray:
-        ls, _ = mode_degrees(self.lmax)
-        return self.sigma_rule(ls)
+    def sigma_per_mode(self, lmax: int) -> np.ndarray:
+        return self.sigma_rule(mode_degrees(lmax)[0])
 
 
 @dataclass
@@ -224,14 +219,15 @@ def _gaussian_mode_increments(rng: np.random.Generator, dX, lmax: int) -> np.nda
 
 
 def levy_increment_block(spec: NoiseSpec, dt: float, rng: np.random.Generator,
-                         size=()) -> LevyIncrementBlock:
-    """Draw the shared clock dX, then per-mode Gaussians: one block (float
-    dX) or, for size != (), a batch.  At beta = 2, dX = dt draws nothing."""
+                         size=(), *, lmax: int) -> LevyIncrementBlock:
+    """Draw the shared clock dX, then per-mode Gaussians on degrees up to
+    lmax: one block (float dX) or, for size != (), a batch.  At beta = 2,
+    dX = dt draws nothing."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     X = _positive_stable_batch(spec.beta / 2.0, dt, rng, size)
     dX = float(X) if X.ndim == 0 else X
-    dL = _gaussian_mode_increments(rng, dX, spec.lmax)
+    dL = _gaussian_mode_increments(rng, dX, lmax)
     return LevyIncrementBlock(dt=float(dt), dX=dX, dL=dL)
 
 
@@ -301,8 +297,9 @@ def check_moment_order(p: float, beta: float) -> None:
 
 
 def moment_scaling_estimate(spec: NoiseSpec, p: float, t_list,
-                            n_paths: int) -> list:
-    """Monte-Carlo estimates of E | A^delta G L(t) |^p per t, delta of spec.
+                            n_paths: int, *, lmax: int) -> list:
+    """Monte-Carlo estimates of E | A^delta G L(t) |^p per t on degrees up
+    to lmax, delta of spec.
 
     Exact in distribution per time: conditionally on the clock X(t), every
     real coordinate of L(t) is N(0, X(t)), so each estimate needs a single
@@ -310,10 +307,10 @@ def moment_scaling_estimate(spec: NoiseSpec, p: float, t_list,
     check_moment_order.
     """
     check_moment_order(p, spec.beta)
-    ls, ms = mode_degrees(spec.lmax)
+    ls, ms = mode_degrees(lmax)
     lam = (ls * (ls + 1.0)).astype(float)
     weight = spec.sigma_rule(ls) * np.where(ls >= 1, lam, 1.0) ** spec.delta
-    wm = _mode_weights(spec.lmax)
+    wm = _mode_weights(lmax)
     wm[0] = 0.0
     out = []
     for i, t in enumerate(t_list):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harmonics import (ParameterError, SpectralField, basis_eigenvalues,
-                        mode_degrees, n_modes, zero_field)
+                        n_modes, zero_field)
 from .noise import (
     PURPOSE_MC,
     PURPOSE_SUBSTEP,
@@ -98,13 +98,13 @@ def make_ou_state(ctx: OperatorContext, alpha: float = 0.0, *,
     return OUState(z=z0.copy(), kappa=kappa)
 
 
-def _mode_gain(spec: NoiseSpec) -> np.ndarray:
+def _mode_gain(spec: NoiseSpec, lmax: int) -> np.ndarray:
     """Stream-coefficient gain per mode: a unit-H-norm mode carries stream
     amplitude lambda^{-1/2}, so noise amplitude sigma_l enters the stream
     coefficients scaled that way."""
-    lam = basis_eigenvalues(spec.lmax)
-    g = np.zeros(n_modes(spec.lmax))
-    g[1:] = spec.sigma_per_mode()[1:] / np.sqrt(lam[1:])
+    lam = basis_eigenvalues(lmax)
+    g = np.zeros(n_modes(lmax))
+    g[1:] = spec.sigma_per_mode(lmax)[1:] / np.sqrt(lam[1:])
     return g
 
 
@@ -118,8 +118,6 @@ def ou_step(state: OUState, dt: float, spec: NoiseSpec, *,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if spec.lmax != state.z.lmax:
-        raise ValueError("noise band limit must match the state band limit")
     n = spec.n_substeps
     delta = dt / n
     if blocks is not None:
@@ -128,7 +126,7 @@ def ou_step(state: OUState, dt: float, spec: NoiseSpec, *,
         for blk in blocks:
             if abs(blk.dt - delta) > 1e-9 * delta:
                 raise ValueError("block duration does not match the substep")
-    g = _mode_gain(spec)
+    g = _mode_gain(spec, state.z.lmax)
     decay = np.exp(-state.kappa * delta)
     y = state.z.coeffs.copy()
     for j in range(n):
@@ -136,7 +134,7 @@ def ou_step(state: OUState, dt: float, spec: NoiseSpec, *,
             blk = blocks[j]
         else:
             gen = substream(spec.seed, PURPOSE_SUBSTEP, state.substep_index + j)
-            blk = levy_increment_block(spec, delta, gen)
+            blk = levy_increment_block(spec, delta, gen, lmax=state.z.lmax)
         y = decay * (y + g * blk.dL)
     return OUState(z=SpectralField(state.z.lmax, y, "stream"),
                    kappa=state.kappa, substep_index=state.substep_index + n)
@@ -161,12 +159,13 @@ def ou_endpoint_ensemble(spec: NoiseSpec, ctx: OperatorContext, alpha: float,
         raise ValueError("need t > 0 and n_substeps >= 1")
     delta = t / n
     kappa = make_ou_state(ctx, alpha).kappa.real
-    g = _mode_gain(spec)
+    g = _mode_gain(spec, ctx.lmax)
     decay = np.exp(-kappa * delta)
-    y = np.zeros((n_paths, n_modes(spec.lmax)), dtype=np.complex128)
+    y = np.zeros((n_paths, n_modes(ctx.lmax)), dtype=np.complex128)
     for j in range(n):
         gen = rng if rng is not None else substream(spec.seed, PURPOSE_MC, 0, j)
-        y = decay * (y + g * levy_increment_block(spec, delta, gen, n_paths).dL)
+        dL = levy_increment_block(spec, delta, gen, n_paths, lmax=ctx.lmax).dL
+        y = decay * (y + g * dL)
     return y
 
 
@@ -187,12 +186,11 @@ def _conditional_h_norm2_samples(spec: NoiseSpec, ctx: OperatorContext,
     """
     if t <= 0:
         return np.zeros(n_paths)
-    sig_all = spec.sigma_per_mode()
-    ls_all, _ = mode_degrees(spec.lmax)
-    degs = np.unique(ls_all[sig_all != 0])
+    degs = np.arange(1, ctx.lmax + 1)
+    sig = spec.sigma_rule(degs)
+    degs, sig = degs[sig != 0], sig[sig != 0]
     if degs.size == 0:
         return np.zeros(n_paths)
-    sig = spec.sigma_rule(degs)
     kap = ctx.nu * ctx.stokes_eigenvalues(degs) + alpha
     n = max(1, math.ceil(t * float(kap.max()) / max_kappa_dt))
     delta = t / n

@@ -268,7 +268,7 @@ class SimResult:
 
 
 def _initial_ou(ctx: OperatorContext, cfg: SolverConfig, spec: NoiseSpec) -> OUState:
-    if np.any(spec.sigma_per_mode() != 0):
+    if np.any(spec.sigma_per_mode(ctx.lmax) != 0):
         return make_ou_state(ctx, alpha=cfg.alpha)
     # undriven runs skip the Re kappa > 0 gate (nothing to convolve); the
     # curvature-shifted spectrum with alpha = 0 is then still integrable
@@ -297,7 +297,7 @@ def run(cfg: SolverConfig, spec: NoiseSpec, *, ctx: OperatorContext,
     iteration that does not contract) aborts with the partial result and
     last good state attached to the raised error.
     """
-    for name, fld in (("noise", spec), ("v0", cfg.v0), ("f", cfg.f)):
+    for name, fld in (("v0", cfg.v0), ("f", cfg.f)):
         if fld is not None and fld.lmax != ctx.lmax:
             raise ValueError(f"{name} lmax {fld.lmax} != operator lmax {ctx.lmax}")
     if not check_summability(spec)["converged"]:

@@ -105,7 +105,7 @@ def test_criterion_03_single_mode_decay_exact():
         for scheme in ("imex_euler", "imex_heun"):
             cfg = SolverConfig(dt=dt, t_end=1.0, scheme=scheme,
                                v0=unit_stream_mode(5, l, 2))
-            res = run(cfg, NoiseSpec(beta=2.0, lmax=5),
+            res = run(cfg, NoiseSpec(beta=2.0),
                       ctx=OperatorContext(5, nu=nu, omega=omega))
             got = norm_h(res.state.v)
             exact = math.exp(-nu * l * (l + 1.0) * 1.0)
@@ -150,9 +150,9 @@ def test_criterion_05_subordinator_laplace_transform():
             emp = float(np.mean(np.exp(-r * clock)))
             exact = math.exp(-(r ** (beta / 2.0)))
             worst = max(worst, abs(emp / exact - 1.0))
-    spec = NoiseSpec(beta=2.0, sigma_rule="zero", lmax=4)
+    spec = NoiseSpec(beta=2.0, sigma_rule="zero")
     g = substream(0, 2, 510)
-    clock_exact = all(levy_increment_block(spec, dt, g).dX == dt
+    clock_exact = all(levy_increment_block(spec, dt, g, lmax=4).dX == dt
                       for dt in (0.5, 0.1, 0.0375))
     elapsed = time.time() - t0
     ok = worst <= 0.01 and clock_exact and elapsed < 10.0
@@ -166,8 +166,9 @@ def test_criterion_06_moment_scaling_slope():
     t0 = time.time()
     beta, p = 1.5, 1.0
     spec = NoiseSpec(beta=beta, sigma_rule="power:gamma=2.0", delta=0.5,
-                     seed=0, lmax=8)
-    ests = moment_scaling_estimate(spec, p, (0.25, 0.5, 1.0, 2.0, 4.0), 10_000)
+                     seed=0)
+    ests = moment_scaling_estimate(spec, p, (0.25, 0.5, 1.0, 2.0, 4.0), 10_000,
+                                   lmax=8)
     ts = np.log([t for t, _ in ests])
     ys = np.log([m for _, m in ests])
     slope = float(np.polyfit(ts, ys, 1)[0])
@@ -183,14 +184,13 @@ def test_criterion_07_ou_moment_bounds():
     t0 = time.time()
     n = 10_000
     # Gaussian case saturates the second-moment identity
-    g_spec = NoiseSpec(beta=2.0, sigma_rule="band:l<=4,value=0.3", seed=0,
-                       lmax=8)
+    g_spec = NoiseSpec(beta=2.0, sigma_rule="band:l<=4,value=0.3", seed=0)
     ctx = OperatorContext(8)
     chk = ou_moment_check(g_spec, ctx, 0.5, 2.0, 2.0, n, max_kappa_dt=0.01)
     gauss_ratio = chk["empirical"] / chk["bound"]
     gauss_ok = abs(gauss_ratio - 1.0) <= 0.03
     # heavy-tailed case stays below the displayed bound at every horizon
-    s_spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", seed=0, lmax=8)
+    s_spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", seed=0)
     stable_ratios = []
     stable_ok = True
     for k, t in enumerate((0.1, 1.0, 10.0)):
@@ -219,7 +219,7 @@ def test_criterion_08_energy_residual_convergence():
     for dt, nsub in ((0.1, 8), (0.05, 4), (0.025, 2), (0.0125, 1)):
         cfg = SolverConfig(dt=dt, t_end=1.0, scheme="imex_heun", v0=v0)
         spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
-                         seed=11, n_substeps=nsub, lmax=12)
+                         seed=11, n_substeps=nsub)
         residuals.append(abs(energy_residual(run(cfg, spec, ctx=ctx).ledger,
                                              ctx.nu)))
     ratios = [residuals[i] / residuals[i + 1] for i in range(3)]
@@ -228,7 +228,7 @@ def test_criterion_08_energy_residual_convergence():
     cfg = SolverConfig(dt=0.025, t_end=1.0, scheme="imex_heun", v0=v0,
                        f=unit_stream_mode(12, 3, 1))
     rep = gronwall_bound_report(
-        run(cfg, NoiseSpec(beta=2.0, lmax=12), ctx=ctx).ledger, ctx.nu)
+        run(cfg, NoiseSpec(beta=2.0), ctx=ctx).ledger, ctx.nu)
     k_ok = bool(rep["satisfied"]["K1"] and rep["satisfied"]["K2"])
     elapsed = time.time() - t0
     ok = shrink_ok and k_ok and elapsed < 60.0
@@ -247,7 +247,7 @@ def _refinement_stats(lmax: int, dt: float, nsub: int) -> tuple:
         v0 = wide
     cfg = SolverConfig(dt=dt, t_end=0.5, scheme="imex_heun", v0=v0)
     spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
-                     seed=11, n_substeps=nsub, lmax=lmax)
+                     seed=11, n_substeps=nsub)
     led = run(cfg, spec, ctx=OperatorContext(lmax, nu=0.5)).ledger
     return led.sup("v_v2"), led.integral("av2")
 

@@ -10,10 +10,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from snse.cli import (ConfigError, DIAGNOSTICS_HEADER, build_field, main,
-                      parse_config, path_seed, read_snapshot, run_experiment,
-                      write_snapshot)
+from snse.cli import (MODES, ConfigError, DIAGNOSTICS_HEADER, build_field,
+                      main, parse_config, path_seed, read_snapshot,
+                      run_experiment, write_snapshot)
 from snse.diagnostics import CHECKS
 from snse.harmonics import n_modes, norm_h
 from snse.noise import NoiseSpec
@@ -49,8 +51,15 @@ def test_parse_defaults(tmp_path):
     assert cfg.t_list == (0.1, 1.0, 10.0) and cfg.p == 1.0
     assert cfg.solver_config().n_steps == 3
     assert cfg.noise_spec() == NoiseSpec(beta=2.0, sigma_rule="zero",
-                                         delta=0.0, seed=0, n_substeps=1,
-                                         lmax=4)
+                                         delta=0.0, seed=0, n_substeps=1)
+
+
+def test_readme_sample_config_parses_in_every_mode(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    path = write_cfg(tmp_path, block)
+    for mode in MODES:
+        assert parse_config(path, mode=mode).mode == mode
 
 
 def test_mode_specific_sample_defaults(tmp_path):
@@ -212,19 +221,23 @@ def test_field_descriptors(tmp_path):
 # snapshot files
 # ---------------------------------------------------------------------------
 
-def test_snapshot_round_trip_bitwise(tmp_path):
-    rng = np.random.default_rng(12)
-    lmax = 7
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lmax=st.integers(1, 8), spectrum=st.sampled_from(("paper", "ricci_shifted")),
+       t=st.floats(allow_nan=False, allow_infinity=False),
+       seed=st.integers(0, 2**32 - 1))
+def test_snapshot_round_trip_bitwise(tmp_path, lmax, spectrum, t, seed):
+    rng = np.random.default_rng(seed)
     nm = n_modes(lmax)
     v = rng.standard_normal(nm) + 1j * rng.standard_normal(nm)
     z = rng.standard_normal(nm) + 1j * rng.standard_normal(nm)
     v[0] = z[0] = 0.0
     path = str(tmp_path / "state.bin")
-    write_snapshot(path, lmax, "ricci_shifted", 2.625, v, z)
+    write_snapshot(path, lmax, spectrum, t, v, z)
     back = read_snapshot(path)
     assert np.array_equal(back["v"], v) and np.array_equal(back["z"], z)
-    assert back["t"] == 2.625
-    assert back["lmax"] == lmax and back["spectrum"] == "ricci_shifted"
+    assert back["t"] == t
+    assert back["lmax"] == lmax and back["spectrum"] == spectrum
     # fixed layout: magic + u32 version + u32 lmax + u8 flag + f64 time,
     # then two coefficient blocks of (n_modes - 1) (re, im) f64 pairs
     assert os.path.getsize(path) == 4 + 17 + 2 * 16 * (nm - 1)
@@ -247,6 +260,10 @@ def test_snapshot_rejects_corruption(tmp_path):
     Path(short).write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="truncated"):
         read_snapshot(short)
+    for n in range(len(blob)):          # a cut anywhere, the header included
+        Path(short).write_bytes(blob[:n])
+        with pytest.raises(ValueError):
+            read_snapshot(short)
     wrong_amp = str(tmp_path / "coeff_shape.bin")
     with pytest.raises(ValueError, match="shape"):
         write_snapshot(wrong_amp, lmax, "paper", 0.0, c[:-1], c)

@@ -1,6 +1,7 @@
 """Norm bookkeeping, inequality monitors, ledger arithmetic, bound reports."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,25 @@ def test_gronwall_report_arithmetic_with_force_and_noise_terms():
     assert rep["K3"] == pytest.approx((4.0 + 0.3 / eps_da) * math.exp(theta))
     grow = C_eps * (2 * 16 + 2 * 4 * 0.7 + 0.5 * 0.7 * 4)
     assert rep["K4"] == pytest.approx((4.0 + grow + 0.3 / eps_da) / nu)
+
+
+def test_gronwall_report_saturates_a_huge_convective_constant():
+    # c_emp^4 overflows: C(eps) saturates to inf as K3's exponential does,
+    # and an integrand that is 0 contributes 0 (no nan, no warning)
+    still = EnergyLedger()
+    for t in (0.0, 0.5, 1.0):
+        still.append_row(t=t, v_h2=0.0, v_v2=0.0, av2=0.0, b_vvz=0.0, f_v=0.0,
+                         F_h2=0.0, z_h2=0.0, z_v2=0.0, u_l4=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        base = gronwall_bound_report(_decay_ledger(), 1.0, c_emp=1.0)
+        rep = gronwall_bound_report(_decay_ledger(), 1.0, c_emp=1e80)
+        zero = gronwall_bound_report(still, 1.0, c_emp=1e80)
+    assert rep["C_eps"] == rep["K3"] == rep["K4"] == math.inf
+    assert (rep["K1"], rep["K2"]) == (base["K1"], base["K2"])
+    assert all(rep["satisfied"].values())
+    assert zero["C_eps"] == math.inf and zero["K3"] == zero["K4"] == 0.0
+    assert all(zero["satisfied"].values())
 
 
 def test_gronwall_report_validation():

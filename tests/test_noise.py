@@ -60,22 +60,23 @@ def test_subordinator_increments_add_in_distribution():
 
 
 def test_block_beta2_is_wiener():
-    spec = nz.NoiseSpec(beta=2.0, sigma_rule="const:1.0", lmax=2, seed=0)
+    spec = nz.NoiseSpec(beta=2.0, sigma_rule="const:1.0", seed=0)
     rng = nz.substream(7, 0)
     dt = 0.13
-    draws = np.array([nz.levy_increment_block(spec, dt, rng).dL[1].real for _ in range(10**5)])
-    b = nz.levy_increment_block(spec, dt, rng)
+    draws = np.array([nz.levy_increment_block(spec, dt, rng, lmax=2).dL[1].real
+                      for _ in range(10**5)])
+    b = nz.levy_increment_block(spec, dt, rng, lmax=2)
     assert b.dX == dt  # exactly, no subordination noise
     assert abs(np.var(draws) - dt) / dt < 0.02
 
 
 def test_block_characteristic_function():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", lmax=3, seed=0)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", seed=0)
     rng = nz.substream(3, 0)
     dt = 0.2
     coords = []
     for _ in range(20000):
-        blk = nz.levy_increment_block(spec, dt, rng)
+        blk = nz.levy_increment_block(spec, dt, rng, lmax=3)
         coords.append(math.sqrt(2.0) * blk.dL[2].real)  # a real coordinate of (1,1)
     cf = float(np.mean(np.exp(1j * np.asarray(coords))).real)
     exact = math.exp(-dt * 2.0 ** (-1.5 / 2.0))
@@ -85,11 +86,11 @@ def test_block_characteristic_function():
 def test_block_shared_clock_dependence():
     # squared increments correlate through the shared subordinator while the
     # raw increments stay (heavy-tail noisily) uncorrelated
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", lmax=3, seed=0)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", seed=0)
     rng = nz.substream(3, 1)
     l1, l2 = [], []
     for _ in range(20000):
-        blk = nz.levy_increment_block(spec, 0.2, rng)
+        blk = nz.levy_increment_block(spec, 0.2, rng, lmax=3)
         l1.append(math.sqrt(2.0) * blk.dL[2].real)
         l2.append(-math.sqrt(2.0) * blk.dL[2].imag)
     l1, l2 = np.asarray(l1), np.asarray(l2)
@@ -98,29 +99,29 @@ def test_block_shared_clock_dependence():
 
 
 def test_block_layout_and_validation():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", lmax=3, seed=0)
-    blk = nz.levy_increment_block(spec, 0.1, nz.substream(0, 5))
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", seed=0)
+    blk = nz.levy_increment_block(spec, 0.1, nz.substream(0, 5), lmax=3)
     assert blk.dL.shape == (10,)
     assert blk.dL[0] == 0.0          # l = 0 slot
     assert blk.dL[1].imag == 0.0     # m = 0 slots are real
     assert blk.dL[3].imag == 0.0
     with pytest.raises(ValueError):
-        nz.levy_increment_block(spec, 0.0, nz.substream(0, 5))
+        nz.levy_increment_block(spec, 0.0, nz.substream(0, 5), lmax=3)
 
 
 def test_batched_block_beta2_draws_no_clock():
     # deterministic clock: dX == dt on every path and the generator's first
     # bits go to the Gaussians
-    spec = nz.NoiseSpec(beta=2.0, sigma_rule="const:1.0", lmax=3, seed=0)
-    blk = nz.levy_increment_block(spec, 0.3, nz.substream(4, 2), 50)
+    spec = nz.NoiseSpec(beta=2.0, sigma_rule="const:1.0", seed=0)
+    blk = nz.levy_increment_block(spec, 0.3, nz.substream(4, 2), 50, lmax=3)
     assert blk.dX.shape == (50,) and np.all(blk.dX == 0.3)
     ref = nz._gaussian_mode_increments(nz.substream(4, 2), np.full(50, 0.3), 3)
     assert np.array_equal(blk.dL, ref)
 
 
 def test_batched_block_is_clock_then_gaussians():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", lmax=3, seed=0)
-    blk = nz.levy_increment_block(spec, 0.2, nz.substream(4, 3), (6, 5))
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", seed=0)
+    blk = nz.levy_increment_block(spec, 0.2, nz.substream(4, 3), (6, 5), lmax=3)
     rng = nz.substream(4, 3)
     dX = nz._positive_stable_batch(0.75, 0.2, rng, (6, 5))
     assert np.array_equal(blk.dX, dX)
@@ -128,7 +129,7 @@ def test_batched_block_is_clock_then_gaussians():
     assert blk.dL.shape == (6, 5, 10) and np.all(blk.dL[..., 0] == 0.0)
     with pytest.raises(ValueError):
         nz.LevyIncrementBlock(dt=0.2, dX=np.array([0.1, -1e-3]), dL=blk.dL[0, :2])
-    one = nz.levy_increment_block(spec, 0.2, nz.substream(4, 3))
+    one = nz.levy_increment_block(spec, 0.2, nz.substream(4, 3), lmax=3)
     assert type(one.dX) is float and one.dL.shape == (10,)
 
 
@@ -142,10 +143,12 @@ def test_tail_sum_partial_plus_tail():
 
 
 def test_counter_streams_reproducible_and_order_free():
-    spec = nz.NoiseSpec(beta=1.7, sigma_rule="const:1.0", lmax=4, seed=99)
-    fwd = [nz.levy_increment_block(spec, 0.05, nz.substream(99, nz.PURPOSE_SUBSTEP, k)).dL
+    spec = nz.NoiseSpec(beta=1.7, sigma_rule="const:1.0", seed=99)
+    fwd = [nz.levy_increment_block(spec, 0.05, nz.substream(99, nz.PURPOSE_SUBSTEP, k),
+                                   lmax=4).dL
            for k in range(6)]
-    bwd = [nz.levy_increment_block(spec, 0.05, nz.substream(99, nz.PURPOSE_SUBSTEP, k)).dL
+    bwd = [nz.levy_increment_block(spec, 0.05, nz.substream(99, nz.PURPOSE_SUBSTEP, k),
+                                   lmax=4).dL
            for k in reversed(range(6))]
     for k in range(6):
         assert np.array_equal(fwd[k], bwd[5 - k])
@@ -176,11 +179,10 @@ def test_sigma_rule_parsing():
 
 
 def test_summability_zero_and_band():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", delta=0.5, lmax=4)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", delta=0.5)
     res = nz.check_summability(spec)
     assert res == {"value": 0.0, "converged": True, "tail_bound": 0.0, "slope": None}
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=8,value=0.1", delta=0.5,
-                        lmax=4)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=8,value=0.1", delta=0.5)
     res = nz.check_summability(spec)
     assert res["converged"] and res["tail_bound"] == 0.0
     expect = sum(0.1**1.5 * (l * (l + 1.0)) ** 0.75 for l in range(1, 9))
@@ -188,8 +190,7 @@ def test_summability_zero_and_band():
 
 
 def test_summability_power_law_matches_direct_sum():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
-                        lmax=4)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5)
     res = nz.check_summability(spec)
     ls = np.arange(1, 10**6 + 1, dtype=np.float64)
     direct = float(np.sum(ls**-3.0 * (ls * (ls + 1.0)) ** 0.75))
@@ -200,23 +201,21 @@ def test_summability_power_law_matches_direct_sum():
 def test_summability_divergent_has_diagnostic():
     # |sigma_l|^beta lambda_l^(beta delta) ~ l^-2 l^1.5 = l^-0.5
     spec = nz.NoiseSpec(beta=1.5, sigma_rule=f"power:gamma={4 / 3!r}",
-                        delta=0.5, lmax=4)
+                        delta=0.5)
     res = nz.check_summability(spec)
     assert not res["converged"]
     assert res["slope"] == pytest.approx(-0.5, abs=0.01)
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:0.3", lmax=4)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:0.3")
     assert not nz.check_summability(spec)["converged"]
 
 
 def test_summability_verdict_cached_per_argument_set():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.5", delta=0.25,
-                        lmax=4)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.5", delta=0.25)
     first = nz.check_summability(spec)
     first["converged"] = "mutated"
     before = nz._summability.cache_info()
-    # another band limit or seed shares the verdict; the caller's copy is
-    # its own
-    again = nz.check_summability(nz.NoiseSpec(beta=1.5, seed=7, lmax=9,
+    # another seed shares the verdict; the caller's copy is its own
+    again = nz.check_summability(nz.NoiseSpec(beta=1.5, seed=7,
                                               sigma_rule="power:gamma=2.5",
                                               delta=0.25))
     assert nz._summability.cache_info().hits == before.hits + 1
@@ -226,34 +225,34 @@ def test_summability_verdict_cached_per_argument_set():
 
 
 def test_moment_scaling_domain_error():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", lmax=2)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0")
     with pytest.raises(ValueError):
-        nz.moment_scaling_estimate(spec, 1.5, [1.0], 10)
+        nz.moment_scaling_estimate(spec, 1.5, [1.0], 10, lmax=2)
     with pytest.raises(ValueError):
-        nz.moment_scaling_estimate(spec, 1.8, [1.0], 10)
+        nz.moment_scaling_estimate(spec, 1.8, [1.0], 10, lmax=2)
 
 
 def test_moment_scaling_single_mode_slope():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=1,value=1.0", lmax=1, seed=5)
-    est = nz.moment_scaling_estimate(spec, 1.0, [0.25, 0.5, 1.0, 2.0, 4.0], 10**4)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=1,value=1.0", seed=5)
+    est = nz.moment_scaling_estimate(spec, 1.0, [0.25, 0.5, 1.0, 2.0, 4.0], 10**4,
+                                     lmax=1)
     logs = np.log(np.array(est))
     slope = np.polyfit(logs[:, 0], logs[:, 1], 1)[0]
     assert slope == pytest.approx(1.0 / 1.5, abs=0.05)
 
 
 def test_moment_scaling_monotone_in_t():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", delta=0.25,
-                        lmax=6, seed=8)
-    est = nz.moment_scaling_estimate(spec, 1.0, [0.1, 1.0, 10.0], 4000)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", delta=0.25, seed=8)
+    est = nz.moment_scaling_estimate(spec, 1.0, [0.1, 1.0, 10.0], 4000, lmax=6)
     vals = [e[1] for e in est]
     assert vals[0] < vals[1] < vals[2]
 
 
 def test_moment_scaling_truncated_two_mode_vs_bruteforce():
     # high-resolution brute-force MC oracle with a separate stream
-    spec = nz.NoiseSpec(beta=1.6, sigma_rule="band:l<=2,value=1.0", lmax=2, seed=12)
+    spec = nz.NoiseSpec(beta=1.6, sigma_rule="band:l<=2,value=1.0", seed=12)
     t = 0.7
-    (_, est), = nz.moment_scaling_estimate(spec, 1.0, [t], 2 * 10**5)
+    (_, est), = nz.moment_scaling_estimate(spec, 1.0, [t], 2 * 10**5, lmax=2)
     rng = nz.substream(1234, 77)
     n = 10**6
     X = nz._positive_stable_batch(0.8, t, rng, n)

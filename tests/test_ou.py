@@ -28,12 +28,12 @@ def h_norm2_batch(coeffs, lmax, weight_exponent=0.0):
     return (np.abs(coeffs) ** 2 * w).sum(axis=-1)
 
 
-def sup_norm_growth(spec, delta, p, T_list, n_paths, *, n_time=64):
+def sup_norm_growth(spec, lmax, delta, p, T_list, n_paths, *, n_time=64):
     """E sup_{t<=T} |A^delta z_t|^p per horizon T (rotation-free, alpha 0,
     nu 1) and its log-log slope over T_list; slope None when every
     estimate vanishes."""
-    g = ou._mode_gain(spec)
-    kappa = basis_eigenvalues(spec.lmax)
+    g = ou._mode_gain(spec, lmax)
+    kappa = basis_eigenvalues(lmax)
     estimates = []
     for i, T in enumerate(T_list):
         dt = float(T) / n_time
@@ -42,8 +42,9 @@ def sup_norm_growth(spec, delta, p, T_list, n_paths, *, n_time=64):
         y = np.zeros((n_paths, kappa.size), dtype=np.complex128)
         run_max = np.zeros(n_paths)
         for _ in range(n_time):
-            y = decay * (y + g * nz.levy_increment_block(spec, dt, gen, n_paths).dL)
-            np.maximum(run_max, h_norm2_batch(y, spec.lmax, delta), out=run_max)
+            dL = nz.levy_increment_block(spec, dt, gen, n_paths, lmax=lmax).dL
+            y = decay * (y + g * dL)
+            np.maximum(run_max, h_norm2_batch(y, lmax, delta), out=run_max)
         estimates.append((float(T), float(np.mean(run_max ** (p / 2.0)))))
     vals = np.array([e[1] for e in estimates])
     if np.any(vals <= 0) or len(estimates) < 2:
@@ -53,7 +54,7 @@ def sup_norm_growth(spec, delta, p, T_list, n_paths, *, n_time=64):
 
 
 def test_sigma_zero_exact_decay():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", lmax=4, seed=3, n_substeps=4)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", seed=3, n_substeps=4)
     st = ou.make_ou_state(CTX4, 0.0, z0=unit_stream_mode(4, 1, 0))
     out = ou.ou_step(st, 0.7, spec)
     assert out.z.coeffs[1] == pytest.approx(math.exp(-2 * 0.7) * st.z.coeffs[1], rel=1e-14)
@@ -64,7 +65,7 @@ def test_sigma_zero_norm_ignores_rotation():
     rng = np.random.default_rng(1)
     c = rng.standard_normal(15) + 1j * rng.standard_normal(15)
     c[0] = 0.0
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", lmax=4, seed=3)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", seed=3)
     norms = []
     for om in (0.0, 5.0):
         ctx = OperatorContext(lmax=4, nu=1.0, omega=om)
@@ -86,13 +87,12 @@ def test_make_state_validation():
 
 
 def test_step_validation():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", lmax=4, seed=0, n_substeps=2)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", seed=0, n_substeps=2)
     st = ou.make_ou_state(CTX4, 0.0)
     with pytest.raises(ValueError):
         ou.ou_step(st, 0.0, spec)
-    with pytest.raises(ValueError):
-        ou.ou_step(st, 0.5, nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", lmax=5))
-    good = [nz.levy_increment_block(spec, 0.25, nz.substream(0, 0)) for _ in range(2)]
+    good = [nz.levy_increment_block(spec, 0.25, nz.substream(0, 0), lmax=4)
+            for _ in range(2)]
     ou.ou_step(st, 0.5, spec, blocks=good)
     with pytest.raises(ValueError):
         ou.ou_step(st, 0.5, spec, blocks=good[:1])
@@ -101,8 +101,8 @@ def test_step_validation():
 
 
 def test_noise_linearity_exact_factor_two():
-    s1 = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", lmax=4, seed=9, n_substeps=5)
-    s2 = nz.NoiseSpec(beta=1.5, sigma_rule="const:2.0", lmax=4, seed=9, n_substeps=5)
+    s1 = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", seed=9, n_substeps=5)
+    s2 = nz.NoiseSpec(beta=1.5, sigma_rule="const:2.0", seed=9, n_substeps=5)
     a = ou.ou_step(ou.make_ou_state(CTX4, 0.1), 0.4, s1)
     b = ou.ou_step(ou.make_ou_state(CTX4, 0.1), 0.4, s2)
     assert np.array_equal(b.z.coeffs, 2.0 * a.z.coeffs)
@@ -111,8 +111,8 @@ def test_noise_linearity_exact_factor_two():
 def test_semigroup_composition_bitwise():
     # exact integrating factor + absolute substep counters: two dt steps
     # replay the identical float operations of one 2dt step
-    half = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.5", lmax=4, seed=11, n_substeps=6)
-    full = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.5", lmax=4, seed=11, n_substeps=12)
+    half = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.5", seed=11, n_substeps=6)
+    full = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.5", seed=11, n_substeps=12)
     two = ou.ou_step(ou.ou_step(ou.make_ou_state(CTX4, 0.2), 0.3, half), 0.3, half)
     one = ou.ou_step(ou.make_ou_state(CTX4, 0.2), 0.6, full)
     assert np.array_equal(two.z.coeffs, one.z.coeffs)
@@ -121,7 +121,7 @@ def test_semigroup_composition_bitwise():
 
 def test_zonal_coefficients_stay_real_under_rotation():
     ctx = OperatorContext(lmax=3, nu=1.0, omega=4.0)
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:0.5", lmax=3, seed=13, n_substeps=3)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:0.5", seed=13, n_substeps=3)
     st = ou.make_ou_state(ctx, 0.2)
     for _ in range(4):
         st = ou.ou_step(st, 0.25, spec)
@@ -132,7 +132,7 @@ def test_zonal_coefficients_stay_real_under_rotation():
 
 def test_ito_isometry_direct_ensemble():
     # all three l=1 coordinates driven: E|z|^2 = 3 sigma^2 (1-e^{-2kt})/(2k)
-    spec = nz.NoiseSpec(beta=2.0, sigma_rule="band:l<=1,value=1.0", lmax=1, seed=21)
+    spec = nz.NoiseSpec(beta=2.0, sigma_rule="band:l<=1,value=1.0", seed=21)
     Y = ou.ou_endpoint_ensemble(spec, CTX1, 0.0, 1.0, 10**4, n_substeps=400,
                                 rng=nz.substream(5, 0))
     got = float(np.mean(h_norm2_batch(Y, 1)))
@@ -142,7 +142,7 @@ def test_ito_isometry_direct_ensemble():
 
 def test_endpoint_ensemble_is_the_written_out_recursion():
     # one generator feeds every substep: clock, then Gaussians, per substep
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", lmax=3, seed=6)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", seed=6)
     Y = ou.ou_endpoint_ensemble(spec, OperatorContext(3, nu=0.8), 0.4, 0.5, 7,
                                 n_substeps=5, rng=nz.substream(6, 0))
     rng, delta = nz.substream(6, 0), 0.5 / 5
@@ -150,12 +150,18 @@ def test_endpoint_ensemble_is_the_written_out_recursion():
     y = np.zeros((7, 10), dtype=np.complex128)
     for _ in range(5):
         dX = nz._positive_stable_batch(0.75, delta, rng, 7)
-        y = decay * (y + ou._mode_gain(spec) * nz._gaussian_mode_increments(rng, dX, 3))
+        y = decay * (y + ou._mode_gain(spec, 3) * nz._gaussian_mode_increments(rng, dX, 3))
     assert np.array_equal(Y, y)
 
 
+def test_endpoint_ensemble_draws_on_the_context_band_limit():
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=8,value=0.5", seed=3)
+    Y = ou.ou_endpoint_ensemble(spec, CTX8, 0.0, 0.5, 6, n_substeps=2)
+    assert Y.shape == (6, 45) and np.all(Y[:, 1:] != 0.0)
+
+
 def test_endpoint_ensemble_validation():
-    spec = nz.NoiseSpec(beta=2.0, sigma_rule="zero", lmax=1)
+    spec = nz.NoiseSpec(beta=2.0, sigma_rule="zero")
     with pytest.raises(ValueError):
         ou.ou_endpoint_ensemble(spec, CTX1, 0.0, 0.0, 10)
 
@@ -163,7 +169,7 @@ def test_endpoint_ensemble_validation():
 def test_conditional_engine_matches_stable_closed_form():
     # band l<=1: |z|^2 = sigma^2 V chi^2_3 with V positive (3/4)-stable of
     # scale I = (1-e^{-beta k t})/(beta k); both factor moments are exact
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=1,value=1.0", lmax=1, seed=31)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=1,value=1.0", seed=31)
     alpha, t, kap = 0.3, 0.7, 2.3
     I = (1.0 - math.exp(-1.5 * kap * t)) / (1.5 * kap)
     for p, tol, key in ((0.5, 0.02, 0), (1.0, 0.05, 1)):
@@ -180,7 +186,7 @@ def test_shared_clock_ratio_matches_chi_square_theory():
     # one degree, d = 2l+1 coordinates on a common clock:
     # ratio = E(chi^2_d)^{p/2} / (d^{p/beta} m_p); below 1 at p = 1,
     # slightly above 1 at p = 0.5 — the bound constant is single-coordinate
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=1,value=1.0", lmax=1, seed=31)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=1,value=1.0", seed=31)
     for p, key in ((1.0, 10), (0.5, 11)):
         m_p = 2.0 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
         theory = (2.0 ** (p / 2) * math.gamma((3 + p) / 2.0) / math.gamma(1.5)
@@ -193,39 +199,42 @@ def test_shared_clock_ratio_matches_chi_square_theory():
 
 def test_moment_check_gaussian_ito_equality():
     # beta = 2, p = 2: constant is exactly 1 and the bound is the Ito
-    # second moment, so the ratio sits at 1 up to sampling + substep bias
-    spec = nz.NoiseSpec(beta=2.0, sigma_rule="band:l<=4,value=0.3", lmax=4, seed=1001)
-    chk = ou.ou_moment_check(spec, CTX4, 0.5, 2.0, 2.0, 10**4, max_kappa_dt=0.01)
-    assert chk["c_tilde"] == pytest.approx(1.0, abs=1e-14)
-    assert abs(chk["empirical"] / chk["bound"] - 1.0) < 0.02
+    # second moment, so the ratio sits at 1 up to sampling + substep bias;
+    # the sampled degrees are those of the context's band limit
+    for band, ctx in ((4, CTX4), (8, CTX8)):
+        spec = nz.NoiseSpec(beta=2.0, sigma_rule=f"band:l<={band},value=0.3",
+                            seed=1001)
+        chk = ou.ou_moment_check(spec, ctx, 0.5, 2.0, 2.0, 10**4, max_kappa_dt=0.01)
+        assert chk["c_tilde"] == pytest.approx(1.0, abs=1e-14)
+        assert abs(chk["empirical"] / chk["bound"] - 1.0) < 0.02
 
 
 def test_moment_check_stable_bounded():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", lmax=8, seed=2024)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", seed=2024)
     chk = ou.ou_moment_check(spec, CTX8, 0.5, 1.0, 1.0, 10**4, counter=101)
     assert chk["passed"] and chk["ratio"] < 0.95
 
 
 def test_moment_check_ratio_stable_over_decade():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", lmax=8, seed=2024)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", seed=2024)
     r1 = ou.ou_moment_check(spec, CTX8, 0.5, 1.0, 0.5, 10**4, counter=201)["ratio"]
     r2 = ou.ou_moment_check(spec, CTX8, 0.5, 1.0, 5.0, 10**4, counter=202)["ratio"]
     assert abs(r2 / r1 - 1.0) < 0.2
 
 
 def test_moment_check_trivial_and_domain():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", lmax=4, seed=0)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", seed=0)
     chk = ou.ou_moment_check(spec, CTX4, 0.5, 1.0, 1.0, 100)
     assert chk["empirical"] == 0.0 and chk["ratio"] == 0.0 and chk["passed"]
-    live = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", lmax=4)
+    live = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0")
     with pytest.raises(ValueError):
         ou.ou_moment_check(live, CTX4, 0.0, 1.5, 1.0, 10)
 
 
 def test_zlp_bound_examples():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", lmax=8)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0")
     assert ou.zlp_bound(0.0, 1.0, spec, CTX8, 0.5) == 0.0
-    band = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=8,value=0.1", lmax=8)
+    band = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=8,value=0.1")
     expect = sum(
         (2 * l + 1) * 0.1**1.5 / (1.5 * (l * (l + 1) + 0.25)) for l in range(1, 9)
     ) ** (1 / 1.5)
@@ -235,7 +244,7 @@ def test_zlp_bound_examples():
     # explicit truncation point is immaterial once the tail is summed
     assert ou.zlp_bound(1.0, 1.0, spec, CTX8, 0.5) == pytest.approx(
         ou.zlp_bound(1.0, 1.0, spec, OperatorContext(64), 0.5), rel=1e-9)
-    divergent = nz.NoiseSpec(beta=1.5, sigma_rule="const:0.3", lmax=8)
+    divergent = nz.NoiseSpec(beta=1.5, sigma_rule="const:0.3")
     assert ou.zlp_bound(1.0, 1.0, divergent, CTX8, 0.5) == math.inf
     with pytest.raises(ValueError):
         ou.zlp_bound(1.0, 1.6, spec, CTX8, 0.5)
@@ -246,7 +255,7 @@ def test_zlp_bound_examples():
 def test_zlp_bound_follows_the_context_spectrum():
     # ricci_shifted: kappa_l = nu (l(l+1) - 2) + alpha, so l = 1 is damped
     # by alpha alone
-    band = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=8,value=0.1", lmax=8)
+    band = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=8,value=0.1")
     ctx = OperatorContext(8, nu=0.7, spectrum="ricci_shifted")
     expect = sum(
         (2 * l + 1) * 0.1**1.5 / (1.5 * (0.7 * (l * (l + 1) - 2) + 0.25))
@@ -262,7 +271,7 @@ def test_zero_decay_rate_takes_the_limit():
     ctx = OperatorContext(4, spectrum="ricci_shifted")
     t = 0.5
     for beta in (1.5, 2.0):
-        spec = nz.NoiseSpec(beta=beta, sigma_rule="band:l<=2,value=0.5", lmax=4)
+        spec = nz.NoiseSpec(beta=beta, sigma_rule="band:l<=2,value=0.5")
         bk = beta * 4.0                     # l = 2: nu (l(l+1) - 2) = 4
         expect = (0.5**beta * 3 * t
                   + 5 * 0.5**beta * (1 - math.exp(-bk * t)) / bk) ** (1 / beta)
@@ -285,16 +294,16 @@ def test_zlp_constant_values():
 
 
 def test_sup_norm_growth_examples():
-    zero = nz.NoiseSpec(beta=1.5, sigma_rule="zero", lmax=1, seed=77)
-    r0 = sup_norm_growth(zero, 0.0, 1.0, [0.5, 1.0], 100)
+    zero = nz.NoiseSpec(beta=1.5, sigma_rule="zero", seed=77)
+    r0 = sup_norm_growth(zero, 1, 0.0, 1.0, [0.5, 1.0], 100)
     assert r0["slope"] is None
     assert all(v == 0.0 for _, v in r0["estimates"])
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=1,value=1.0", lmax=1, seed=77)
-    r = sup_norm_growth(spec, 0.0, 1.0, [0.5, 1.0, 2.0, 4.0], 3000)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=1,value=1.0", seed=77)
+    r = sup_norm_growth(spec, 1, 0.0, 1.0, [0.5, 1.0, 2.0, 4.0], 3000)
     assert 0.0 < r["slope"] <= 1.0 / 1.5 + 0.1
-    multi = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", lmax=6, seed=78)
-    lo = sup_norm_growth(multi, 0.1, 1.0, [1.0], 2000)["estimates"][0][1]
-    hi = sup_norm_growth(multi, 0.4, 1.0, [1.0], 2000)["estimates"][0][1]
+    multi = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", seed=78)
+    lo = sup_norm_growth(multi, 6, 0.1, 1.0, [1.0], 2000)["estimates"][0][1]
+    hi = sup_norm_growth(multi, 6, 0.4, 1.0, [1.0], 2000)["estimates"][0][1]
     assert hi > lo
 
 
@@ -309,11 +318,12 @@ def _coarsen(blocks):
 def test_substep_refinement_first_order_on_coupled_noise():
     ctx = OperatorContext(lmax=3, nu=1.0, omega=0.0)
     z0 = unit_stream_mode(3, 1, 0)
-    tpl = dict(beta=1.5, sigma_rule="power:gamma=1.5", lmax=3, seed=5)
+    tpl = dict(beta=1.5, sigma_rule="power:gamma=1.5", seed=5)
     gen = nz.substream(123, 0)
     fine_n = 128
     finest = [nz.levy_increment_block(nz.NoiseSpec(n_substeps=fine_n, **tpl),
-                                      1.0 / fine_n, gen) for _ in range(fine_n)]
+                                      1.0 / fine_n, gen, lmax=3)
+              for _ in range(fine_n)]
 
     def endpoint(nsub, blocks):
         spec = nz.NoiseSpec(n_substeps=nsub, **tpl)
@@ -332,7 +342,7 @@ def test_substep_refinement_first_order_on_coupled_noise():
 
 
 def test_engine_and_stepper_agree_in_distribution():
-    spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=2,value=0.7", lmax=2, seed=41)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=2,value=0.7", seed=41)
     ctx = OperatorContext(lmax=2)
     direct = h_norm2_batch(
         ou.ou_endpoint_ensemble(spec, ctx, 0.5, 0.6, 4000, n_substeps=300,

@@ -36,9 +36,8 @@ from snse.solver import (
 )
 
 
-def _quiet_spec(lmax, **kw):
-    base = dict(beta=2.0, sigma_rule="zero", delta=0.5, seed=0, n_substeps=1,
-                lmax=lmax)
+def _quiet_spec(**kw):
+    base = dict(beta=2.0, sigma_rule="zero", delta=0.5, seed=0, n_substeps=1)
     base.update(kw)
     return NoiseSpec(**base)
 
@@ -56,13 +55,13 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OperatorContext(6, nu=0.0)
     with pytest.raises(ValueError):
-        run(SolverConfig(**ok, v0=unit_stream_mode(5, 1, 0)), _quiet_spec(6),
+        run(SolverConfig(**ok, v0=unit_stream_mode(5, 1, 0)), _quiet_spec(),
             ctx=OperatorContext(6))
 
 
 def test_single_mode_exact_decay():
     # linear part integrated exactly; self-advection of one harmonic vanishes
-    spec = _quiet_spec(8)
+    spec = _quiet_spec()
     for scheme in ("imex_euler", "imex_heun"):
         for dt in (0.1, 0.05, 0.01):
             cfg = SolverConfig(dt=dt, t_end=1.0, scheme=scheme,
@@ -73,7 +72,7 @@ def test_single_mode_exact_decay():
 
 
 def test_zero_data_zero_trajectory():
-    res = run(SolverConfig(dt=0.1, t_end=0.5), _quiet_spec(8),
+    res = run(SolverConfig(dt=0.1, t_end=0.5), _quiet_spec(),
               ctx=OperatorContext(8))
     assert not res.state.v.coeffs.any()
     assert res.ledger.sup("v_h2") == 0.0
@@ -108,7 +107,7 @@ def _endpoint(scheme, dt, v0, f):
     cfg = SolverConfig(dt=dt, t_end=0.5, scheme=scheme, v0=v0, f=f,
                        picard_tol=1e-13)
     ctx = OperatorContext(10, nu=0.5, omega=2.0)
-    return run(cfg, _quiet_spec(10), ctx=ctx).state.v.coeffs
+    return run(cfg, _quiet_spec(), ctx=ctx).state.v.coeffs
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +163,7 @@ def test_picard_iteration_geometric_and_consistent(smooth_data):
     assert all(r < 1.0 for r in ratios)
     assert max(ratios) < 3.0 * min(ratios)  # roughly geometric
     cfg = SolverConfig(dt=dt, t_end=dt, scheme="picard", picard_tol=tol, v0=v0)
-    st2 = step_picard(st, cfg, _quiet_spec(10), ctx=ctx)
+    st2 = step_picard(st, cfg, _quiet_spec(), ctx=ctx)
     assert np.array_equal(st2.v.coeffs, w_fixed)
 
 
@@ -185,7 +184,7 @@ def test_picard_linear_problem_single_iteration(monkeypatch):
                   ou=make_ou_state(ctx, alpha=0.0), ledger=EnergyLedger())
     cfg = SolverConfig(dt=0.05, t_end=0.05, scheme="picard",
                        picard_tol=1e-10, v0=unit_stream_mode(8, 3, 2))
-    step_picard(st, cfg, _quiet_spec(8), ctx=ctx)
+    step_picard(st, cfg, _quiet_spec(), ctx=ctx)
     assert calls["n"] == 2  # predictor force + one corrector application
 
 
@@ -200,14 +199,14 @@ def test_picard_contraction_failure_raises(smooth_data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises((ContractionError, BlowUpError)):
-            step_picard(st, cfg, _quiet_spec(10), ctx=ctx)
+            step_picard(st, cfg, _quiet_spec(), ctx=ctx)
 
 
 def test_monotone_energy_decay_unforced():
     rng = np.random.default_rng(4)
     cfg = SolverConfig(dt=0.02, t_end=1.0, scheme="imex_heun",
                        v0=random_stream_field(10, rng, decay=2.0, norm=0.8))
-    h = run(cfg, _quiet_spec(10), ctx=OperatorContext(10)).ledger.series("v_h2")
+    h = run(cfg, _quiet_spec(), ctx=OperatorContext(10)).ledger.series("v_h2")
     assert np.all(np.diff(h) < 0)
 
 
@@ -218,7 +217,7 @@ def test_rotation_neutral_on_linear_trajectory():
     for omega in (0.0, 7.0):
         cfg = SolverConfig(dt=0.1, t_end=1.0, scheme="imex_heun",
                            v0=unit_stream_mode(8, 5, 3))
-        series[omega] = run(cfg, _quiet_spec(8),
+        series[omega] = run(cfg, _quiet_spec(),
                             ctx=OperatorContext(8, omega=omega)
                             ).ledger.series("v_h2")
     assert np.max(np.abs(series[0.0] - series[7.0])) < 1e-13
@@ -236,7 +235,7 @@ def test_rotation_decoherence_is_weak_and_vanishes_with_amplitude():
         for omega in (0.0, 5.0):
             v0 = SpectralField(12, amp * shape.coeffs, "stream")
             cfg = SolverConfig(dt=0.01, t_end=1.0, scheme="imex_heun", v0=v0)
-            out[omega] = run(cfg, _quiet_spec(12),
+            out[omega] = run(cfg, _quiet_spec(),
                              ctx=OperatorContext(12, omega=omega)
                              ).ledger.series("v_h2")
         return np.max(np.abs(out[0.0] - out[5.0]))
@@ -248,7 +247,7 @@ def test_rotation_decoherence_is_weak_and_vanishes_with_amplitude():
 
 def test_bitwise_reproducibility_and_seed_override():
     spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
-                     seed=33, n_substeps=2, lmax=10)
+                     seed=33, n_substeps=2)
     rng = np.random.default_rng(1)
     cfg = SolverConfig(dt=0.02, t_end=0.3, alpha=1.0, scheme="imex_heun",
                        v0=random_stream_field(10, rng, decay=2.0, norm=0.8))
@@ -268,7 +267,7 @@ def test_noise_path_invariant_under_dt_refinement():
 
     def z_snaps(dt, nsub, every):
         spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
-                         seed=77, n_substeps=nsub, lmax=10)
+                         seed=77, n_substeps=nsub)
         cfg = SolverConfig(dt=dt, t_end=0.4, alpha=1.0, scheme="imex_heun",
                            v0=v0)
         res = run(cfg, spec, ctx=OperatorContext(10, omega=2.0),
@@ -289,7 +288,7 @@ def test_blow_up_attaches_partial_result():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(BlowUpError) as exc:
-            run(cfg, _quiet_spec(10), ctx=OperatorContext(10),
+            run(cfg, _quiet_spec(), ctx=OperatorContext(10),
                 snapshot_every=1)
     err = exc.value
     assert err.t <= 5.0
@@ -307,7 +306,7 @@ def test_galerkin_endpoint_cauchy():
         c = base24.coeffs[: n_modes(lm)].copy()
         cfg = SolverConfig(dt=0.005, t_end=0.5, scheme="imex_heun",
                            v0=SpectralField(lm, c, "stream"))
-        res = run(cfg, _quiet_spec(lm), ctx=OperatorContext(lm, nu=0.2))
+        res = run(cfg, _quiet_spec(), ctx=OperatorContext(lm, nu=0.2))
         ends[lm] = math.sqrt(res.ledger.series("v_h2")[-1])
     d1, d2 = abs(ends[16] - ends[12]), abs(ends[24] - ends[16])
     assert d1 > d2 > 0.0
@@ -316,7 +315,7 @@ def test_galerkin_endpoint_cauchy():
 
 def test_perturbation_growth_within_gronwall_factor():
     spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
-                     seed=44, n_substeps=2, lmax=10)
+                     seed=44, n_substeps=2)
     rng = np.random.default_rng(2)
     v0 = random_stream_field(10, rng, decay=2.0, norm=1.0)
     pert = unit_stream_mode(10, 1, 1)
@@ -342,7 +341,7 @@ def test_energy_residual_second_order_unforced():
     for dt in (0.025, 0.0125, 0.00625):
         cfg = SolverConfig(dt=dt, t_end=1.0, scheme="imex_heun", v0=v0)
         res.append(abs(energy_residual(
-            run(cfg, _quiet_spec(10), ctx=OperatorContext(10)).ledger, 1.0)))
+            run(cfg, _quiet_spec(), ctx=OperatorContext(10)).ledger, 1.0)))
     assert 3.0 < res[0] / res[1] < 5.0
     assert 3.0 < res[1] / res[2] < 5.0
 
@@ -363,7 +362,7 @@ def test_ledger_b_vvz_matches_trilinear_oracle():
                     v0=random_stream_field(lmax, rng, decay=1.0, norm=1.0),
                     f=random_stream_field(lmax, rng, decay=1.5, norm=0.5))
                 spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0",
-                                 delta=0.5, seed=lmax, lmax=lmax)
+                                 delta=0.5, seed=lmax)
                 res = run(cfg, spec, snapshot_every=1, ctx=ctx)
                 led = res.ledger
                 assert led.n == len(res.snapshots) == 4
@@ -391,17 +390,15 @@ def test_energy_residual_converges_on_aliased_grid():
     res = []
     for dt in (0.01, 0.005):
         cfg = SolverConfig(dt=dt, t_end=0.5, v0=v0)
-        res.append(abs(energy_residual(run(cfg, _quiet_spec(8), ctx=ctx).ledger,
+        res.append(abs(energy_residual(run(cfg, _quiet_spec(), ctx=ctx).ledger,
                                        nu)))
     assert res[0] / res[1] >= 3.0
 
 
 def test_run_gates():
     cfg, ctx = SolverConfig(dt=0.1, t_end=0.5), OperatorContext(8)
-    with pytest.raises(ValueError):  # noise truncation must match
-        run(cfg, _quiet_spec(10), ctx=ctx)
     divergent = NoiseSpec(beta=1.5, sigma_rule="const:0.05", delta=0.5,
-                          seed=0, n_substeps=1, lmax=8)
+                          seed=0, n_substeps=1)
     with pytest.raises(ValueError):
         run(cfg, divergent, ctx=ctx)
 
@@ -412,11 +409,11 @@ def test_run_undriven_shifted_spectrum():
     cfg = SolverConfig(dt=0.1, t_end=0.5, v0=unit_stream_mode(6, 1, 0),
                        scheme="imex_euler")
     ctx = OperatorContext(6, spectrum="ricci_shifted")
-    res = run(cfg, _quiet_spec(6), ctx=ctx)
+    res = run(cfg, _quiet_spec(), ctx=ctx)
     h = res.ledger.series("v_h2")
     np.testing.assert_allclose(h, h[0], rtol=1e-12)  # zero eigenvalue: no decay
     driven = NoiseSpec(beta=2.0, sigma_rule="const:0.1", delta=0.0, seed=0,
-                       n_substeps=1, lmax=6)
+                       n_substeps=1)
     cfg2 = SolverConfig(dt=0.1, t_end=0.5, alpha=0.0)
     with pytest.raises(ValueError):
         run(cfg2, driven, ctx=ctx)
@@ -424,7 +421,7 @@ def test_run_undriven_shifted_spectrum():
 
 def test_snapshot_cadence_and_recombine():
     spec = NoiseSpec(beta=2.0, sigma_rule="band:l<=4,value=0.2", delta=0.5,
-                     seed=5, n_substeps=1, lmax=8)
+                     seed=5, n_substeps=1)
     rng = np.random.default_rng(12)
     cfg = SolverConfig(dt=0.05, t_end=0.5, alpha=0.5, scheme="imex_heun",
                        v0=random_stream_field(8, rng, decay=2.0, norm=0.5))
@@ -444,7 +441,7 @@ def test_diagnostic_table_layout():
     rng = np.random.default_rng(6)
     cfg = SolverConfig(dt=0.1, t_end=0.5, scheme="imex_heun",
                        v0=random_stream_field(8, rng, decay=2.0, norm=0.7))
-    res = run(cfg, _quiet_spec(8), ctx=OperatorContext(8))
+    res = run(cfg, _quiet_spec(), ctx=OperatorContext(8))
     tab = res.diagnostic_table()
     assert tab.shape == (6, 8)
     assert np.array_equal(tab[:, 0], np.arange(6) * 0.1)
@@ -462,7 +459,7 @@ def test_energy_residual_below_1e10_at_fine_step():
     cfg = SolverConfig(dt=1e-5, t_end=0.05, scheme="imex_heun",
                        v0=unit_stream_mode(1, 1, 0))
     ctx = OperatorContext(1, nu=1.0)
-    res = run(cfg, _quiet_spec(1), ctx=ctx)
+    res = run(cfg, _quiet_spec(), ctx=ctx)
     assert abs(energy_residual(res.ledger, ctx.nu)) < 1e-10
 
 
@@ -473,8 +470,7 @@ def test_gronwall_constants_hold_across_ten_seeds():
     cfg = SolverConfig(dt=0.05, t_end=0.5,
                        v0=random_stream_field(6, rng, decay=2.5, norm=1.0))
     ctx = OperatorContext(6, nu=0.5)
-    spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
-                     lmax=6)
+    spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5)
     worst = 0.0
     for seed in range(10):
         res = run(cfg, replace(spec, seed=seed), ctx=ctx)
@@ -492,7 +488,7 @@ def test_gronwall_zero_data_is_trivially_satisfied():
 
     cfg = SolverConfig(dt=0.1, t_end=0.4)
     ctx = OperatorContext(4)
-    rep = gronwall_bound_report(run(cfg, _quiet_spec(4), ctx=ctx).ledger,
+    rep = gronwall_bound_report(run(cfg, _quiet_spec(), ctx=ctx).ledger,
                                 ctx.nu)
     assert rep["K1"] == rep["K2"] == rep["K3"] == rep["K4"] == 0.0
     assert all(rep["satisfied"].values())
