@@ -639,11 +639,15 @@ def _mode_verify_noise(cfg: ExperimentConfig) -> int:
         rng = substream(cfg.seed, PURPOSE_MC, 202)
         clock = _positive_stable_batch(index, 1.0, rng, n)
         for r in (0.5, 1.0, 2.0):
-            emp = float(np.mean(np.exp(-r * clock)))
+            # exp(-r X) lies in (0, 1], so its mean has a finite standard
+            # error; the gate is 4 of them, estimated from the sample
+            sample = np.exp(-r * clock)
+            emp = float(np.mean(sample))
             exact = math.exp(-(r ** index))
             ratio = emp / exact
+            width = 4.0 * float(np.std(sample)) / math.sqrt(n) / exact
             rows.append((f"laplace_r{r:g}", emp, exact, ratio, f"n={n}"))
-            oks.append((f"laplace_r{r:g}", abs(ratio - 1.0) <= 0.01))
+            oks.append((f"laplace_r{r:g}", abs(ratio - 1.0) <= width))
 
     if np.any(spec.sigma_per_mode(cfg.lmax) != 0):
         target = cfg.p / spec.beta
@@ -653,6 +657,8 @@ def _mode_verify_noise(cfg: ExperimentConfig) -> int:
         slope = float(np.polyfit(ts, ys, 1)[0])
         rows.append(("moment_slope", slope, target, slope / target,
                      f"n={n}"))
+        # |L|^p has infinite variance at p < beta: no standard error to
+        # size this gate by
         oks.append(("moment_slope", abs(slope - target) <= 0.05))
 
     lines = [f"samples: {n}  beta: {spec.beta:g}"]

@@ -20,13 +20,18 @@ the real rates kappa_l = nu lambda_l^S + alpha
     (sum_l (2l+1) |sigma_l|^beta
          (1 - e^{-beta kappa_l t}) / (beta kappa_l))^{p/beta}
 
-with c_p = m_p Gamma(1-p/beta) / Gamma(1-p/2) and m_p the standard-normal
-absolute moment.  The constant is exact (ratio 1) for a single real
+Below, m_p is the standard-normal absolute moment E|N(0,1)|^p.  At beta = 2
+the clock is deterministic and |z_t|_H^2 is a weighted sum of chi-square
+variables whose mean is the bracket B above.  Jensen's inequality gives
+E|z|^p <= B^{p/2} for p <= 2, and convexity gives m_p B^{p/2} for p >= 2,
+so c_p = max(m_p, 1).  The stable branch still uses c_p = m_p
+Gamma(1-p/beta) / Gamma(1-p/2), which is exact (ratio 1) for a single real
 coordinate only.  Coordinates share one clock, and for several of them the
-ratio can exceed 1: at p = 1 and beta = 2, three equal coordinates give
-E(chi^2_3)^{1/2} / (sqrt 3 m_1) = 1.155.  A constant that bounds the
-multi-coordinate process follows from conditional Jensen and stable
-scaling: Gamma(1-p/beta) / Gamma(1-p/2) max(m_p, 1).
+ratio can exceed 1 (one degree at beta = 1.5, p = 0.5: 1.04).  The constant
+that bounds the multi-coordinate stable process follows from conditional
+Jensen and stable scaling, Gamma(1-p/beta) / Gamma(1-p/2) max(m_p, 1); the
+stable branch keeps the single-coordinate constant for now, because the
+bounding one moves every stable check's reference value.
 """
 
 from __future__ import annotations
@@ -169,6 +174,33 @@ def ou_endpoint_ensemble(spec: NoiseSpec, ctx: OperatorContext, alpha: float,
     return y
 
 
+_CLOCK_BLOCK = 16   # substeps per product in _discounted_clock_sum
+
+
+def _discounted_clock_sum(index: float, delta: float, E2: np.ndarray, n: int,
+                          gen: np.random.Generator, n_paths: int) -> np.ndarray:
+    """S_l = sum_{j=1..n} E2_l^{n-j+1} dX_j, shape (n_paths, E2.size), for
+    n positive index-stable clock increments dX_j of scale delta.
+
+    The increments are drawn one substep at a time, in order, into a block
+    of _CLOCK_BLOCK rows; each block of b rows then enters as
+    S <- S E2^b + dX_block^T W with W[j, l] = E2_l^{b-j}, one matrix
+    product instead of b multiply-adds over the whole array.
+    """
+    # S first: the buffer and the product temporaries then lie above it on
+    # the heap and come free as one piece for the chi-square draws
+    S = np.zeros((n_paths, E2.size))
+    W = E2[None, :] ** np.arange(_CLOCK_BLOCK, 0, -1)[:, None]
+    buf = np.empty((_CLOCK_BLOCK, n_paths))
+    for start in range(0, n, _CLOCK_BLOCK):
+        b = min(_CLOCK_BLOCK, n - start)
+        for j in range(b):
+            buf[j] = _positive_stable_batch(index, delta, gen, n_paths)
+        S *= W[_CLOCK_BLOCK - b]
+        S += buf[:b].T @ W[_CLOCK_BLOCK - b:]
+    return S
+
+
 def _conditional_h_norm2_samples(spec: NoiseSpec, ctx: OperatorContext,
                                  alpha: float, t: float, n_paths: int, *,
                                  max_kappa_dt: float = 0.05,
@@ -182,7 +214,10 @@ def _conditional_h_norm2_samples(spec: NoiseSpec, ctx: OperatorContext,
     left-endpoint substeps.  Degree l then contributes
     sigma_l^2 S_l chi^2_{2l+1}.  Distributionally identical to the direct
     stepper but needs only one clock recursion per degree, so fine substep
-    grids are affordable.
+    grids are affordable.  The clock sum is formed in blocks of
+    _CLOCK_BLOCK = 16 substeps, one matrix product per block
+    (_discounted_clock_sum); the block buffer is freed before the
+    chi-square draws.
     """
     if t <= 0:
         return np.zeros(n_paths)
@@ -204,11 +239,7 @@ def _conditional_h_norm2_samples(spec: NoiseSpec, ctx: OperatorContext,
                          delta * E2 * (1.0 - E2**n) / (1.0 - E2))
         S = np.broadcast_to(S, (n_paths, degs.size))
     else:
-        S = np.zeros((n_paths, degs.size))
-        for _ in range(n):
-            dX = _positive_stable_batch(spec.beta / 2.0, delta, gen, n_paths)
-            S += dX[:, None]
-            S *= E2
+        S = _discounted_clock_sum(spec.beta / 2.0, delta, E2, n, gen, n_paths)
     norm2 = np.zeros(n_paths)
     for i, l in enumerate(degs):
         dof = 2 * int(l) + 1
@@ -223,17 +254,18 @@ def _conditional_h_norm2_samples(spec: NoiseSpec, ctx: OperatorContext,
 
 
 def zlp_constant(p: float, beta: float) -> float:
-    """Moment constant c_p: exact for one real coordinate, not an upper
-    bound for several coordinates on the shared clock (see the module
+    """Moment constant c_p with m_p = E|N(0,1)|^p (see the module
     docstring).
 
-    c_p = m_p Gamma(1 - p/beta) / Gamma(1 - p/2) with m_p = E|N(0,1)|^p;
-    for beta = 2 this reduces to m_p (and to exactly 1 at p = 2).
+    beta = 2: c_p = max(m_p, 1), an upper bound for any number of
+    coordinates (1 for p <= 2).  beta < 2: c_p = m_p Gamma(1 - p/beta) /
+    Gamma(1 - p/2), exact for one real coordinate but not an upper bound
+    for several coordinates on the shared clock.
     """
     check_moment_order(p, beta)
     m_p = 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / math.sqrt(math.pi)
     if beta == 2.0:
-        return m_p
+        return max(m_p, 1.0)
     return m_p * math.gamma(1.0 - p / beta) / math.gamma(1.0 - p / 2.0)
 
 

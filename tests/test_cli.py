@@ -18,7 +18,7 @@ from snse.cli import (MODES, ConfigError, DIAGNOSTICS_HEADER, build_field,
                       run_experiment, write_snapshot)
 from snse.diagnostics import CHECKS
 from snse.harmonics import n_modes, norm_h
-from snse.noise import NoiseSpec
+from snse.noise import NoiseSpec, _positive_stable_batch
 from snse.solver import run
 
 
@@ -703,6 +703,56 @@ def test_verify_noise_gaussian_admits_moments_beyond_two(tmp_path):
     assert main(["verify-noise", "--config", path, "--output", out]) == 0
     (slope, target, _, _), = read_checks(out)["moment_slope"]
     assert target == 1.0 and abs(slope - target) <= 0.05
+
+
+SMALL_NOISE = """\
+    [run]
+    n_paths = {n}
+    [model]
+    lmax = 8
+    [noise]
+    beta = 1.5
+    sigma = {sigma}
+"""
+
+
+def test_verify_noise_gate_is_sized_by_the_sample(tmp_path):
+    # 2000 draws resolve the Laplace transform to about 4%, not to 1%
+    path = write_cfg(tmp_path, SMALL_NOISE.format(n=2000, sigma="power:gamma=2.0"))
+    for seed in (2, 3):
+        out = str(tmp_path / f"out{seed}")
+        assert main(["verify-noise", "--config", path, "--seed", str(seed),
+                     "--output", out]) == 0
+
+
+def test_verify_noise_gate_catches_a_wrong_clock_index(tmp_path, monkeypatch):
+    # a clock of index 0.6 where beta = 1.5 asks for 0.75 fails at any size
+    monkeypatch.setattr(
+        "snse.cli._positive_stable_batch",
+        lambda index, t, rng, size: _positive_stable_batch(0.8 * index, t, rng, size))
+    for n in (2000, 100_000):
+        path = write_cfg(tmp_path, SMALL_NOISE.format(n=n, sigma="zero"))
+        out = str(tmp_path / f"out{n}")
+        assert main(["verify-noise", "--config", path, "--output", out]) == 1
+        assert "laplace_r2: FAIL" in Path(out, "report.txt").read_text()
+
+
+def test_verify_ou_gaussian_constant_at_the_sample_model(tmp_path):
+    # beta = 2, p = 1 and the README model: |z|^2 is a chi-square mixture
+    # whose p-th moment Jensen bounds with constant 1 (m_1 = 0.80 is too
+    # small for 1 + 3 + 5 + ... coordinates)
+    path = write_cfg(tmp_path, """\
+        [model]
+        lmax = 12
+        nu = 0.5
+        alpha = 0.1
+        [noise]
+        sigma = power:gamma=2.0
+    """)
+    for seed in (1, 2, 3):
+        out = str(tmp_path / f"out{seed}")
+        assert main(["verify-ou", "--config", path, "--seed", str(seed),
+                     "--output", out]) == 0
 
 
 def test_verify_ou_mode(tmp_path):

@@ -182,6 +182,67 @@ def test_conditional_engine_matches_stable_closed_form():
         assert float(np.mean(n2**q)) == pytest.approx(exact, rel=tol)
 
 
+def clock_engine_case(n):
+    """(spec, alpha, t, max_kappa_dt) giving exactly n clock substeps on
+    CTX4, whose largest rate is nu * 20 + alpha."""
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", seed=5)
+    alpha, t = 0.2, 0.3
+    return spec, alpha, t, t * 20.2 / (n - 0.5)
+
+
+def written_out_h_norm2(spec, alpha, t, n, n_paths, rng):
+    """The clock recursion one multiply-add per substep, then the
+    chi-square draws, from one generator."""
+    degs = np.arange(1, 5)
+    kap = 1.0 * degs * (degs + 1.0) + alpha
+    delta = t / n
+    E2 = np.exp(-2.0 * kap * delta)
+    S = np.zeros((n_paths, 4))
+    for _ in range(n):
+        S = (S + nz._positive_stable_batch(0.75, delta, rng, n_paths)[:, None]) * E2
+    norm2 = np.zeros(n_paths)
+    for i, l in enumerate(degs):
+        G = rng.standard_normal((n_paths, 2 * l + 1))
+        norm2 += spec.sigma_rule(l) ** 2 * S[:, i] * (G**2).sum(axis=1)
+    return norm2
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 33])
+def test_blocked_clock_sum_is_the_substep_recursion(n):
+    # the clock sum enters in blocks of ou._CLOCK_BLOCK substeps: full
+    # blocks, a partial one, and both, against one multiply-add per substep
+    spec, alpha, t, mkd = clock_engine_case(n)
+    got = ou._conditional_h_norm2_samples(spec, CTX4, alpha, t, 300,
+                                          max_kappa_dt=mkd,
+                                          rng=nz.substream(8, n))
+    want = written_out_h_norm2(spec, alpha, t, n, 300, nz.substream(8, n))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_clock_draws_one_substep_at_a_time(monkeypatch):
+    # n calls of n_paths samples each, the k-th call drawing the k-th
+    # substep's increment: nothing drawn ahead or beyond the last substep
+    n, n_paths = 17, 50
+    spec, alpha, t, mkd = clock_engine_case(n)
+    ref_rng = nz.substream(9, 0)
+    want = [nz._positive_stable_batch(0.75, t / n, ref_rng, n_paths)
+            for _ in range(n)]
+    calls = []
+
+    def recording(index, scale_t, rng, size):
+        out = nz._positive_stable_batch(index, scale_t, rng, size)
+        calls.append((size, out.copy()))
+        return out
+
+    monkeypatch.setattr(ou, "_positive_stable_batch", recording)
+    ou._conditional_h_norm2_samples(spec, CTX4, alpha, t, n_paths,
+                                    max_kappa_dt=mkd, rng=nz.substream(9, 0))
+    assert len(calls) == n
+    for (size, got), draw in zip(calls, want):
+        assert size == n_paths
+        assert np.array_equal(got, draw)
+
+
 def test_shared_clock_ratio_matches_chi_square_theory():
     # one degree, d = 2l+1 coordinates on a common clock:
     # ratio = E(chi^2_d)^{p/2} / (d^{p/beta} m_p); below 1 at p = 1,
@@ -283,7 +344,10 @@ def test_zero_decay_rate_takes_the_limit():
 
 def test_zlp_constant_values():
     assert ou.zlp_constant(2.0, 2.0) == pytest.approx(1.0, rel=1e-14)
-    assert ou.zlp_constant(1.0, 2.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-14)
+    # Gaussian clock: Jensen below p = 2 (constant 1), m_p above it
+    assert ou.zlp_constant(1.0, 2.0) == 1.0
+    m4 = 2.0 ** 2 * math.gamma(2.5) / math.sqrt(math.pi)
+    assert ou.zlp_constant(4.0, 2.0) == pytest.approx(m4, rel=1e-14)
     m1 = math.sqrt(2.0 / math.pi)
     assert ou.zlp_constant(1.0, 1.5) == pytest.approx(
         m1 * math.gamma(1 - 1 / 1.5) / math.gamma(0.5), rel=1e-14)
