@@ -112,58 +112,29 @@ _FALLBACK = {"n_lat": "n_lon", "dt": "t_end", "t_end": "dt",
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully validated experiment description (one mode, one model)."""
+    """Fully validated experiment description (one mode, one model): the
+    objects that validated [model] (ctx), [noise] (spec) and [time] and
+    [initial] (solver, None in the verify modes, which never step), the run
+    and verify values, and the [noise] sigma text that report.txt prints."""
 
     mode: str
     output_dir: str
     snapshot_every: int
     n_paths: int
     workers: int
-    lmax: int
-    nu: float
-    omega: float
-    alpha: float
-    spectrum: str
-    n_lat: int | None
-    n_lon: int | None
-    dealias: bool
-    beta: float
+    ctx: OperatorContext
+    spec: NoiseSpec
+    solver: SolverConfig | None
     sigma: str
-    delta: float
-    n_substeps: int
-    seed: int
-    dt: float | None
-    t_end: float | None
-    scheme: str
-    picard_tol: float
-    picard_max_iter: int
-    v0: str
-    f: str
     p: float
     t_list: tuple
 
-    def noise_spec(self) -> NoiseSpec:
-        return NoiseSpec(beta=self.beta, sigma_rule=self.sigma,
-                         delta=self.delta, seed=self.seed,
-                         n_substeps=self.n_substeps)
+    @property
+    def lmax(self) -> int:              # kept because bench/ reads it
+        return self.ctx.lmax
 
-    def solver_config(self) -> SolverConfig:
-        fields = {}
-        for key in ("v0", "f"):
-            try:
-                fields[key] = build_field(getattr(self, key), self.lmax)
-            except ParameterError as err:
-                raise ParameterError(key, str(err)) from None
-        return SolverConfig(dt=self.dt, t_end=self.t_end, alpha=self.alpha,
-                            scheme=self.scheme, picard_tol=self.picard_tol,
-                            picard_max_iter=self.picard_max_iter, **fields)
-
-    def operator_context(self) -> OperatorContext:
-        grid = (gauss_legendre_grid(self.n_lat, self.n_lon)
-                if None not in (self.n_lat, self.n_lon) else None)
-        return OperatorContext(self.lmax, nu=self.nu, omega=self.omega,
-                               grid=grid, dealias=self.dealias,
-                               spectrum=self.spectrum)
+    def operator_context(self) -> OperatorContext:  # kept because bench/ calls it
+        return self.ctx
 
 
 def _kv_opts(rest: str, casts: dict, origin: str) -> dict:
@@ -296,10 +267,16 @@ def parse_config(path: str, *, mode: str | None = None,
     """
     values, lines = _read_file(path)
     if seed is not None:                # an error in it cites no file line
+        values[("noise", "seed")] = seed
         lines.pop(("noise", "seed"), None)
 
     def get(section, key, default=None):
         return values.get((section, key), default)
+
+    def given(section, *keys):
+        """The keys set in the file; the owner's default stands for the rest."""
+        return {key: values[section, key] for key in keys
+                if (section, key) in values}
 
     def fail(key, message):
         """Raise citing the key's line, or its stand-in's when absent."""
@@ -313,14 +290,50 @@ def parse_config(path: str, *, mode: str | None = None,
         raise ConfigError(f"{path}: no mode given (command line or [run] mode)")
     if mode not in MODES:
         fail("mode", f"unknown mode {mode!r} (expected one of {', '.join(MODES)})")
-    if get("model", "lmax") is None:
+    lmax = get("model", "lmax")
+    if lmax is None:
         raise ConfigError(f"{path}: missing required key lmax in [model]")
+    n_lat, n_lon = get("model", "n_lat"), get("model", "n_lon")
     dt, t_end = get("time", "dt"), get("time", "t_end")
+    sigma, p = get("noise", "sigma", "zero"), get("verify", "p", 1.0)
     t_raw = get("verify", "t", "0.1,1,10")
     try:
         t_list = tuple(float(part) for part in t_raw.split(","))
     except ValueError:
         t_list = None
+
+    # values are judged section by section ([model], [noise], [time],
+    # [initial]) by their owners.  The verify modes never step: a [time]
+    # value they are given meets the rules of a probe SolverConfig, dropped
+    # after, in which the missing value stands in as a single step that only
+    # the given value's rules can fail
+    probe_dt = dt if dt is not None else abs(t_end or 1.0)
+    probe_t_end = t_end if t_end is not None else probe_dt
+    try:
+        grid = (gauss_legendre_grid(n_lat, n_lon)
+                if None not in (n_lat, n_lon) else None)
+        ctx = OperatorContext(lmax, grid=grid, **given(
+            "model", "nu", "omega", "dealias", "spectrum", "alpha"))
+        if (n_lat is None) != (n_lon is None):
+            fail("n_lat", "n_lat and n_lon must be given together")
+        spec = NoiseSpec(beta=get("noise", "beta", 2.0), sigma_rule=sigma,
+                         **given("noise", "delta", "seed", "n_substeps"))
+        for key, value in (("dt", dt), ("t_end", t_end)):
+            if mode in _STEPPING_MODES and value is None:
+                raise ConfigError(f"{path}: mode {mode} needs {key} in [time]")
+        fields = {}
+        for key in ("v0", "f"):
+            try:
+                fields[key] = build_field(get("initial", key, "zero"), lmax)
+            except ParameterError as err:
+                raise ParameterError(key, str(err)) from None
+        solver = SolverConfig(dt=probe_dt, t_end=probe_t_end, **fields, **given(
+            "time", "scheme", "picard_tol", "picard_max_iter"))
+        if mode in _STEPPING_MODES + ("verify-ou",):
+            _initial_ou(ctx, spec)
+        check_moment_order(p, spec.beta)
+    except ParameterError as err:
+        fail(_KEY_OF_PARAM.get(err.param, err.param), str(err))
 
     cfg = ExperimentConfig(
         mode=mode,
@@ -329,41 +342,9 @@ def parse_config(path: str, *, mode: str | None = None,
         snapshot_every=get("run", "snapshot_every", 0),
         n_paths=get("run", "n_paths", _DEFAULT_PATHS[mode]),
         workers=get("run", "workers", 1),
-        lmax=get("model", "lmax"), nu=get("model", "nu", 1.0),
-        omega=get("model", "omega", 0.0), alpha=get("model", "alpha", 0.0),
-        spectrum=get("model", "spectrum", "paper"),
-        n_lat=get("model", "n_lat"), n_lon=get("model", "n_lon"),
-        dealias=get("model", "dealias", True),
-        beta=get("noise", "beta", 2.0), sigma=get("noise", "sigma", "zero"),
-        delta=get("noise", "delta", 0.0),
-        n_substeps=get("noise", "n_substeps", 1),
-        seed=seed if seed is not None else get("noise", "seed", 0),
-        dt=dt, t_end=t_end, scheme=get("time", "scheme", "imex_heun"),
-        picard_tol=get("time", "picard_tol", 1e-10),
-        picard_max_iter=get("time", "picard_max_iter", 50),
-        v0=get("initial", "v0", "zero"), f=get("initial", "f", "zero"),
-        p=get("verify", "p", 1.0), t_list=t_list)
-
-    # values are judged section by section ([model], [noise], [time],
-    # [initial]) by their owners.  The verify modes never step: a [time]
-    # value they are given meets the SolverConfig rules with the missing one
-    # standing in as a single step that only the given value's rules can fail
-    probe_dt = dt if dt is not None else abs(t_end or 1.0)
-    probe_t_end = t_end if t_end is not None else probe_dt
-    try:
-        ctx = cfg.operator_context()
-        if (cfg.n_lat is None) != (cfg.n_lon is None):
-            fail("n_lat", "n_lat and n_lon must be given together")
-        spec = cfg.noise_spec()
-        for key, value in (("dt", dt), ("t_end", t_end)):
-            if mode in _STEPPING_MODES and value is None:
-                raise ConfigError(f"{path}: mode {mode} needs {key} in [time]")
-        scfg = replace(cfg, dt=probe_dt, t_end=probe_t_end).solver_config()
-        if mode in _STEPPING_MODES + ("verify-ou",):
-            _initial_ou(ctx, scfg, spec)
-        check_moment_order(cfg.p, cfg.beta)
-    except ParameterError as err:
-        fail(_KEY_OF_PARAM.get(err.param, err.param), str(err))
+        ctx=ctx, spec=spec,
+        solver=solver if mode in _STEPPING_MODES else None,
+        sigma=sigma, p=p, t_list=t_list)
 
     if not t_list or not all(0 < tv < math.inf for tv in t_list):
         fail("t", f"t = {t_raw!r} must be a comma-separated list of "
@@ -377,7 +358,7 @@ def parse_config(path: str, *, mode: str | None = None,
 
     if mode != "verify-operators" and not check_summability(spec)["converged"]:
         fail("sigma", f"noise spectrum fails the summability check at "
-                      f"delta = {cfg.delta:g}")
+                      f"delta = {spec.delta:g}")
     return cfg
 
 
@@ -464,12 +445,13 @@ def _write_lines(path: str, lines: list) -> None:
 
 
 def _write_report(cfg: ExperimentConfig, lines: list) -> None:
+    ctx, spec = cfg.ctx, cfg.spec
     head = [f"mode: {cfg.mode}",
-            f"model: lmax={cfg.lmax} nu={cfg.nu:g} omega={cfg.omega:g} "
-            f"alpha={cfg.alpha:g} spectrum={cfg.spectrum}",
-            f"noise: beta={cfg.beta:g} sigma={cfg.sigma} "
-            f"delta={cfg.delta:g} n_substeps={cfg.n_substeps} "
-            f"seed={cfg.seed}",
+            f"model: lmax={ctx.lmax} nu={ctx.nu:g} omega={ctx.omega:g} "
+            f"alpha={ctx.alpha:g} spectrum={ctx.spectrum}",
+            f"noise: beta={spec.beta:g} sigma={cfg.sigma} "
+            f"delta={spec.delta:g} n_substeps={spec.n_substeps} "
+            f"seed={spec.seed}",
             ""]
     _write_lines(os.path.join(cfg.output_dir, "report.txt"), head + lines)
 
@@ -544,14 +526,14 @@ def _simulate_path_task(payload: tuple) -> dict:
 def _path_specs(cfg: ExperimentConfig) -> list:
     """The NoiseSpec of each path: a single path keeps the config seed,
     path i of an ensemble takes path_seed(seed, i)."""
-    spec = cfg.noise_spec()
+    spec = cfg.spec
     return [spec if cfg.n_paths == 1 else
-            replace(spec, seed=path_seed(cfg.seed, i))
+            replace(spec, seed=path_seed(spec.seed, i))
             for i in range(cfg.n_paths)]
 
 
 def _mode_simulate(cfg: ExperimentConfig) -> int:
-    scfg, ctx = cfg.solver_config(), cfg.operator_context()
+    scfg, ctx = cfg.solver, cfg.ctx
     payloads = [(scfg, spec, ctx, cfg.snapshot_every, cfg.output_dir, i)
                 for i, spec in enumerate(_path_specs(cfg))]
     if cfg.workers == 1 or cfg.n_paths == 1:
@@ -567,8 +549,8 @@ def _mode_simulate(cfg: ExperimentConfig) -> int:
         diag.extend(r["lines"])
     _write_lines(os.path.join(cfg.output_dir, "diagnostics.csv"), diag)
 
-    lines = [f"paths: {cfg.n_paths}  scheme: {cfg.scheme}  dt: {cfg.dt:g}  "
-             f"t_end: {cfg.t_end:g}", _grid_line(ctx)]
+    lines = [f"paths: {cfg.n_paths}  scheme: {scfg.scheme}  dt: {scfg.dt:g}  "
+             f"t_end: {scfg.t_end:g}", _grid_line(ctx)]
     failures = sorted({r["failure"].lower() for r in results if r["failure"]})
     for r in results:
         lines.append(f"path {r['index']:4d}: {r['summary']}")
@@ -584,10 +566,10 @@ def _mode_simulate(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _mode_verify_operators(cfg: ExperimentConfig) -> int:
-    ctx = cfg.operator_context()
-    rng = substream(cfg.seed, PURPOSE_MC, 101)
+    ctx = cfg.ctx
+    rng = substream(cfg.spec.seed, PURPOSE_MC, 101)
     n = max(3, cfg.n_paths)             # trilinear checks need triples
-    samples = [random_stream_field(cfg.lmax, rng, decay=1.5, norm=1.0)
+    samples = [random_stream_field(ctx.lmax, rng, decay=1.5, norm=1.0)
                for _ in range(n)]
     rep = inequality_report(samples, ctx)
     consts = b_form_constants(samples, ctx)
@@ -608,7 +590,7 @@ def _mode_verify_operators(cfg: ExperimentConfig) -> int:
         "b2": rep["b2"]["ratio"] <= 1.0 + 1e-12,
         "b5": rep["b5"]["ratio"] <= 1.0 + 1e-12,
     }
-    lines = [f"samples: {n} random fields at lmax = {cfg.lmax}",
+    lines = [f"samples: {n} random fields at lmax = {ctx.lmax}",
              _grid_line(ctx)]
     lines += [f"{name}: worst ratio {rep[name]['ratio']:.3e}  "
               f"[{'PASS' if ok else 'FAIL'}]" for name, ok in gates.items()]
@@ -621,22 +603,22 @@ def _mode_verify_operators(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _mode_verify_noise(cfg: ExperimentConfig) -> int:
-    spec = cfg.noise_spec()
+    spec, lmax = cfg.spec, cfg.ctx.lmax
     n = cfg.n_paths
     rows: list = []
     oks: list = []
 
     if spec.beta == 2.0:
-        rng = substream(cfg.seed, PURPOSE_MC, 201)
+        rng = substream(spec.seed, PURPOSE_MC, 201)
         worst = 0.0
         for dt_probe in (0.25, 0.1, 0.0125):
-            block = levy_increment_block(spec, dt_probe, rng, lmax=cfg.lmax)
+            block = levy_increment_block(spec, dt_probe, rng, lmax=lmax)
             worst = max(worst, abs(block.dX - dt_probe))
         rows.append(("clock_deterministic", worst, 0.0, worst, "beta=2"))
         oks.append(("clock_deterministic", worst == 0.0))
     else:
         index = spec.beta / 2.0
-        rng = substream(cfg.seed, PURPOSE_MC, 202)
+        rng = substream(spec.seed, PURPOSE_MC, 202)
         clock = _positive_stable_batch(index, 1.0, rng, n)
         for r in (0.5, 1.0, 2.0):
             # exp(-r X) lies in (0, 1], so its mean has a finite standard
@@ -649,9 +631,9 @@ def _mode_verify_noise(cfg: ExperimentConfig) -> int:
             rows.append((f"laplace_r{r:g}", emp, exact, ratio, f"n={n}"))
             oks.append((f"laplace_r{r:g}", abs(ratio - 1.0) <= width))
 
-    if np.any(spec.sigma_per_mode(cfg.lmax) != 0):
+    if np.any(spec.sigma_per_mode(lmax) != 0):
         target = cfg.p / spec.beta
-        ests = moment_scaling_estimate(spec, cfg.p, cfg.t_list, n, lmax=cfg.lmax)
+        ests = moment_scaling_estimate(spec, cfg.p, cfg.t_list, n, lmax=lmax)
         ts = np.log([t for t, _ in ests])
         ys = np.log([m for _, m in ests])
         slope = float(np.polyfit(ts, ys, 1)[0])
@@ -671,12 +653,12 @@ def _mode_verify_noise(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _mode_verify_ou(cfg: ExperimentConfig) -> int:
-    spec, ctx = cfg.noise_spec(), cfg.operator_context()
+    spec, ctx = cfg.spec, cfg.ctx
     n = cfg.n_paths
     rows: list = []
     oks: list = []
     for k, t in enumerate(cfg.t_list):
-        chk = ou_moment_check(spec, ctx, cfg.alpha, cfg.p, t, n, counter=k)
+        chk = ou_moment_check(spec, ctx, cfg.p, t, n, counter=k)
         ceiling = chk["c_tilde"] * chk["bound"]
         rows.append((f"ou_moment_t{t:g}", chk["empirical"], ceiling,
                      chk["ratio"], f"n={n}"))
@@ -685,11 +667,11 @@ def _mode_verify_ou(cfg: ExperimentConfig) -> int:
     # dissipation monotonicity: a larger damping shift can only lower the
     # moment bound
     t_ref = max(cfg.t_list)
-    b_lo = zlp_bound(t_ref, cfg.p, spec, ctx, cfg.alpha)
-    b_hi = zlp_bound(t_ref, cfg.p, spec, ctx, cfg.alpha + 4.0)
+    b_lo = zlp_bound(t_ref, cfg.p, spec, ctx)
+    b_hi = zlp_bound(t_ref, cfg.p, spec, replace(ctx, alpha=ctx.alpha + 4.0))
     ratio = b_hi / b_lo if b_lo > 0 else (0.0 if b_hi == 0 else math.inf)
     rows.append(("bound_alpha_monotone", b_hi, b_lo, ratio,
-                 f"alpha {cfg.alpha:g} -> {cfg.alpha + 4:g}"))
+                 f"alpha {ctx.alpha:g} -> {ctx.alpha + 4:g}"))
     oks.append(("bound_alpha_monotone", b_hi <= b_lo))
 
     lines = [f"samples: {n}  p: {cfg.p:g}  times: "
@@ -703,13 +685,12 @@ def _mode_verify_ou(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _mode_verify_energy(cfg: ExperimentConfig) -> int:
-    scfg = cfg.solver_config()
-    ctx = cfg.operator_context()
+    scfg, ctx = cfg.solver, cfg.ctx
 
     # empirical constant for the convective estimates, measured on fields
     # of the same truncation
-    rng = substream(cfg.seed, PURPOSE_MC, 401)
-    fields = [random_stream_field(cfg.lmax, rng, decay=1.5, norm=1.0)
+    rng = substream(cfg.spec.seed, PURPOSE_MC, 401)
+    fields = [random_stream_field(ctx.lmax, rng, decay=1.5, norm=1.0)
               for _ in range(6)]
     consts = b_form_constants(fields, ctx)
     c_emp = max(consts["vzA"], consts["zvA"], consts["vvz"])

@@ -71,6 +71,7 @@ class OperatorContext:
     """Shared immutable context: band limit, physical constants, product grid.
 
     The grid must resolve lmax; dealias=True further requires the 2/3 rule.
+    alpha >= 0 is the damping shift of the convolution z only (see ou).
     """
 
     lmax: int
@@ -79,6 +80,7 @@ class OperatorContext:
     grid: QuadratureGrid | None = None
     dealias: bool = True
     spectrum: str = "paper"
+    alpha: float = 0.0
     lam_stokes: np.ndarray = field(init=False, repr=False)
     coriolis_diag: np.ndarray = field(init=False, repr=False)
 
@@ -100,6 +102,8 @@ class OperatorContext:
             if have < least:
                 raise ParameterError(name, f"{name} = {have} cannot {task} at "
                                      f"lmax = {self.lmax} (needs ≥ {least})")
+        if not self.alpha >= 0:
+            raise ParameterError("alpha", f"alpha = {self.alpha:g} must be >= 0")
         ls, ms = mode_degrees(self.lmax)
         self.lam_stokes = self.stokes_eigenvalues(ls)
         lam = basis_eigenvalues(self.lmax)

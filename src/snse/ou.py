@@ -8,8 +8,9 @@ function evolves independently:
     z_lm(t) = e^{-kappa t} z_lm(0)
               + sigma_l lambda_l^{-1/2} int_0^t e^{-kappa (t-s)} dL_lm(s),
 
-kappa = nu lambda_l^S + alpha + i c_lm, with nu and the spectrum lambda_l^S
-of the operator context.  Stepping applies the deterministic factor exactly
+kappa = nu lambda_l^S + alpha + i c_lm, with nu, alpha and the spectrum
+lambda_l^S all read from the operator context (OperatorContext.alpha is
+the shift's one home).  Stepping applies the deterministic factor exactly
 and discretizes the stochastic integral with left-endpoint substeps, which
 is adapted and biases the conditional variance low (never high), so
 moment-bound comparisons stay conservative.
@@ -83,16 +84,14 @@ class OUState:
     substep_index: int = 0
 
 
-def decay_rates(ctx: OperatorContext, alpha: float) -> np.ndarray:
+def decay_rates(ctx: OperatorContext) -> np.ndarray:
     """kappa_lm = nu lambda_l + alpha + i c_lm over the mode layout."""
-    return ctx.nu * ctx.lam_stokes + float(alpha) + 1j * ctx.coriolis_diag
+    return ctx.nu * ctx.lam_stokes + ctx.alpha + 1j * ctx.coriolis_diag
 
 
-def make_ou_state(ctx: OperatorContext, alpha: float = 0.0, *,
+def make_ou_state(ctx: OperatorContext, *,
                   z0: SpectralField | None = None) -> OUState:
-    if alpha < 0:
-        raise ParameterError("alpha", f"alpha = {alpha:g} must be >= 0")
-    kappa = decay_rates(ctx, alpha)
+    kappa = decay_rates(ctx)
     if np.any(kappa[1:].real <= 0.0):
         raise ParameterError("alpha", "every mode must decay: Re kappa > 0 on "
                              f"l >= 1 (spectrum = {ctx.spectrum} needs alpha > 0)")
@@ -150,8 +149,8 @@ def ou_step(state: OUState, dt: float, spec: NoiseSpec, *,
 # ---------------------------------------------------------------------------
 
 
-def ou_endpoint_ensemble(spec: NoiseSpec, ctx: OperatorContext, alpha: float,
-                         t: float, n_paths: int, *, n_substeps: int | None = None,
+def ou_endpoint_ensemble(spec: NoiseSpec, ctx: OperatorContext, t: float,
+                         n_paths: int, *, n_substeps: int | None = None,
                          rng: np.random.Generator | None = None) -> np.ndarray:
     """Direct batched simulation of n_paths independent copies of z starting
     from 0; returns stream coefficients of shape (n_paths, n_modes).
@@ -163,7 +162,7 @@ def ou_endpoint_ensemble(spec: NoiseSpec, ctx: OperatorContext, alpha: float,
     if t <= 0 or n < 1:
         raise ValueError("need t > 0 and n_substeps >= 1")
     delta = t / n
-    kappa = make_ou_state(ctx, alpha).kappa.real
+    kappa = make_ou_state(ctx).kappa.real
     g = _mode_gain(spec, ctx.lmax)
     decay = np.exp(-kappa * delta)
     y = np.zeros((n_paths, n_modes(ctx.lmax)), dtype=np.complex128)
@@ -202,7 +201,7 @@ def _discounted_clock_sum(index: float, delta: float, E2: np.ndarray, n: int,
 
 
 def _conditional_h_norm2_samples(spec: NoiseSpec, ctx: OperatorContext,
-                                 alpha: float, t: float, n_paths: int, *,
+                                 t: float, n_paths: int, *,
                                  max_kappa_dt: float = 0.05,
                                  rng: np.random.Generator | None = None,
                                  counter: int = 0) -> np.ndarray:
@@ -226,7 +225,7 @@ def _conditional_h_norm2_samples(spec: NoiseSpec, ctx: OperatorContext,
     degs, sig = degs[sig != 0], sig[sig != 0]
     if degs.size == 0:
         return np.zeros(n_paths)
-    kap = ctx.nu * ctx.stokes_eigenvalues(degs) + alpha
+    kap = ctx.nu * ctx.stokes_eigenvalues(degs) + ctx.alpha
     n = max(1, math.ceil(t * float(kap.max()) / max_kappa_dt))
     delta = t / n
     E2 = np.exp(-2.0 * kap * delta)
@@ -269,8 +268,8 @@ def zlp_constant(p: float, beta: float) -> float:
     return m_p * math.gamma(1.0 - p / beta) / math.gamma(1.0 - p / 2.0)
 
 
-def zlp_bound(t: float, p: float, spec: NoiseSpec, ctx: OperatorContext,
-              alpha: float) -> float:
+def zlp_bound(t: float, p: float, spec: NoiseSpec,
+              ctx: OperatorContext) -> float:
     """The displayed moment bound (without the constant c_p):
 
         (sum_l (2l+1) |sigma_l|^beta (1-e^{-beta kappa_l t})/(beta kappa_l))^{p/beta}
@@ -288,7 +287,7 @@ def zlp_bound(t: float, p: float, spec: NoiseSpec, ctx: OperatorContext,
     rule = spec.sigma_rule
 
     def term(l: np.ndarray) -> np.ndarray:
-        bk = beta * (ctx.nu * ctx.stokes_eigenvalues(l) + alpha)
+        bk = beta * (ctx.nu * ctx.stokes_eigenvalues(l) + ctx.alpha)
         amp = np.abs(rule(l)) ** beta
         # a zero rate takes the limit amp t (0/0 otherwise; 0 inf at t = inf)
         with np.errstate(invalid="ignore"):
@@ -300,8 +299,8 @@ def zlp_bound(t: float, p: float, spec: NoiseSpec, ctx: OperatorContext,
     return (head + (partial + tail)) ** (p / beta)
 
 
-def ou_moment_check(spec: NoiseSpec, ctx: OperatorContext, alpha: float,
-                    p: float, t: float, n_paths: int,
+def ou_moment_check(spec: NoiseSpec, ctx: OperatorContext, p: float,
+                    t: float, n_paths: int,
                     rng: np.random.Generator | None = None, *,
                     max_kappa_dt: float = 0.05, counter: int = 0) -> dict:
     """Monte-Carlo E|z_t|^p against c_p * bound.
@@ -311,11 +310,11 @@ def ou_moment_check(spec: NoiseSpec, ctx: OperatorContext, alpha: float,
     above it half the time.
     """
     check_moment_order(p, spec.beta)
-    norm2 = _conditional_h_norm2_samples(spec, ctx, alpha, t, n_paths,
+    norm2 = _conditional_h_norm2_samples(spec, ctx, t, n_paths,
                                          max_kappa_dt=max_kappa_dt, rng=rng,
                                          counter=counter)
     empirical = float(np.mean(norm2 ** (p / 2.0)))
-    bound = zlp_bound(t, p, spec, ctx, alpha)
+    bound = zlp_bound(t, p, spec, ctx)
     c_tilde = zlp_constant(p, spec.beta)
     ceiling = c_tilde * bound
     if ceiling > 0:

@@ -80,13 +80,12 @@ class ContractionError(StepFailure):
 
 @dataclass
 class SolverConfig:
-    """Time scheme and data of a run; the model (lmax, nu, omega, spectrum)
-    is the OperatorContext's.  f and v0 are stream-function fields
-    (divergence-free by representation); f is constant in time."""
+    """Time scheme and data of a run; the model (lmax, nu, omega, alpha,
+    spectrum) is the OperatorContext's.  f and v0 are stream-function
+    fields (divergence-free by representation); f is constant in time."""
 
     dt: float
     t_end: float
-    alpha: float = 0.0
     scheme: str = "imex_heun"
     picard_tol: float = 1e-10
     picard_max_iter: int = 50
@@ -94,8 +93,6 @@ class SolverConfig:
     v0: SpectralField | None = None
 
     def __post_init__(self):
-        if not self.alpha >= 0:
-            raise ParameterError("alpha", f"alpha = {self.alpha:g} must be >= 0")
         if not self.dt > 0:
             raise ParameterError("dt", f"dt = {self.dt:g} must be positive")
         if not self.t_end > 0:
@@ -147,20 +144,19 @@ def recombine(state: SimState) -> SpectralField:
     return SpectralField(state.v.lmax, state.v.coeffs + state.ou.z.coeffs, "stream")
 
 
-def effective_force(z: SpectralField, f: SpectralField | None, alpha: float,
+def effective_force(z: SpectralField, f: SpectralField | None,
                     ctx: OperatorContext) -> SpectralField:
     """F = N(0, z) = -B(z) + alpha z + f, the force seen by the shifted
     equation."""
-    return SpectralField(z.lmax, _nonlinear_rhs(0.0, z, f, alpha, ctx), "stream")
+    return SpectralField(z.lmax, _nonlinear_rhs(0.0, z, f, ctx), "stream")
 
 
 def _nonlinear_rhs(v_coeffs: np.ndarray | float, z: SpectralField,
-                   f: SpectralField | None, alpha: float,
-                   ctx: OperatorContext) -> np.ndarray:
+                   f: SpectralField | None, ctx: OperatorContext) -> np.ndarray:
     """N(v, z) = -B(v+z) + alpha z + f on raw coefficients; B(0) = 0 is
     not evaluated."""
     u = v_coeffs + z.coeffs
-    out = alpha * z.coeffs
+    out = ctx.alpha * z.coeffs
     if u.any():
         out = -nonlinear_B(SpectralField(z.lmax, u, "stream"), ctx).coeffs + out
     if f is not None:
@@ -170,7 +166,7 @@ def _nonlinear_rhs(v_coeffs: np.ndarray | float, z: SpectralField,
 
 def _v_decay_factor(ctx: OperatorContext, dt: float) -> np.ndarray:
     # exact semigroup of the diagonal part nu A + C (alpha acts on z only)
-    return np.exp(-dt * decay_rates(ctx, 0.0))
+    return np.exp(-dt * (ctx.nu * ctx.lam_stokes + 1j * ctx.coriolis_diag))
 
 
 def _require_finite(coeffs: np.ndarray, t: float, state: SimState) -> None:
@@ -184,7 +180,7 @@ def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec,
     E = _v_decay_factor(ctx, dt)
     v_n, N_n = state.v.coeffs, state.N
     if N_n is None:
-        N_n = _nonlinear_rhs(v_n, state.ou.z, cfg.f, cfg.alpha, ctx)
+        N_n = _nonlinear_rhs(v_n, state.ou.z, cfg.f, ctx)
 
     ou_next = ou_step(state.ou, dt, spec)
     z_next = ou_next.z
@@ -196,13 +192,11 @@ def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec,
         pred = E * (v_n + dt * N_n)
         base = E * v_n + 0.5 * dt * E * N_n
         if cfg.scheme == "imex_heun":
-            v_next = base + 0.5 * dt * _nonlinear_rhs(pred, z_next, cfg.f,
-                                                      cfg.alpha, ctx)
+            v_next = base + 0.5 * dt * _nonlinear_rhs(pred, z_next, cfg.f, ctx)
         else:
             w = pred
             for _ in range(cfg.picard_max_iter):
-                w_new = base + 0.5 * dt * _nonlinear_rhs(w, z_next, cfg.f,
-                                                         cfg.alpha, ctx)
+                w_new = base + 0.5 * dt * _nonlinear_rhs(w, z_next, cfg.f, ctx)
                 if not np.all(np.isfinite(w_new)):
                     raise BlowUpError(state.t + dt, state=state)
                 dw = SpectralField(ctx.lmax, w_new - w, "stream")
@@ -267,12 +261,12 @@ class SimResult:
         return np.column_stack(cols)
 
 
-def _initial_ou(ctx: OperatorContext, cfg: SolverConfig, spec: NoiseSpec) -> OUState:
+def _initial_ou(ctx: OperatorContext, spec: NoiseSpec) -> OUState:
     if np.any(spec.sigma_per_mode(ctx.lmax) != 0):
-        return make_ou_state(ctx, alpha=cfg.alpha)
+        return make_ou_state(ctx)
     # undriven runs skip the Re kappa > 0 gate (nothing to convolve); the
     # curvature-shifted spectrum with alpha = 0 is then still integrable
-    return OUState(z=zero_field(ctx.lmax), kappa=decay_rates(ctx, cfg.alpha))
+    return OUState(z=zero_field(ctx.lmax), kappa=decay_rates(ctx))
 
 
 def _record(state: SimState, cfg: SolverConfig, ctx: OperatorContext) -> None:
@@ -281,8 +275,8 @@ def _record(state: SimState, cfg: SolverConfig, ctx: OperatorContext) -> None:
     z = state.ou.z
     # N of a state near blow-up can overflow; the row rejects it silently
     with np.errstate(over="ignore", invalid="ignore"):
-        state.N = _nonlinear_rhs(state.v.coeffs, z, cfg.f, cfg.alpha, ctx)
-    F = effective_force(z, cfg.f, cfg.alpha, ctx)
+        state.N = _nonlinear_rhs(state.v.coeffs, z, cfg.f, ctx)
+    F = effective_force(z, cfg.f, ctx)
     state.ledger.record_state(state.t, state.v, z,
                               SpectralField(ctx.lmax, state.N, "stream"), F, ctx)
 
@@ -304,7 +298,7 @@ def run(cfg: SolverConfig, spec: NoiseSpec, *, ctx: OperatorContext,
         raise ValueError("noise spectrum fails the summability check at "
                          f"delta = {spec.delta:g}")
     v0 = cfg.v0.copy() if cfg.v0 is not None else zero_field(ctx.lmax)
-    state = SimState(t=0.0, v=v0, ou=_initial_ou(ctx, cfg, spec),
+    state = SimState(t=0.0, v=v0, ou=_initial_ou(ctx, spec),
                      ledger=EnergyLedger())
     result = SimResult(cfg=cfg, spec=spec, ctx=ctx, state=state)
 

@@ -8,6 +8,7 @@ import math
 import os
 import textwrap
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -185,8 +186,8 @@ def test_criterion_07_ou_moment_bounds():
     n = 10_000
     # Gaussian case saturates the second-moment identity
     g_spec = NoiseSpec(beta=2.0, sigma_rule="band:l<=4,value=0.3", seed=0)
-    ctx = OperatorContext(8)
-    chk = ou_moment_check(g_spec, ctx, 0.5, 2.0, 2.0, n, max_kappa_dt=0.01)
+    ctx = OperatorContext(8, alpha=0.5)
+    chk = ou_moment_check(g_spec, ctx, 2.0, 2.0, n, max_kappa_dt=0.01)
     gauss_ratio = chk["empirical"] / chk["bound"]
     gauss_ok = abs(gauss_ratio - 1.0) <= 0.03
     # heavy-tailed case stays below the displayed bound at every horizon
@@ -194,11 +195,12 @@ def test_criterion_07_ou_moment_bounds():
     stable_ratios = []
     stable_ok = True
     for k, t in enumerate((0.1, 1.0, 10.0)):
-        chk = ou_moment_check(s_spec, ctx, 0.5, 1.0, t, n, counter=k)
+        chk = ou_moment_check(s_spec, ctx, 1.0, t, n, counter=k)
         stable_ratios.append(chk["ratio"])
         stable_ok = stable_ok and chk["passed"]
     # a larger damping shift strictly lowers the bound
-    bounds = [zlp_bound(1.0, 1.0, s_spec, ctx, a) for a in (0.5, 2.0, 8.0)]
+    bounds = [zlp_bound(1.0, 1.0, s_spec, replace(ctx, alpha=a))
+              for a in (0.5, 2.0, 8.0)]
     mono_ok = bounds[0] > bounds[1] > bounds[2]
     elapsed = time.time() - t0
     ok = gauss_ok and stable_ok and mono_ok and elapsed < 120.0

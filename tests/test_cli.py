@@ -43,15 +43,16 @@ MINIMAL = """\
 
 def test_parse_defaults(tmp_path):
     cfg = parse_config(write_cfg(tmp_path, MINIMAL), mode="simulate")
-    assert cfg.nu == 1.0 and cfg.omega == 0.0 and cfg.alpha == 0.0
-    assert cfg.beta == 2.0 and cfg.sigma == "zero" and cfg.delta == 0.0
-    assert cfg.scheme == "imex_heun" and cfg.dealias is True
-    assert cfg.n_paths == 1 and cfg.workers == 1 and cfg.seed == 0
-    assert cfg.v0 == "zero" and cfg.f == "zero"
+    ctx, spec, solver = cfg.ctx, cfg.spec, cfg.solver
+    assert ctx.nu == 1.0 and ctx.omega == 0.0 and ctx.alpha == 0.0
+    assert spec.beta == 2.0 and cfg.sigma == "zero" and spec.delta == 0.0
+    assert solver.scheme == "imex_heun" and ctx.dealias is True
+    assert cfg.n_paths == 1 and cfg.workers == 1 and spec.seed == 0
+    assert solver.v0 is None and solver.f is None
     assert cfg.t_list == (0.1, 1.0, 10.0) and cfg.p == 1.0
-    assert cfg.solver_config().n_steps == 3
-    assert cfg.noise_spec() == NoiseSpec(beta=2.0, sigma_rule="zero",
-                                         delta=0.0, seed=0, n_substeps=1)
+    assert solver.n_steps == 3
+    assert spec == NoiseSpec(beta=2.0, sigma_rule="zero",
+                             delta=0.0, seed=0, n_substeps=1)
 
 
 def test_readme_sample_config_parses_in_every_mode(tmp_path):
@@ -85,11 +86,11 @@ def test_command_line_overrides_file(tmp_path):
     cfg = parse_config(path, mode="verify-operators", seed=99,
                        output_dir="from_cli")
     assert cfg.mode == "verify-operators"
-    assert cfg.seed == 99
+    assert cfg.spec.seed == 99
     assert cfg.output_dir == "from_cli"
     cfg = parse_config(path)                    # file values stand alone
-    assert (cfg.mode, cfg.seed, cfg.output_dir) == ("simulate", 3,
-                                                    "from_file")
+    assert (cfg.mode, cfg.spec.seed, cfg.output_dir) == ("simulate", 3,
+                                                         "from_file")
 
 
 def test_first_error_cites_line_number(tmp_path):
@@ -156,7 +157,7 @@ def test_dealias_grid_constraint(tmp_path):
     with open(relaxed, "w") as fh:
         fh.write(body.replace("n_lon = 32", "n_lon = 40"))
     cfg = parse_config(relaxed, mode="simulate")
-    assert cfg.n_lon == 40 and cfg.dealias is False
+    assert cfg.ctx.grid.n_lon == 40 and cfg.ctx.dealias is False
     with open(relaxed, "w") as fh:
         fh.write(body)
     with pytest.raises(ConfigError, match="needs ≥ 33") as err:
@@ -336,8 +337,7 @@ def test_simulate_matches_library_run_exactly(tmp_path):
     path = write_cfg(tmp_path, STOCHASTIC_RUN)
     assert main(["simulate", "--config", path, "--output", out]) == 0
     cfg = parse_config(path, mode="simulate")
-    res = run(cfg.solver_config(), cfg.noise_spec(),
-              ctx=cfg.operator_context())
+    res = run(cfg.solver, cfg.spec, ctx=cfg.ctx)
     table = res.diagnostic_table()
     lines = Path(out, "diagnostics.csv").read_text().splitlines()
     got = np.array([[float(x) for x in line.split(",")]
@@ -507,12 +507,11 @@ def test_spectrum_reaches_the_solver(tmp_path):
         v0 = mode:l=1
     """)
     cfg = parse_config(path, mode="simulate", output_dir=str(tmp_path / "s"))
-    assert cfg.operator_context().spectrum == "ricci_shifted"
+    assert cfg.ctx.spectrum == "ricci_shifted"
     assert run_experiment(cfg) == 0
     back = read_snapshot(os.path.join(cfg.output_dir, "path0000_snap0000.bin"))
     assert back["spectrum"] == "ricci_shifted"
-    scfg, spec = cfg.solver_config(), cfg.noise_spec()
-    ctx = cfg.operator_context()
+    scfg, spec, ctx = cfg.solver, cfg.spec, cfg.ctx
     res = run(scfg, spec, ctx=ctx)
     assert res.ctx.spectrum == "ricci_shifted"
     assert np.array_equal(back["v"], res.state.v.coeffs)

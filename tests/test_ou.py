@@ -4,6 +4,7 @@ identities for the shared-clock dependence, and two independent sampling
 routes compared in distribution."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def sup_norm_growth(spec, lmax, delta, p, T_list, n_paths, *, n_time=64):
 
 def test_sigma_zero_exact_decay():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", seed=3, n_substeps=4)
-    st = ou.make_ou_state(CTX4, 0.0, z0=unit_stream_mode(4, 1, 0))
+    st = ou.make_ou_state(CTX4, z0=unit_stream_mode(4, 1, 0))
     out = ou.ou_step(st, 0.7, spec)
     assert out.z.coeffs[1] == pytest.approx(math.exp(-2 * 0.7) * st.z.coeffs[1], rel=1e-14)
     assert out.substep_index == 4
@@ -68,27 +69,27 @@ def test_sigma_zero_norm_ignores_rotation():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", seed=3)
     norms = []
     for om in (0.0, 5.0):
-        ctx = OperatorContext(lmax=4, nu=1.0, omega=om)
-        st = ou.make_ou_state(ctx, 0.3, z0=SpectralField(4, c.copy(), "stream"))
+        ctx = OperatorContext(lmax=4, nu=1.0, omega=om, alpha=0.3)
+        st = ou.make_ou_state(ctx, z0=SpectralField(4, c.copy(), "stream"))
         norms.append(norm_h(ou.ou_step(st, 0.5, spec).z))
     assert norms[0] == pytest.approx(norms[1], rel=1e-13)
 
 
 def test_make_state_validation():
     with pytest.raises(ValueError):
-        ou.make_ou_state(CTX4, -0.1)
+        ou.make_ou_state(replace(CTX4, alpha=-0.1))
     # a spectrum with a zero eigenvalue at l = 1 requires a positive shift
     shifted = OperatorContext(lmax=4, nu=1.0, omega=0.0, spectrum="ricci_shifted")
     with pytest.raises(ValueError):
-        ou.make_ou_state(shifted, 0.0)
-    ou.make_ou_state(shifted, 0.5)  # fine with alpha > 0
+        ou.make_ou_state(shifted)
+    ou.make_ou_state(replace(shifted, alpha=0.5))  # fine with alpha > 0
     with pytest.raises(ValueError):
-        ou.make_ou_state(CTX4, 0.0, z0=unit_stream_mode(5, 1, 0))
+        ou.make_ou_state(CTX4, z0=unit_stream_mode(5, 1, 0))
 
 
 def test_step_validation():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", seed=0, n_substeps=2)
-    st = ou.make_ou_state(CTX4, 0.0)
+    st = ou.make_ou_state(CTX4)
     with pytest.raises(ValueError):
         ou.ou_step(st, 0.0, spec)
     good = [nz.levy_increment_block(spec, 0.25, nz.substream(0, 0), lmax=4)
@@ -103,8 +104,8 @@ def test_step_validation():
 def test_noise_linearity_exact_factor_two():
     s1 = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", seed=9, n_substeps=5)
     s2 = nz.NoiseSpec(beta=1.5, sigma_rule="const:2.0", seed=9, n_substeps=5)
-    a = ou.ou_step(ou.make_ou_state(CTX4, 0.1), 0.4, s1)
-    b = ou.ou_step(ou.make_ou_state(CTX4, 0.1), 0.4, s2)
+    a = ou.ou_step(ou.make_ou_state(replace(CTX4, alpha=0.1)), 0.4, s1)
+    b = ou.ou_step(ou.make_ou_state(replace(CTX4, alpha=0.1)), 0.4, s2)
     assert np.array_equal(b.z.coeffs, 2.0 * a.z.coeffs)
 
 
@@ -113,16 +114,17 @@ def test_semigroup_composition_bitwise():
     # replay the identical float operations of one 2dt step
     half = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.5", seed=11, n_substeps=6)
     full = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.5", seed=11, n_substeps=12)
-    two = ou.ou_step(ou.ou_step(ou.make_ou_state(CTX4, 0.2), 0.3, half), 0.3, half)
-    one = ou.ou_step(ou.make_ou_state(CTX4, 0.2), 0.6, full)
+    ctx = replace(CTX4, alpha=0.2)
+    two = ou.ou_step(ou.ou_step(ou.make_ou_state(ctx), 0.3, half), 0.3, half)
+    one = ou.ou_step(ou.make_ou_state(ctx), 0.6, full)
     assert np.array_equal(two.z.coeffs, one.z.coeffs)
     assert two.substep_index == one.substep_index == 12
 
 
 def test_zonal_coefficients_stay_real_under_rotation():
-    ctx = OperatorContext(lmax=3, nu=1.0, omega=4.0)
+    ctx = OperatorContext(lmax=3, nu=1.0, omega=4.0, alpha=0.2)
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:0.5", seed=13, n_substeps=3)
-    st = ou.make_ou_state(ctx, 0.2)
+    st = ou.make_ou_state(ctx)
     for _ in range(4):
         st = ou.ou_step(st, 0.25, spec)
     zonal = [1, 3, 6]  # (1,0), (2,0), (3,0) slots
@@ -133,7 +135,7 @@ def test_zonal_coefficients_stay_real_under_rotation():
 def test_ito_isometry_direct_ensemble():
     # all three l=1 coordinates driven: E|z|^2 = 3 sigma^2 (1-e^{-2kt})/(2k)
     spec = nz.NoiseSpec(beta=2.0, sigma_rule="band:l<=1,value=1.0", seed=21)
-    Y = ou.ou_endpoint_ensemble(spec, CTX1, 0.0, 1.0, 10**4, n_substeps=400,
+    Y = ou.ou_endpoint_ensemble(spec, CTX1, 1.0, 10**4, n_substeps=400,
                                 rng=nz.substream(5, 0))
     got = float(np.mean(h_norm2_batch(Y, 1)))
     exact = 3.0 * (1.0 - math.exp(-4.0)) / 4.0
@@ -143,8 +145,8 @@ def test_ito_isometry_direct_ensemble():
 def test_endpoint_ensemble_is_the_written_out_recursion():
     # one generator feeds every substep: clock, then Gaussians, per substep
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", seed=6)
-    Y = ou.ou_endpoint_ensemble(spec, OperatorContext(3, nu=0.8), 0.4, 0.5, 7,
-                                n_substeps=5, rng=nz.substream(6, 0))
+    Y = ou.ou_endpoint_ensemble(spec, OperatorContext(3, nu=0.8, alpha=0.4),
+                                0.5, 7, n_substeps=5, rng=nz.substream(6, 0))
     rng, delta = nz.substream(6, 0), 0.5 / 5
     decay = np.exp(-(0.8 * basis_eigenvalues(3) + 0.4) * delta)
     y = np.zeros((7, 10), dtype=np.complex128)
@@ -156,14 +158,14 @@ def test_endpoint_ensemble_is_the_written_out_recursion():
 
 def test_endpoint_ensemble_draws_on_the_context_band_limit():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=8,value=0.5", seed=3)
-    Y = ou.ou_endpoint_ensemble(spec, CTX8, 0.0, 0.5, 6, n_substeps=2)
+    Y = ou.ou_endpoint_ensemble(spec, CTX8, 0.5, 6, n_substeps=2)
     assert Y.shape == (6, 45) and np.all(Y[:, 1:] != 0.0)
 
 
 def test_endpoint_ensemble_validation():
     spec = nz.NoiseSpec(beta=2.0, sigma_rule="zero")
     with pytest.raises(ValueError):
-        ou.ou_endpoint_ensemble(spec, CTX1, 0.0, 0.0, 10)
+        ou.ou_endpoint_ensemble(spec, CTX1, 0.0, 10)
 
 
 def test_conditional_engine_matches_stable_closed_form():
@@ -176,7 +178,8 @@ def test_conditional_engine_matches_stable_closed_form():
         q, a = p / 2.0, 0.75
         exact = (I ** (q / a) * math.gamma(1 - q / a) / math.gamma(1 - q)
                  * 2.0**q * math.gamma((3 + p) / 2.0) / math.gamma(1.5))
-        n2 = ou._conditional_h_norm2_samples(spec, CTX1, alpha, t, 10**5,
+        n2 = ou._conditional_h_norm2_samples(spec, replace(CTX1, alpha=alpha),
+                                             t, 10**5,
                                              max_kappa_dt=0.01,
                                              rng=nz.substream(7, key))
         assert float(np.mean(n2**q)) == pytest.approx(exact, rel=tol)
@@ -212,7 +215,8 @@ def test_blocked_clock_sum_is_the_substep_recursion(n):
     # the clock sum enters in blocks of ou._CLOCK_BLOCK substeps: full
     # blocks, a partial one, and both, against one multiply-add per substep
     spec, alpha, t, mkd = clock_engine_case(n)
-    got = ou._conditional_h_norm2_samples(spec, CTX4, alpha, t, 300,
+    got = ou._conditional_h_norm2_samples(spec, replace(CTX4, alpha=alpha),
+                                          t, 300,
                                           max_kappa_dt=mkd,
                                           rng=nz.substream(8, n))
     want = written_out_h_norm2(spec, alpha, t, n, 300, nz.substream(8, n))
@@ -235,7 +239,7 @@ def test_clock_draws_one_substep_at_a_time(monkeypatch):
         return out
 
     monkeypatch.setattr(ou, "_positive_stable_batch", recording)
-    ou._conditional_h_norm2_samples(spec, CTX4, alpha, t, n_paths,
+    ou._conditional_h_norm2_samples(spec, replace(CTX4, alpha=alpha), t, n_paths,
                                     max_kappa_dt=mkd, rng=nz.substream(9, 0))
     assert len(calls) == n
     for (size, got), draw in zip(calls, want):
@@ -252,7 +256,7 @@ def test_shared_clock_ratio_matches_chi_square_theory():
         m_p = 2.0 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
         theory = (2.0 ** (p / 2) * math.gamma((3 + p) / 2.0) / math.gamma(1.5)
                   / (3.0 ** (p / 1.5) * m_p))
-        chk = ou.ou_moment_check(spec, CTX1, 0.3, p, 0.7, 10**5,
+        chk = ou.ou_moment_check(spec, replace(CTX1, alpha=0.3), p, 0.7, 10**5,
                                  rng=nz.substream(7, key), max_kappa_dt=0.01)
         assert chk["ratio"] == pytest.approx(theory, abs=0.04)
     assert theory > 1.0  # p = 0.5 case documents the dependence excess
@@ -265,65 +269,72 @@ def test_moment_check_gaussian_ito_equality():
     for band, ctx in ((4, CTX4), (8, CTX8)):
         spec = nz.NoiseSpec(beta=2.0, sigma_rule=f"band:l<={band},value=0.3",
                             seed=1001)
-        chk = ou.ou_moment_check(spec, ctx, 0.5, 2.0, 2.0, 10**4, max_kappa_dt=0.01)
+        chk = ou.ou_moment_check(spec, replace(ctx, alpha=0.5), 2.0, 2.0, 10**4,
+                                 max_kappa_dt=0.01)
         assert chk["c_tilde"] == pytest.approx(1.0, abs=1e-14)
         assert abs(chk["empirical"] / chk["bound"] - 1.0) < 0.02
 
 
 def test_moment_check_stable_bounded():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", seed=2024)
-    chk = ou.ou_moment_check(spec, CTX8, 0.5, 1.0, 1.0, 10**4, counter=101)
+    chk = ou.ou_moment_check(spec, replace(CTX8, alpha=0.5), 1.0, 1.0, 10**4,
+                             counter=101)
     assert chk["passed"] and chk["ratio"] < 0.95
 
 
 def test_moment_check_ratio_stable_over_decade():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", seed=2024)
-    r1 = ou.ou_moment_check(spec, CTX8, 0.5, 1.0, 0.5, 10**4, counter=201)["ratio"]
-    r2 = ou.ou_moment_check(spec, CTX8, 0.5, 1.0, 5.0, 10**4, counter=202)["ratio"]
+    ctx = replace(CTX8, alpha=0.5)
+    r1 = ou.ou_moment_check(spec, ctx, 1.0, 0.5, 10**4, counter=201)["ratio"]
+    r2 = ou.ou_moment_check(spec, ctx, 1.0, 5.0, 10**4, counter=202)["ratio"]
     assert abs(r2 / r1 - 1.0) < 0.2
 
 
 def test_moment_check_trivial_and_domain():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", seed=0)
-    chk = ou.ou_moment_check(spec, CTX4, 0.5, 1.0, 1.0, 100)
+    chk = ou.ou_moment_check(spec, replace(CTX4, alpha=0.5), 1.0, 1.0, 100)
     assert chk["empirical"] == 0.0 and chk["ratio"] == 0.0 and chk["passed"]
     live = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0")
     with pytest.raises(ValueError):
-        ou.ou_moment_check(live, CTX4, 0.0, 1.5, 1.0, 10)
+        ou.ou_moment_check(live, CTX4, 1.5, 1.0, 10)
 
 
 def test_zlp_bound_examples():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0")
-    assert ou.zlp_bound(0.0, 1.0, spec, CTX8, 0.5) == 0.0
+    ctx = replace(CTX8, alpha=0.5)
+    assert ou.zlp_bound(0.0, 1.0, spec, ctx) == 0.0
     band = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=8,value=0.1")
     expect = sum(
         (2 * l + 1) * 0.1**1.5 / (1.5 * (l * (l + 1) + 0.25)) for l in range(1, 9)
     ) ** (1 / 1.5)
-    assert ou.zlp_bound(math.inf, 1.0, band, CTX8, 0.25) == pytest.approx(expect, rel=1e-12)
-    vals = [ou.zlp_bound(1.0, 1.0, spec, CTX8, a) for a in (0.25, 0.5, 1.0, 2.0)]
+    assert ou.zlp_bound(math.inf, 1.0, band, replace(CTX8, alpha=0.25)) == pytest.approx(
+        expect, rel=1e-12)
+    vals = [ou.zlp_bound(1.0, 1.0, spec, replace(CTX8, alpha=a))
+            for a in (0.25, 0.5, 1.0, 2.0)]
     assert all(x > y for x, y in zip(vals, vals[1:]))
     # explicit truncation point is immaterial once the tail is summed
-    assert ou.zlp_bound(1.0, 1.0, spec, CTX8, 0.5) == pytest.approx(
-        ou.zlp_bound(1.0, 1.0, spec, OperatorContext(64), 0.5), rel=1e-9)
+    assert ou.zlp_bound(1.0, 1.0, spec, ctx) == pytest.approx(
+        ou.zlp_bound(1.0, 1.0, spec, OperatorContext(64, alpha=0.5)), rel=1e-9)
     divergent = nz.NoiseSpec(beta=1.5, sigma_rule="const:0.3")
-    assert ou.zlp_bound(1.0, 1.0, divergent, CTX8, 0.5) == math.inf
+    assert ou.zlp_bound(1.0, 1.0, divergent, ctx) == math.inf
     with pytest.raises(ValueError):
-        ou.zlp_bound(1.0, 1.6, spec, CTX8, 0.5)
+        ou.zlp_bound(1.0, 1.6, spec, ctx)
     with pytest.raises(ValueError):
-        ou.zlp_bound(-1.0, 1.0, spec, CTX8, 0.5)
+        ou.zlp_bound(-1.0, 1.0, spec, ctx)
 
 
 def test_zlp_bound_follows_the_context_spectrum():
     # ricci_shifted: kappa_l = nu (l(l+1) - 2) + alpha, so l = 1 is damped
     # by alpha alone
     band = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=8,value=0.1")
-    ctx = OperatorContext(8, nu=0.7, spectrum="ricci_shifted")
+    ctx = OperatorContext(8, nu=0.7, spectrum="ricci_shifted", alpha=0.25)
     expect = sum(
         (2 * l + 1) * 0.1**1.5 / (1.5 * (0.7 * (l * (l + 1) - 2) + 0.25))
         for l in range(1, 9)
     ) ** (1 / 1.5)
-    assert ou.zlp_bound(math.inf, 1.0, band, ctx, 0.25) == pytest.approx(expect, rel=1e-12)
-    assert expect > ou.zlp_bound(math.inf, 1.0, band, OperatorContext(8, nu=0.7), 0.25)
+    assert ou.zlp_bound(math.inf, 1.0, band, ctx) == pytest.approx(expect, rel=1e-12)
+    assert expect > ou.zlp_bound(math.inf, 1.0, band,
+                                 OperatorContext(8, nu=0.7, alpha=0.25))
 
 
 def test_zero_decay_rate_takes_the_limit():
@@ -336,9 +347,9 @@ def test_zero_decay_rate_takes_the_limit():
         bk = beta * 4.0                     # l = 2: nu (l(l+1) - 2) = 4
         expect = (0.5**beta * 3 * t
                   + 5 * 0.5**beta * (1 - math.exp(-bk * t)) / bk) ** (1 / beta)
-        assert ou.zlp_bound(t, 1.0, spec, ctx, 0.0) == pytest.approx(expect, rel=1e-12)
+        assert ou.zlp_bound(t, 1.0, spec, ctx) == pytest.approx(expect, rel=1e-12)
         samples = ou._conditional_h_norm2_samples(
-            spec, ctx, 0.0, t, 200, rng=np.random.default_rng(1))
+            spec, ctx, t, 200, rng=np.random.default_rng(1))
         assert np.all(np.isfinite(samples)) and np.all(samples > 0)
 
 
@@ -380,7 +391,7 @@ def _coarsen(blocks):
 
 
 def test_substep_refinement_first_order_on_coupled_noise():
-    ctx = OperatorContext(lmax=3, nu=1.0, omega=0.0)
+    ctx = OperatorContext(lmax=3, nu=1.0, omega=0.0, alpha=0.3)
     z0 = unit_stream_mode(3, 1, 0)
     tpl = dict(beta=1.5, sigma_rule="power:gamma=1.5", seed=5)
     gen = nz.substream(123, 0)
@@ -391,7 +402,7 @@ def test_substep_refinement_first_order_on_coupled_noise():
 
     def endpoint(nsub, blocks):
         spec = nz.NoiseSpec(n_substeps=nsub, **tpl)
-        st = ou.make_ou_state(ctx, 0.3, z0=z0)
+        st = ou.make_ou_state(ctx, z0=z0)
         return ou.ou_step(st, 1.0, spec, blocks=blocks).z.coeffs
 
     ref = endpoint(fine_n, finest)
@@ -407,11 +418,11 @@ def test_substep_refinement_first_order_on_coupled_noise():
 
 def test_engine_and_stepper_agree_in_distribution():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=2,value=0.7", seed=41)
-    ctx = OperatorContext(lmax=2)
+    ctx = OperatorContext(lmax=2, alpha=0.5)
     direct = h_norm2_batch(
-        ou.ou_endpoint_ensemble(spec, ctx, 0.5, 0.6, 4000, n_substeps=300,
+        ou.ou_endpoint_ensemble(spec, ctx, 0.6, 4000, n_substeps=300,
                                 rng=nz.substream(8, 0)), 2)
-    engine = ou._conditional_h_norm2_samples(spec, ctx, 0.5, 0.6, 4000,
+    engine = ou._conditional_h_norm2_samples(spec, ctx, 0.6, 4000,
                                              max_kappa_dt=0.002,
                                              rng=nz.substream(8, 1))
     assert stats.ks_2samp(direct, engine).pvalue > 0.01

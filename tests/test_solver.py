@@ -47,13 +47,15 @@ def test_config_validation():
     SolverConfig(**ok)
     for bad in (dict(dt=0.0), dict(t_end=0.05), dict(t_end=0.55),
                 dict(scheme="leapfrog"), dict(picard_tol=0.0),
-                dict(picard_max_iter=0), dict(alpha=-1.0),
+                dict(picard_max_iter=0),
                 dict(f=SpectralField(6, np.zeros(n_modes(6), complex), "scalar"))):
         with pytest.raises(ValueError):
             SolverConfig(**{**ok, **bad})
     assert SolverConfig(**ok).n_steps == 10
     with pytest.raises(ValueError):
         OperatorContext(6, nu=0.0)
+    with pytest.raises(ValueError):
+        OperatorContext(6, alpha=-1.0)
     with pytest.raises(ValueError):
         run(SolverConfig(**ok, v0=unit_stream_mode(5, 1, 0)), _quiet_spec(),
             ctx=OperatorContext(6))
@@ -84,23 +86,25 @@ def test_effective_force_cases():
     rng = np.random.default_rng(1)
     f = random_stream_field(8, rng, decay=2.0, norm=0.7)
     # z = 0: F is f verbatim
-    assert np.array_equal(effective_force(zero_field(8), f, 1.5, ctx).coeffs,
+    assert np.array_equal(effective_force(zero_field(8), f,
+                                          replace(ctx, alpha=1.5)).coeffs,
                           f.coeffs)
     # single-harmonic z: the quadratic term vanishes, F = alpha z + f
     z = unit_stream_mode(8, 2, 1)
-    F = effective_force(z, f, 0.8, ctx)
+    F = effective_force(z, f, replace(ctx, alpha=0.8))
     np.testing.assert_allclose(F.coeffs, 0.8 * z.coeffs + f.coeffs, atol=1e-14)
     # affine in f
     f2 = random_stream_field(8, rng, decay=2.0, norm=0.4)
     z = random_stream_field(8, rng, decay=2.0, norm=0.5)
+    damped = replace(ctx, alpha=0.3)
     both = effective_force(z, SpectralField(8, f.coeffs + f2.coeffs, "stream"),
-                           0.3, ctx).coeffs
-    split = (effective_force(z, f, 0.3, ctx).coeffs
-             + effective_force(z, f2, 0.3, ctx).coeffs
-             - effective_force(z, None, 0.3, ctx).coeffs)
+                           damped).coeffs
+    split = (effective_force(z, f, damped).coeffs
+             + effective_force(z, f2, damped).coeffs
+             - effective_force(z, None, damped).coeffs)
     np.testing.assert_allclose(both, split, atol=1e-13)
     with pytest.raises(ValueError):
-        effective_force(z, random_stream_field(6, rng), 0.0, ctx)
+        effective_force(z, random_stream_field(6, rng), ctx)
 
 
 def _endpoint(scheme, dt, v0, f):
@@ -143,15 +147,15 @@ def test_picard_iteration_geometric_and_consistent(smooth_data):
     v0, _ = smooth_data
     dt, nu, tol = 0.05, 0.5, 1e-13
     ctx = OperatorContext(10, nu=nu)
-    st = SimState(t=0.0, v=v0, ou=make_ou_state(ctx, alpha=0.0),
+    st = SimState(t=0.0, v=v0, ou=make_ou_state(ctx),
                   ledger=EnergyLedger())
     E = _v_decay_factor(ctx, dt)
-    N_n = _nonlinear_rhs(v0.coeffs, st.ou.z, None, 0.0, ctx)
+    N_n = _nonlinear_rhs(v0.coeffs, st.ou.z, None, ctx)
     base = E * v0.coeffs + 0.5 * dt * E * N_n
     w = E * (v0.coeffs + dt * N_n)
     diffs, w_fixed = [], None
     for _ in range(50):
-        w_new = base + 0.5 * dt * _nonlinear_rhs(w, st.ou.z, None, 0.0, ctx)
+        w_new = base + 0.5 * dt * _nonlinear_rhs(w, st.ou.z, None, ctx)
         diffs.append(norms(SpectralField(10, w_new - w, "stream"), ctx)["V"])
         w = w_new
         if diffs[-1] < tol:
@@ -181,7 +185,7 @@ def test_picard_linear_problem_single_iteration(monkeypatch):
     monkeypatch.setattr(sol, "_nonlinear_rhs", counting)
     ctx = OperatorContext(8)
     st = SimState(t=0.0, v=unit_stream_mode(8, 3, 2),
-                  ou=make_ou_state(ctx, alpha=0.0), ledger=EnergyLedger())
+                  ou=make_ou_state(ctx), ledger=EnergyLedger())
     cfg = SolverConfig(dt=0.05, t_end=0.05, scheme="picard",
                        picard_tol=1e-10, v0=unit_stream_mode(8, 3, 2))
     step_picard(st, cfg, _quiet_spec(), ctx=ctx)
@@ -194,7 +198,7 @@ def test_picard_contraction_failure_raises(smooth_data):
     cfg = SolverConfig(dt=0.5, t_end=0.5, scheme="picard",
                        picard_tol=1e-12, picard_max_iter=8, v0=big)
     ctx = OperatorContext(10)
-    st = SimState(t=0.0, v=big, ou=make_ou_state(ctx, alpha=0.0),
+    st = SimState(t=0.0, v=big, ou=make_ou_state(ctx),
                   ledger=EnergyLedger())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -249,9 +253,9 @@ def test_bitwise_reproducibility_and_seed_override():
     spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
                      seed=33, n_substeps=2)
     rng = np.random.default_rng(1)
-    cfg = SolverConfig(dt=0.02, t_end=0.3, alpha=1.0, scheme="imex_heun",
+    cfg = SolverConfig(dt=0.02, t_end=0.3, scheme="imex_heun",
                        v0=random_stream_field(10, rng, decay=2.0, norm=0.8))
-    ctx = OperatorContext(10, omega=2.0)
+    ctx = OperatorContext(10, omega=2.0, alpha=1.0)
     r1, r2 = run(cfg, spec, ctx=ctx), run(cfg, spec, ctx=ctx)
     assert np.array_equal(r1.state.v.coeffs, r2.state.v.coeffs)
     assert np.array_equal(r1.diagnostic_table(), r2.diagnostic_table())
@@ -268,9 +272,8 @@ def test_noise_path_invariant_under_dt_refinement():
     def z_snaps(dt, nsub, every):
         spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
                          seed=77, n_substeps=nsub)
-        cfg = SolverConfig(dt=dt, t_end=0.4, alpha=1.0, scheme="imex_heun",
-                           v0=v0)
-        res = run(cfg, spec, ctx=OperatorContext(10, omega=2.0),
+        cfg = SolverConfig(dt=dt, t_end=0.4, scheme="imex_heun", v0=v0)
+        res = run(cfg, spec, ctx=OperatorContext(10, omega=2.0, alpha=1.0),
                   snapshot_every=every)
         return {round(t, 10): z for (t, _, z) in res.snapshots}
 
@@ -322,9 +325,9 @@ def test_perturbation_growth_within_gronwall_factor():
     v0p = SpectralField(10, v0.coeffs + 1e-6 * pert.coeffs, "stream")
     out = {}
     for tag, field in (("base", v0), ("pert", v0p)):
-        cfg = SolverConfig(dt=0.01, t_end=0.25, alpha=1.0, scheme="imex_heun",
-                           v0=field)
-        out[tag] = run(cfg, spec, ctx=OperatorContext(10, omega=1.0))
+        cfg = SolverConfig(dt=0.01, t_end=0.25, scheme="imex_heun", v0=field)
+        out[tag] = run(cfg, spec,
+                       ctx=OperatorContext(10, omega=1.0, alpha=1.0))
     w0 = norm_h(SpectralField(10, v0p.coeffs - v0.coeffs, "stream"))
     wT = norm_h(SpectralField(10, out["pert"].state.v.coeffs
                               - out["base"].state.v.coeffs, "stream"))
@@ -356,9 +359,9 @@ def test_ledger_b_vvz_matches_trilinear_oracle():
         for spectrum in ("paper", "ricci_shifted"):
             for grid in (None, gauss_legendre_grid(n_lat + 3, n_lon + 8)):
                 ctx = OperatorContext(lmax, nu=0.5, omega=3.0, grid=grid,
-                                      spectrum=spectrum)
+                                      spectrum=spectrum, alpha=0.7)
                 cfg = SolverConfig(
-                    dt=0.05, t_end=0.15, alpha=0.7,
+                    dt=0.05, t_end=0.15,
                     v0=random_stream_field(lmax, rng, decay=1.0, norm=1.0),
                     f=random_stream_field(lmax, rng, decay=1.5, norm=0.5))
                 spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0",
@@ -377,7 +380,7 @@ def test_ledger_b_vvz_matches_trilinear_oracle():
                 # the last row's N is kept on the state the next step reads
                 st = res.state
                 assert np.array_equal(st.N, _nonlinear_rhs(
-                    st.v.coeffs, st.ou.z, cfg.f, cfg.alpha, ctx))
+                    st.v.coeffs, st.ou.z, cfg.f, ctx))
 
 
 def test_energy_residual_converges_on_aliased_grid():
@@ -414,7 +417,7 @@ def test_run_undriven_shifted_spectrum():
     np.testing.assert_allclose(h, h[0], rtol=1e-12)  # zero eigenvalue: no decay
     driven = NoiseSpec(beta=2.0, sigma_rule="const:0.1", delta=0.0, seed=0,
                        n_substeps=1)
-    cfg2 = SolverConfig(dt=0.1, t_end=0.5, alpha=0.0)
+    cfg2 = SolverConfig(dt=0.1, t_end=0.5)
     with pytest.raises(ValueError):
         run(cfg2, driven, ctx=ctx)
 
@@ -423,9 +426,9 @@ def test_snapshot_cadence_and_recombine():
     spec = NoiseSpec(beta=2.0, sigma_rule="band:l<=4,value=0.2", delta=0.5,
                      seed=5, n_substeps=1)
     rng = np.random.default_rng(12)
-    cfg = SolverConfig(dt=0.05, t_end=0.5, alpha=0.5, scheme="imex_heun",
+    cfg = SolverConfig(dt=0.05, t_end=0.5, scheme="imex_heun",
                        v0=random_stream_field(8, rng, decay=2.0, norm=0.5))
-    res = run(cfg, spec, ctx=OperatorContext(8), snapshot_every=3)
+    res = run(cfg, spec, ctx=OperatorContext(8, alpha=0.5), snapshot_every=3)
     times = [t for (t, _, _) in res.snapshots]
     assert times == [k * 0.05 for k in (0, 3, 6, 9, 10)]
     t_last, v_last, z_last = res.snapshots[-1]
