@@ -241,9 +241,12 @@ def _conditional_h_norm2_samples(spec: NoiseSpec, ctx: OperatorContext,
         S = _discounted_clock_sum(spec.beta / 2.0, delta, E2, n, gen, n_paths)
     norm2 = np.zeros(n_paths)
     for i, l in enumerate(degs):
-        dof = 2 * int(l) + 1
-        G = gen.standard_normal((n_paths, dof))
-        norm2 += sig[i] ** 2 * S[:, i] * (G**2).sum(axis=1)
+        # squared in place and released before the next degree's draw, so
+        # one (n_paths, 2l+1) array is alive at a time
+        G = gen.standard_normal((n_paths, 2 * int(l) + 1))
+        np.square(G, out=G)
+        norm2 += sig[i] ** 2 * S[:, i] * G.sum(axis=1)
+        del G
     return norm2
 
 
@@ -287,12 +290,31 @@ def zlp_bound(t: float, p: float, spec: NoiseSpec,
     rule = spec.sigma_rule
 
     def term(l: np.ndarray) -> np.ndarray:
-        bk = beta * (ctx.nu * ctx.stokes_eigenvalues(l) + ctx.alpha)
-        amp = np.abs(rule(l)) ** beta
+        # evaluated in place (stokes_eigenvalues and rule return new
+        # arrays): two chunk-sized arrays beside l and amp
+        bk = ctx.stokes_eigenvalues(l)
+        bk *= ctx.nu
+        bk += ctx.alpha
+        bk *= beta
+        amp = rule(l)
+        np.abs(amp, out=amp)
+        amp **= beta
         # a zero rate takes the limit amp t (0/0 otherwise; 0 inf at t = inf)
         with np.errstate(invalid="ignore"):
-            out = np.where(bk == 0.0, amp * t, amp * (-np.expm1(-bk * t)) / bk)
-        return np.where(amp > 0, out * (2.0 * l + 1.0), 0.0)
+            out = np.negative(bk)
+            out *= t
+            np.expm1(out, out=out)
+            np.negative(out, out=out)
+            out *= amp
+            out /= bk
+            zero = bk == 0.0
+            out[zero] = amp[zero] * t
+        del zero
+        np.multiply(l, 2.0, out=bk)
+        bk += 1.0
+        out *= bk
+        out[~(amp > 0)] = 0.0
+        return out
 
     head = float(term(np.arange(1, ctx.lmax + 1, dtype=np.float64)).sum())
     partial, tail, _ = _tail_sum(term, ctx.lmax + 1, 10**5)

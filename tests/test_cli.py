@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import snse.cli as cli
 from snse.cli import (MODES, ConfigError, DIAGNOSTICS_HEADER, build_field,
                       main, parse_config, path_seed, read_snapshot,
                       run_experiment, write_snapshot)
@@ -777,6 +779,105 @@ def test_verify_ou_mode(tmp_path):
         assert 0 < emp <= ceiling * 1.05
     (hi, lo, ratio, _), = rows["bound_alpha_monotone"]
     assert hi <= lo
+
+
+LANE_OU = """\
+    [run]
+    n_paths = 2000
+    [model]
+    lmax = 8
+    nu = 0.5
+    alpha = 0.1
+    [noise]
+    beta = 1.5
+    sigma = power:gamma=2.0
+    seed = 4
+    [verify]
+    t = 0.25,0.05,0.1
+"""
+
+
+def force_lanes(monkeypatch, n):
+    """Make verify-ou see n usable CPUs, hence min(n, horizons) lanes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def test_verify_ou_bytes_do_not_depend_on_the_lane_count(tmp_path,
+                                                         monkeypatch):
+    # unsorted horizons at 1, 2 and 3 lanes: the longest horizon runs on
+    # the calling thread, and every lane on a thread of its own
+    path = write_cfg(tmp_path, LANE_OU)
+    check = cli.ou_moment_check
+    outputs = []
+    for lanes in (1, 2, 3):
+        force_lanes(monkeypatch, lanes)
+        ran_on = {}
+        # at 3 lanes each lane holds one check, and they meet here: no
+        # helper can finish before the next one has started
+        meet = threading.Barrier(3 if lanes == 3 else 1, timeout=60)
+
+        def recording(*args, counter, **kwargs):
+            ran_on[counter] = threading.get_ident()
+            meet.wait()
+            return check(*args, counter=counter, **kwargs)
+
+        monkeypatch.setattr(cli, "ou_moment_check", recording)
+        out = tmp_path / f"lanes{lanes}"
+        assert main(["verify-ou", "--config", path, "--output",
+                     str(out)]) == 0
+        assert len(set(ran_on.values())) == lanes
+        assert ran_on[0] == threading.get_ident()
+        outputs.append([(out / name).read_bytes()
+                        for name in ("checks.csv", "report.txt")])
+    assert outputs[0] == outputs[1] == outputs[2]
+    names = [line.split(",")[0]
+             for line in outputs[0][0].decode().splitlines()[1:]]
+    assert names == ["ou_moment_t0.25", "ou_moment_t0.05", "ou_moment_t0.1",
+                     "bound_alpha_monotone"]
+
+
+def test_verify_ou_lanes_under_fast_thread_switching(tmp_path, monkeypatch):
+    # more lanes than cores and a thread switch every microsecond: each
+    # lane fills its own checks, and none is lost or misplaced
+    times = ",".join(f"{0.05 * k:g}" for k in (3, 8, 1, 6, 2, 7, 4, 5))
+    path = write_cfg(tmp_path, LANE_OU.replace("n_paths = 2000", "n_paths = 200")
+                     .replace("t = 0.25,0.05,0.1", f"t = {times}"))
+    outputs = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for lanes in (1, 8):
+            force_lanes(monkeypatch, lanes)
+            out = tmp_path / f"lanes{lanes}"
+            rc = main(["verify-ou", "--config", path, "--output", str(out)])
+            outputs.append((rc, (out / "checks.csv").read_bytes()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_verify_ou_lane_failure_reaches_the_caller(tmp_path, monkeypatch,
+                                                   failing):
+    # at 2 lanes check 0 runs on the calling thread, check 1 on the helper
+    force_lanes(monkeypatch, 2)
+    boom = RuntimeError("lane failed")
+    check = cli.ou_moment_check
+
+    def failing_check(*args, counter, **kwargs):
+        if counter == failing:
+            raise boom
+        return check(*args, counter=counter, **kwargs)
+
+    monkeypatch.setattr(cli, "ou_moment_check", failing_check)
+    cfg = parse_config(write_cfg(tmp_path, LANE_OU), mode="verify-ou",
+                       output_dir=str(tmp_path / "out"))
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        run_experiment(cfg)
+    assert info.value is boom
+    assert threading.active_count() == before
 
 
 SHIFTED_OU = """\

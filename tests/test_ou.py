@@ -4,6 +4,7 @@ identities for the shared-clock dependence, and two independent sampling
 routes compared in distribution."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -351,6 +352,62 @@ def test_zero_decay_rate_takes_the_limit():
         samples = ou._conditional_h_norm2_samples(
             spec, ctx, t, 200, rng=np.random.default_rng(1))
         assert np.all(np.isfinite(samples)) and np.all(samples > 0)
+
+
+def written_out_zlp_bound(t, p, spec, ctx):
+    """zlp_bound with each term formed out of place, one expression per
+    step: the reference for the in-place evaluation."""
+    beta, rule = spec.beta, spec.sigma_rule
+
+    def term(l):
+        bk = beta * (ctx.nu * ctx.stokes_eigenvalues(l) + ctx.alpha)
+        amp = np.abs(rule(l)) ** beta
+        with np.errstate(invalid="ignore"):
+            out = np.where(bk == 0.0, amp * t, amp * (-np.expm1(-bk * t)) / bk)
+        return np.where(amp > 0, out * (2.0 * l + 1.0), 0.0)
+
+    head = float(term(np.arange(1, ctx.lmax + 1, dtype=np.float64)).sum())
+    partial, tail, _ = nz._tail_sum(term, ctx.lmax + 1, 10**5)
+    return (head + (partial + tail)) ** (p / beta)
+
+
+@pytest.mark.parametrize("beta,rule,spectrum,alpha,t", [
+    (1.5, "power:gamma=2.0", "paper", 0.1, 0.5),
+    (2.0, "power:gamma=1.2", "paper", 0.3, 3.0),
+    (1.2, "band:l<=6,value=-0.4", "ricci_shifted", 0.0, 0.25),
+    (1.5, "band:l<=2,value=0.5", "ricci_shifted", 0.0, math.inf),
+    (0.8, "const:0.05", "paper", 0.2, 1.0),
+    (1.5, "zero", "paper", 0.1, 0.5),
+    (1.5, "zero", "ricci_shifted", 0.0, math.inf),
+])
+def test_zlp_bound_is_the_written_out_sum(beta, rule, spectrum, alpha, t):
+    # same operations in the same order, zero rates and zero amplitudes
+    # included: equal to the last bit
+    spec = nz.NoiseSpec(beta=beta, sigma_rule=rule)
+    ctx = OperatorContext(6, nu=0.7, alpha=alpha, spectrum=spectrum)
+    assert ou.zlp_bound(t, 0.5, spec, ctx) == written_out_zlp_bound(
+        t, 0.5, spec, ctx)
+
+
+def test_moment_check_memory_peak():
+    # the chi-square loop keeps one degree's draws alive and the bound's
+    # tail chunk is evaluated in place: the check's traced peak stays
+    # below 4 MB at 10^4 paths (two such checks overlap in verify-ou)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", seed=3)
+    ctx = OperatorContext(12, nu=0.5, alpha=0.1)
+    ou.ou_moment_check(spec, ctx, 1.0, 0.5, 100)       # caches filled
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ou.ou_moment_check(spec, ctx, 1.0, 0.5, 10**4)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 4.0e6, peak
 
 
 def test_zlp_constant_values():
