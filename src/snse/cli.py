@@ -8,7 +8,8 @@ citing the offending line.  Five modes share the entry point:
     snse <mode> --config <path> [--seed N] [--output DIR]
 
 simulate          integrate the split system, write diagnostics.csv,
-                  binary state snapshots, and report.txt
+                  binary state snapshots, and report.txt; a path with a
+                  CPU to spare at lmax >= 48 uses a helper thread
 verify-operators  worst-case inequality ratios on random fields -> checks.csv
 verify-noise      subordinator Laplace transform and moment-scaling slope
 verify-ou         stochastic-convolution moment bounds at the configured times,
@@ -476,6 +477,14 @@ def _finish(cfg: ExperimentConfig, rows: list, lines: list, ok: bool) -> int:
     return 0 if ok else 1
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity set where the platform
+    reports one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -484,15 +493,26 @@ def _simulate_path_task(payload: tuple) -> dict:
     """One sample path, executable in a worker process.
 
     Returns pre-formatted CSV lines so the parent's concatenation is
-    byte-identical no matter where the path ran.
+    byte-identical no matter where the path ran.  An exception other than
+    a StepFailure fails this path only: it is reported as CRASHED, with no
+    rows and no snapshots, and the other paths keep their artifacts.
     """
-    scfg, spec, ctx, snapshot_every, outdir, index = payload
+    scfg, spec, ctx, snapshot_every, outdir, index, lanes = payload
     failure, status = None, "ok"
     try:
-        res = run(scfg, spec, ctx=ctx, snapshot_every=snapshot_every)
+        res = run(scfg, spec, ctx=ctx, snapshot_every=snapshot_every,
+                  lanes=lanes)
     except StepFailure as err:
         res, failure = err.result, err.status
         status = f"{err.status} at t = {err.t:g}"
+    except Exception as err:            # a defect of this path only
+        import traceback                # only a crash needs it
+        print(f"path {index} crashed:", file=sys.stderr)
+        traceback.print_exc()
+        message = " ".join(str(err).splitlines())
+        return {"index": index, "lines": [], "snapshots": [],
+                "failure": "CRASHED",
+                "summary": f"CRASHED ({type(err).__name__}: {message})"}
     lines = [",".join(_fmt(x) for x in row) for row in res.diagnostic_table()]
 
     snaps = res.snapshots
@@ -535,7 +555,10 @@ def _path_specs(cfg: ExperimentConfig) -> list:
 
 def _mode_simulate(cfg: ExperimentConfig) -> int:
     scfg, ctx = cfg.solver, cfg.ctx
-    payloads = [(scfg, spec, ctx, cfg.snapshot_every, cfg.output_dir, i)
+    # the CPUs left to each of the min(workers, n_paths) paths that run at
+    # once (one at a time without the process pool)
+    lanes = max(1, _usable_cpus() // min(cfg.workers, cfg.n_paths))
+    payloads = [(scfg, spec, ctx, cfg.snapshot_every, cfg.output_dir, i, lanes)
                 for i, spec in enumerate(_path_specs(cfg))]
     if cfg.workers == 1 or cfg.n_paths == 1:
         results = [_simulate_path_task(p) for p in payloads]
@@ -555,7 +578,7 @@ def _mode_simulate(cfg: ExperimentConfig) -> int:
     failures = sorted({r["failure"].lower() for r in results if r["failure"]})
     for r in results:
         lines.append(f"path {r['index']:4d}: {r['summary']}")
-        lines.append(f"  snapshots: {', '.join(r['snapshots'])}")
+        lines.append(f"  snapshots: {', '.join(r['snapshots']) or 'none'}")
     lines.append("result: " + (f"FAIL ({', '.join(failures)})"
                                if failures else "PASS"))
     _write_report(cfg, lines)
@@ -653,14 +676,6 @@ def _mode_verify_noise(cfg: ExperimentConfig) -> int:
 # verify-ou
 # ---------------------------------------------------------------------------
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity set where the platform
-    reports one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _horizon_lanes(t_list: tuple, n_lanes: int) -> list:
     """Indices into t_list split into n_lanes lists, longest horizon first
     to the least loaded lane: a check's substep count is proportional to
@@ -748,7 +763,7 @@ def _mode_verify_energy(cfg: ExperimentConfig) -> int:
     for i, spec in enumerate(_path_specs(cfg)):
         tag = f"path{i}"
         try:
-            res = run(scfg, spec, ctx=ctx)
+            res = run(scfg, spec, ctx=ctx, lanes=_usable_cpus())
         except StepFailure as err:
             lines.append(f"{tag}: {err.status} at t = {err.t:g}")
             oks.append(False)

@@ -108,14 +108,14 @@ class EnergyLedger:
 
     def record_state(self, t: float, v: SpectralField, z: SpectralField,
                      N: SpectralField, F: SpectralField,
-                     ctx: OperatorContext) -> None:
-        """Append the row of state (v, z) at time t, given N(v, z) and F."""
+                     ctx: OperatorContext, *, u_l4: float) -> None:
+        """Append the row of state (v, z) at time t, given N(v, z), F and
+        u_l4 = |v + z|_L4."""
         # a state near blow-up can overflow a squared norm; append_row
         # rejects the non-finite entry, so the overflow itself stays silent
         with np.errstate(over="ignore", invalid="ignore"):
             nv = norms(v, ctx)
             f_v = inner_h(F, v)
-            u = SpectralField(v.lmax, v.coeffs + z.coeffs, "stream")
             self.append_row(
                 t=t,
                 v_h2=nv["H"] ** 2, v_v2=nv["V"] ** 2, av2=nv["DA"] ** 2,
@@ -124,7 +124,7 @@ class EnergyLedger:
                 F_h2=norm_h(F) ** 2,
                 z_h2=norm_h(z) ** 2,
                 z_v2=norms(z, ctx)["V"] ** 2,
-                u_l4=l4_norm(u),
+                u_l4=u_l4,
             )
 
     def series(self, name: str) -> np.ndarray:

@@ -80,10 +80,14 @@ def mode_degrees(lmax: int) -> tuple[np.ndarray, np.ndarray]:
     return ls, ms
 
 
+@lru_cache(maxsize=None)
 def basis_eigenvalues(lmax: int) -> np.ndarray:
-    """l(l+1) per mode slot (the -Laplacian eigenvalue of each harmonic)."""
+    """l(l+1) per mode slot (the -Laplacian eigenvalue of each harmonic);
+    cached and read-only."""
     ls, _ = mode_degrees(lmax)
-    return (ls * (ls + 1)).astype(np.float64)
+    lam = (ls * (ls + 1)).astype(np.float64)
+    lam.setflags(write=False)
+    return lam
 
 
 @dataclass(frozen=True)
@@ -452,10 +456,14 @@ def grid_integral(grid: QuadratureGrid, values: np.ndarray) -> float:
     return float((2.0 * np.pi / grid.n_lon) * np.sum(grid.weight @ values))
 
 
+@lru_cache(maxsize=None)
 def _mode_weights(lmax: int) -> np.ndarray:
-    """Parseval weight per m>=0 slot: 1 for m=0, 2 for m>0 (conjugate pair)."""
+    """Parseval weight per m>=0 slot: 1 for m=0, 2 for m>0 (conjugate pair);
+    cached and read-only."""
     _, ms = mode_degrees(lmax)
-    return np.where(ms == 0, 1.0, 2.0)
+    wm = np.where(ms == 0, 1.0, 2.0)
+    wm.setflags(write=False)
+    return wm
 
 
 def inner_h(a: SpectralField, b: SpectralField) -> float:

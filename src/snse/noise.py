@@ -310,7 +310,7 @@ def moment_scaling_estimate(spec: NoiseSpec, p: float, t_list,
     ls, ms = mode_degrees(lmax)
     lam = (ls * (ls + 1.0)).astype(float)
     weight = spec.sigma_rule(ls) * np.where(ls >= 1, lam, 1.0) ** spec.delta
-    wm = _mode_weights(lmax)
+    wm = _mode_weights(lmax).copy()
     wm[0] = 0.0
     out = []
     for i, t in enumerate(t_list):

@@ -11,16 +11,27 @@ predictor-corrector, or a per-step Picard iteration of the trapezoidal
 mild map.  All schemes consume the identical counter-keyed increment
 stream for a given seed, so cross-scheme and cross-resolution runs are
 noise-coupled.
+
+The z lane runs ahead of v: z_{k+1} comes from ou_step alone, so the force
+F(z_{k+1}) = -B(z_{k+1}) + alpha z_{k+1} + f that the ledger row of the next
+state needs is known before the corrector of v starts, and |u_k|_L4 is
+read by that row only.  With a helper thread (run's lanes >= 2 at lmax >=
+_LANE_MIN_LMAX) the helper computes each while the calling thread runs the
+corrector or evaluates N(v_k, z_k); at one lane the same calls run on the
+calling thread when their value is needed.  Each value comes from the same
+function on the same inputs, so the bytes do not depend on the lane count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import EnergyLedger, norms
+from .diagnostics import EnergyLedger, l4_norm, norms
 from .harmonics import ParameterError, SpectralField, zero_field
 from .noise import NoiseSpec, check_summability
 from .operators import OperatorContext, nonlinear_B
@@ -42,6 +53,11 @@ __all__ = [
 ]
 
 SCHEMES = ("imex_euler", "imex_heun", "picard")
+
+# the band limit from which run() starts a helper thread: below it the
+# hand-off costs about what B(z) and |u|_L4 save (CHANGES.md has the
+# crossover measurement)
+_LANE_MIN_LMAX = 48
 
 DIAGNOSTIC_COLUMNS = ("t", "norm_H", "norm_V", "norm_DA", "norm_L4_u",
                       "int_V2", "int_bvvz", "int_Fv")
@@ -130,13 +146,15 @@ class SolverConfig:
 class SimState:
     """State at time t.  N holds N(v, z) once run() has evaluated it for the
     ledger row; the step from this state then reads it instead of
-    evaluating it again."""
+    evaluating it again.  F holds the force F(z) once the step that made
+    the state has formed it; the ledger row reads it."""
 
     t: float
     v: SpectralField
     ou: OUState
     ledger: EnergyLedger
     N: np.ndarray | None = None
+    F: SpectralField | None = None
 
 
 def recombine(state: SimState) -> SpectralField:
@@ -174,8 +192,22 @@ def _require_finite(coeffs: np.ndarray, t: float, state: SimState) -> None:
         raise BlowUpError(t, state=state)
 
 
+def _start(helper, fn, *args):
+    """The join of fn(*args): a call that returns its value.  With a helper
+    executor fn starts there now, under this thread's numpy errstate (a pool
+    thread does not inherit it); without one the join calls fn itself."""
+    if helper is None:
+        return functools.partial(fn, *args)
+    err = np.geterr()
+
+    def task():
+        with np.errstate(**err):
+            return fn(*args)
+    return helper.submit(task).result
+
+
 def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec,
-             ctx: OperatorContext) -> SimState:
+             ctx: OperatorContext, helper=None) -> SimState:
     dt = cfg.dt
     E = _v_decay_factor(ctx, dt)
     v_n, N_n = state.v.coeffs, state.N
@@ -185,6 +217,9 @@ def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec,
     ou_next = ou_step(state.ou, dt, spec)
     z_next = ou_next.z
     _require_finite(z_next.coeffs, state.t + dt, state)
+    # z_next does not depend on v: its force is formed beside the corrector.
+    # A failed corrector leaves it unread, as one lane never computes it
+    F_next = _start(helper, effective_force, z_next, cfg.f, ctx)
 
     if cfg.scheme == "imex_euler":
         v_next = E * (v_n + dt * N_n)
@@ -212,24 +247,26 @@ def _advance(state: SimState, cfg: SolverConfig, spec: NoiseSpec,
             v_next = w
     _require_finite(v_next, state.t + dt, state)
     return SimState(t=state.t + dt, v=SpectralField(ctx.lmax, v_next, "stream"),
-                    ou=ou_next, ledger=state.ledger)
+                    ou=ou_next, ledger=state.ledger, F=F_next())
 
 
 def step_imex(state: SimState, cfg: SolverConfig, spec: NoiseSpec, *,
-              ctx: OperatorContext) -> SimState:
-    """One step: z by ou_step, then v by integrating-factor Euler or Heun."""
+              ctx: OperatorContext, helper=None) -> SimState:
+    """One step: z by ou_step, then v by integrating-factor Euler or Heun.
+    A helper executor, if given, forms F(z) of the new state meanwhile."""
     if cfg.scheme not in ("imex_euler", "imex_heun"):
         raise ValueError("step_imex handles the imex_* schemes")
-    return _advance(state, cfg, spec, ctx)
+    return _advance(state, cfg, spec, ctx, helper)
 
 
 def step_picard(state: SimState, cfg: SolverConfig, spec: NoiseSpec, *,
-                ctx: OperatorContext) -> SimState:
+                ctx: OperatorContext, helper=None) -> SimState:
     """One step: z by ou_step, then v as the fixed point of the trapezoidal
-    mild map, iterated from the Euler predictor."""
+    mild map, iterated from the Euler predictor.  A helper executor, if
+    given, forms F(z) of the new state meanwhile."""
     if cfg.scheme != "picard":
         raise ValueError("step_picard requires scheme == 'picard'")
-    return _advance(state, cfg, spec, ctx)
+    return _advance(state, cfg, spec, ctx, helper)
 
 
 @dataclass
@@ -269,20 +306,27 @@ def _initial_ou(ctx: OperatorContext, spec: NoiseSpec) -> OUState:
     return OUState(z=zero_field(ctx.lmax), kappa=decay_rates(ctx))
 
 
-def _record(state: SimState, cfg: SolverConfig, ctx: OperatorContext) -> None:
+def _record(state: SimState, cfg: SolverConfig, ctx: OperatorContext,
+            helper=None) -> None:
     """Evaluate N(v, z) of the state, kept for the step from it, and append
-    the state's ledger row."""
+    the state's ledger row; a helper executor, if given, forms |u|_L4
+    meanwhile."""
     z = state.ou.z
-    # N of a state near blow-up can overflow; the row rejects it silently
+    # N and |u|^4 of a state near blow-up can overflow; the row rejects
+    # them silently
     with np.errstate(over="ignore", invalid="ignore"):
+        u_l4 = _start(helper, l4_norm, recombine(state))
         state.N = _nonlinear_rhs(state.v.coeffs, z, cfg.f, ctx)
-    F = effective_force(z, cfg.f, ctx)
+        u_l4 = u_l4()
+    if state.F is None:                 # the initial state: no step formed it
+        state.F = effective_force(z, cfg.f, ctx)
     state.ledger.record_state(state.t, state.v, z,
-                              SpectralField(ctx.lmax, state.N, "stream"), F, ctx)
+                              SpectralField(ctx.lmax, state.N, "stream"),
+                              state.F, ctx, u_l4=u_l4)
 
 
 def run(cfg: SolverConfig, spec: NoiseSpec, *, ctx: OperatorContext,
-        snapshot_every: int = 0) -> SimResult:
+        snapshot_every: int = 0, lanes: int = 1) -> SimResult:
     """Integrate to t_end on the model of ctx, recording the energy ledger
     at every step.
 
@@ -290,6 +334,11 @@ def run(cfg: SolverConfig, spec: NoiseSpec, *, ctx: OperatorContext,
     many steps (plus the endpoint).  A failed step (blow-up, or a Picard
     iteration that does not contract) aborts with the partial result and
     last good state attached to the raised error.
+
+    lanes is the number of CPUs this path may use.  From 2 lanes at lmax >=
+    _LANE_MIN_LMAX one helper thread forms F(z) and |u|_L4 beside the
+    calling thread (module docstring); it ends before run returns or
+    raises, and the result is the same at any lane count.
     """
     for name, fld in (("v0", cfg.v0), ("f", cfg.f)):
         if fld is not None and fld.lmax != ctx.lmax:
@@ -305,26 +354,32 @@ def run(cfg: SolverConfig, spec: NoiseSpec, *, ctx: OperatorContext,
     def snap(s: SimState):
         result.snapshots.append((s.t, s.v.coeffs.copy(), s.ou.z.coeffs.copy()))
 
+    helper = None
+    if lanes >= 2 and ctx.lmax >= _LANE_MIN_LMAX:
+        # imported here: one lane never needs it, and it slows start-up
+        from concurrent.futures import ThreadPoolExecutor
+        helper = ThreadPoolExecutor(max_workers=1)
     n_steps = cfg.n_steps
     stepper = step_picard if cfg.scheme == "picard" else step_imex
     prev = None                         # the last recorded state
-    for k in range(n_steps + 1):
-        try:
-            if k > 0:
-                state = stepper(state, cfg, spec, ctx=ctx)
-                state.t = k * cfg.dt  # keep the grid free of accumulated rounding
+    with helper or contextlib.nullcontext():
+        for k in range(n_steps + 1):
             try:
-                _record(state, cfg, ctx)
-            except ValueError as err:
-                # coefficients can stay representable while a recorded
-                # quantity (N, |u|^4, squared norms) overflows: same policy
-                raise BlowUpError(state.t, state=prev) from err
-        except StepFailure as err:
-            err.result = result
-            if snapshot_every > 0 and err.state is not None:
-                snap(err.state)
-            raise
-        if snapshot_every > 0 and (k % snapshot_every == 0 or k == n_steps):
-            snap(state)
-        result.state = prev = state
+                if k > 0:
+                    state = stepper(state, cfg, spec, ctx=ctx, helper=helper)
+                    state.t = k * cfg.dt  # keep the grid free of accumulated rounding
+                try:
+                    _record(state, cfg, ctx, helper)
+                except ValueError as err:
+                    # coefficients can stay representable while a recorded
+                    # quantity (N, |u|^4, squared norms) overflows: same policy
+                    raise BlowUpError(state.t, state=prev) from err
+            except StepFailure as err:
+                err.result = result
+                if snapshot_every > 0 and err.state is not None:
+                    snap(err.state)
+                raise
+            if snapshot_every > 0 and (k % snapshot_every == 0 or k == n_steps):
+                snap(state)
+            result.state = prev = state
     return result

@@ -798,7 +798,8 @@ LANE_OU = """\
 
 
 def force_lanes(monkeypatch, n):
-    """Make verify-ou see n usable CPUs, hence min(n, horizons) lanes."""
+    """Make the modes see n usable CPUs: verify-ou then runs min(n,
+    horizons) lanes, and a simulate path n // (paths at once)."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
 
@@ -878,6 +879,98 @@ def test_verify_ou_lane_failure_reaches_the_caller(tmp_path, monkeypatch,
         run_experiment(cfg)
     assert info.value is boom
     assert threading.active_count() == before
+
+
+CRASH_CFG = """\
+    [run]
+    n_paths = 3
+    [model]
+    lmax = 4
+    [noise]
+    beta = 1.5
+    sigma = power:gamma=2.0
+    seed = 6
+    [time]
+    dt = 0.1
+    t_end = 0.3
+"""
+
+
+def test_a_crashed_path_keeps_the_other_paths_artifacts(tmp_path,
+                                                        monkeypatch):
+    path = write_cfg(tmp_path, CRASH_CFG)
+    clean = tmp_path / "clean"
+    assert main(["simulate", "--config", path, "--output", str(clean)]) == 0
+    crashing_seed = path_seed(6, 1)
+
+    def crashing_run(cfg, spec, **kwargs):
+        if spec.seed == crashing_seed:
+            raise RuntimeError("lane failed\nin path 1")
+        return run(cfg, spec, **kwargs)
+
+    monkeypatch.setattr(cli, "run", crashing_run)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--output", str(out)]) == 1
+    report = (out / "report.txt").read_text().splitlines()
+    assert "path    1: CRASHED (RuntimeError: lane failed in path 1)" in report
+    assert "  snapshots: none" in report
+    assert report[-1] == "result: FAIL (crashed)"
+    assert sorted(os.listdir(out)) == ["diagnostics.csv",
+                                       "path0000_snap0000.bin",
+                                       "path0002_snap0000.bin", "report.txt"]
+    for name in ("path0000_snap0000.bin", "path0002_snap0000.bin"):
+        assert (out / name).read_bytes() == (clean / name).read_bytes()
+    rows = (clean / "diagnostics.csv").read_text().splitlines()
+    assert (out / "diagnostics.csv").read_text().splitlines() == (
+        rows[:5] + rows[9:])
+
+
+@pytest.mark.filterwarnings("error")
+def test_blow_up_is_the_same_at_one_and_two_lanes(tmp_path, monkeypatch):
+    # at the band limit where simulate starts its helper: the helper
+    # computes B(z) and |u|_L4 near blow-up under the caller's errstate,
+    # and the verdict, report and partial artifacts do not move
+    from snse.solver import _LANE_MIN_LMAX
+    import snse.solver as sol
+
+    path = write_cfg(tmp_path, f"""\
+        [run]
+        snapshot_every = 1
+        [model]
+        lmax = {_LANE_MIN_LMAX}
+        nu = 0.001
+        [noise]
+        beta = 1.5
+        sigma = power:gamma=2.0
+        seed = 3
+        [time]
+        dt = 0.5
+        t_end = 50
+        scheme = imex_euler
+        [initial]
+        v0 = random:decay=0.5,norm=200.0
+    """)
+    threads = []
+    l4_norm = sol.l4_norm
+
+    def recording(u):
+        threads.append(threading.get_ident())
+        return l4_norm(u)
+
+    monkeypatch.setattr(sol, "l4_norm", recording)
+    outputs = []
+    for lanes in (1, 2):
+        force_lanes(monkeypatch, lanes)
+        threads.clear()
+        out = tmp_path / f"lanes{lanes}"
+        rc = main(["simulate", "--config", path, "--output", str(out)])
+        assert len(set(threads) - {threading.get_ident()}) == lanes - 1
+        outputs.append((rc, {name: (out / name).read_bytes()
+                             for name in sorted(os.listdir(out))}))
+    assert outputs[0] == outputs[1]
+    rc, files = outputs[0]
+    assert rc == 1 and b"BLOW-UP" in files["report.txt"]
+    assert len(files) > 3               # snapshots up to the last good state
 
 
 SHIFTED_OU = """\

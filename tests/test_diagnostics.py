@@ -188,7 +188,7 @@ def test_record_state_matches_direct_evaluations():
     F = SpectralField(8, -nonlinear_B(z, ctx).coeffs + alpha * z.coeffs
                       + f.coeffs, "stream")
     led = EnergyLedger()
-    led.record_state(0.0, v, z, N, F, ctx)
+    led.record_state(0.0, v, z, N, F, ctx, u_l4=l4_norm(u))
     from snse.harmonics import inner_h, norm_h
     nv = norms(v, ctx)
     assert abs(led.data["v_h2"][0] - nv["H"] ** 2) < 1e-14

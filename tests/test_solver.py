@@ -1,6 +1,8 @@
 """Time stepping: exactness, orders, coupling, determinism, failure modes."""
 
 import math
+import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -20,8 +22,10 @@ from snse.harmonics import (
 from snse.noise import NoiseSpec
 from snse.operators import OperatorContext, trilinear_b
 from snse.ou import make_ou_state
-from snse.diagnostics import EnergyLedger, energy_residual, norms
+from snse.diagnostics import EnergyLedger, energy_residual, l4_norm, norms
+import snse.solver as sol
 from snse.solver import (
+    _LANE_MIN_LMAX,
     BlowUpError,
     ContractionError,
     SimState,
@@ -174,13 +178,15 @@ def test_picard_iteration_geometric_and_consistent(smooth_data):
 def test_picard_linear_problem_single_iteration(monkeypatch):
     # with no quadratic coupling the mild map is constant in its argument:
     # the first corrector application already sits at the fixed point
-    import snse.solver as sol
     calls = {"n": 0}
     orig = sol._nonlinear_rhs
 
-    def counting(*a, **k):
-        calls["n"] += 1
-        return orig(*a, **k)
+    def counting(v_coeffs, *a, **k):
+        # N(v, z) at a v of the step; the step also forms the new state's
+        # force F = N(0, z), which applies no mild map
+        if not (np.isscalar(v_coeffs) and v_coeffs == 0.0):
+            calls["n"] += 1
+        return orig(v_coeffs, *a, **k)
 
     monkeypatch.setattr(sol, "_nonlinear_rhs", counting)
     ctx = OperatorContext(8)
@@ -438,6 +444,7 @@ def test_snapshot_cadence_and_recombine():
     assert norm_h(u) <= norm_h(res.state.v) + norm_h(res.state.ou.z) + 1e-15
     st = res.state
     assert np.array_equal(recombine(st).coeffs, st.v.coeffs + st.ou.z.coeffs)
+    assert res.ledger.series("u_l4")[-1] == l4_norm(recombine(st))
 
 
 def test_diagnostic_table_layout():
@@ -495,3 +502,118 @@ def test_gronwall_zero_data_is_trivially_satisfied():
                                 ctx.nu)
     assert rep["K1"] == rep["K2"] == rep["K3"] == rep["K4"] == 0.0
     assert all(rep["satisfied"].values())
+
+
+# ---------------------------------------------------------------------------
+# helper lane
+# ---------------------------------------------------------------------------
+
+def _lane_case(lmax, scheme):
+    rng = np.random.default_rng(8)
+    cfg = SolverConfig(dt=0.01, t_end=0.05, scheme=scheme,
+                       v0=random_stream_field(lmax, rng, decay=2.5, norm=1.0),
+                       f=unit_stream_mode(lmax, 3, 1, 0.1))
+    spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
+                     seed=5, n_substeps=2)
+    return cfg, spec, OperatorContext(lmax, nu=0.5, omega=2.0, alpha=0.1)
+
+
+def _threads_of(monkeypatch, name):
+    """Record the thread of every call of the solver's `name`."""
+    seen = []
+    orig = getattr(sol, name)
+
+    def recording(*args):
+        seen.append(threading.get_ident())
+        return orig(*args)
+
+    monkeypatch.setattr(sol, name, recording)
+    return seen
+
+
+@pytest.mark.parametrize("scheme", ["imex_euler", "imex_heun", "picard"])
+def test_lanes_give_identical_bytes(monkeypatch, scheme):
+    # at the band limit where the helper starts: B(z) and |u|_L4 run on
+    # the helper at 2 lanes, and every recorded byte stays the same
+    cfg, spec, ctx = _lane_case(_LANE_MIN_LMAX, scheme)
+    results = {}
+    interval = sys.getswitchinterval()
+    for lanes in (1, 2):
+        threads = _threads_of(monkeypatch, "l4_norm")
+        forces = _threads_of(monkeypatch, "effective_force")
+        try:
+            sys.setswitchinterval(1e-6)     # a thread switch every microsecond
+            results[lanes] = run(cfg, spec, ctx=ctx, snapshot_every=2,
+                                 lanes=lanes)
+        finally:
+            sys.setswitchinterval(interval)
+        off = {t for t in threads + forces if t != threading.get_ident()}
+        assert len(off) == (lanes - 1)
+        assert len(threads) == len(forces) == cfg.n_steps + 1
+    one, two = results[1], results[2]
+    assert one.diagnostic_table().tobytes() == two.diagnostic_table().tobytes()
+    assert len(one.snapshots) == len(two.snapshots) == 4
+    for a, b in zip(one.snapshots, two.snapshots):
+        assert a[0] == b[0]
+        assert a[1].tobytes() == b[1].tobytes()
+        assert a[2].tobytes() == b[2].tobytes()
+    assert one.state.v.coeffs.tobytes() == two.state.v.coeffs.tobytes()
+
+
+def test_no_helper_below_the_lane_band_limit(monkeypatch):
+    import concurrent.futures
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a helper pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    threads = _threads_of(monkeypatch, "l4_norm")
+    cfg, spec, ctx = _lane_case(_LANE_MIN_LMAX - 1, "imex_heun")
+    run(cfg, spec, ctx=ctx, lanes=2)
+    assert set(threads) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("task", ["l4_norm", "effective_force"])
+def test_helper_failure_reaches_the_caller(monkeypatch, task):
+    boom = RuntimeError("helper failed")
+    orig = getattr(sol, task)
+    caller = threading.get_ident()
+
+    def failing(*args):
+        if threading.get_ident() != caller:
+            raise boom
+        return orig(*args)
+
+    monkeypatch.setattr(sol, task, failing)
+    cfg, spec, ctx = _lane_case(_LANE_MIN_LMAX, "imex_heun")
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        run(cfg, spec, ctx=ctx, lanes=2)
+    assert info.value is boom
+    assert threading.active_count() == before
+
+
+def test_helper_tasks_run_under_the_callers_errstate(monkeypatch):
+    # numpy's errstate is per thread context; a helper task takes the one
+    # of the call that started it (|u|_L4's adds the ledger's overflow
+    # silence)
+    states = {}
+    for task in ("l4_norm", "effective_force"):
+        orig = getattr(sol, task)
+
+        def recording(*args, task=task, orig=orig):
+            states.setdefault(task, []).append(
+                (threading.get_ident(), np.geterr()))
+            return orig(*args)
+
+        monkeypatch.setattr(sol, task, recording)
+    cfg, spec, ctx = _lane_case(_LANE_MIN_LMAX, "imex_euler")
+    with np.errstate(all="raise", under="ignore"):
+        run(cfg, spec, ctx=ctx, lanes=2)
+    caller = threading.get_ident()
+    outer = dict(divide="raise", over="raise", under="ignore", invalid="raise")
+    ledger = dict(outer, over="ignore", invalid="ignore")
+    assert all(err == ledger for _, err in states["l4_norm"])
+    assert all(err == outer for _, err in states["effective_force"])
+    assert any(t != caller for t, _ in states["l4_norm"])
+    assert any(t != caller for t, _ in states["effective_force"])
