@@ -379,16 +379,14 @@ def write_snapshot(path: str, lmax: int, spectrum: str, t: float,
     """
     nm = n_modes(lmax)
     flag = _FLAG_OF_SPECTRUM[spectrum]
+    for coeffs in (v_coeffs, z_coeffs):     # before the file exists
+        if coeffs.shape != (nm,):
+            raise ValueError(f"coefficient block must have shape ({nm},)")
     with open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<IIBd", SNAPSHOT_VERSION, lmax, flag, float(t)))
         for coeffs in (v_coeffs, z_coeffs):
-            if coeffs.shape != (nm,):
-                raise ValueError(f"coefficient block must have shape ({nm},)")
-            flat = np.empty(2 * (nm - 1), dtype="<f8")
-            flat[0::2] = coeffs.real[1:]
-            flat[1::2] = coeffs.imag[1:]
-            fh.write(flat.tobytes())
+            fh.write(coeffs[1:].astype("<c16").tobytes())
 
 
 def read_snapshot(path: str) -> dict:
@@ -413,11 +411,10 @@ def read_snapshot(path: str) -> dict:
                          f"({len(blob)} bytes, expected {expect})")
     out = {}
     for name in ("v", "z"):
-        flat = np.frombuffer(blob, dtype="<f8", count=2 * (nm - 1),
-                             offset=offset)
-        offset += flat.nbytes
         coeffs = np.zeros(nm, dtype=np.complex128)
-        coeffs[1:] = flat[0::2] + 1j * flat[1::2]
+        coeffs[1:] = np.frombuffer(blob, dtype="<c16", count=nm - 1,
+                                   offset=offset)
+        offset += 16 * (nm - 1)
         out[name] = coeffs
     out.update(lmax=lmax, spectrum=_SPECTRUM_OF_FLAG[flag], t=t)
     return out
@@ -490,58 +487,47 @@ def _usable_cpus() -> int:
 # ---------------------------------------------------------------------------
 
 def _simulate_path_task(payload: tuple) -> dict:
-    """One sample path, executable in a worker process.
+    """One sample path of a stepping mode, executable in a worker process.
 
-    Returns pre-formatted CSV lines so the parent's concatenation is
-    byte-identical no matter where the path ran.  An exception other than
-    a StepFailure fails this path only: it is reported as CRASHED, with no
-    rows and no snapshots, and the other paths keep their artifacts.
+    Returns the path's ledger and status, and with an output directory its
+    diagnostics.csv lines, pre-formatted so the parent's concatenation is
+    byte-identical no matter where the path ran, and its snapshot files.
+    An exception other than a StepFailure fails this path only: it is
+    reported as CRASHED, with no ledger, rows or snapshots, and the other
+    paths keep their artifacts.
     """
     scfg, spec, ctx, snapshot_every, outdir, index, lanes = payload
-    failure, status = None, "ok"
+    out = {"index": index, "failure": None, "status": "ok", "ledger": None,
+           "lines": [], "snapshots": []}
     try:
         res = run(scfg, spec, ctx=ctx, snapshot_every=snapshot_every,
                   lanes=lanes)
     except StepFailure as err:
-        res, failure = err.result, err.status
-        status = f"{err.status} at t = {err.t:g}"
+        res, out["failure"] = err.result, err.status
+        out["status"] = f"{err.status} at t = {err.t:g}"
     except Exception as err:            # a defect of this path only
         import traceback                # only a crash needs it
         print(f"path {index} crashed:", file=sys.stderr)
         traceback.print_exc()
         message = " ".join(str(err).splitlines())
-        return {"index": index, "lines": [], "snapshots": [],
-                "failure": "CRASHED",
-                "summary": f"CRASHED ({type(err).__name__}: {message})"}
-    lines = [",".join(_fmt(x) for x in row) for row in res.diagnostic_table()]
-
+        out.update(failure="CRASHED",
+                   status=f"CRASHED ({type(err).__name__}: {message})")
+        return out
+    out["ledger"] = res.ledger
+    if outdir is None:                  # verify-energy reads the ledger only
+        return out
+    out["lines"] = [",".join(_fmt(x) for x in row)
+                    for row in res.diagnostic_table()]
     snaps = res.snapshots
     if not snaps:                       # endpoint only (snapshot_every = 0)
         state = res.state
         snaps = [(state.t, state.v.coeffs, state.ou.z.coeffs)]
-    names = []
     for j, (t, v, z) in enumerate(snaps):
         name = f"path{index:04d}_snap{j:04d}.bin"
         write_snapshot(os.path.join(outdir, name), ctx.lmax, ctx.spectrum,
                        t, v, z)
-        names.append(name)
-
-    led = res.ledger
-    if led.n:
-        summary = (f"t = {led.series('t')[-1]:g}  "
-                   f"|v|_H = {math.sqrt(led.series('v_h2')[-1]):.6g}  "
-                   f"sup|v|_H^2 = {led.sup('v_h2'):.6g}  "
-                   f"int|v|_V^2 = {led.integral('v_v2'):.6g}  "
-                   f"energy residual = {energy_residual(led, ctx.nu):.3e}")
-    else:                               # the t = 0 row already failed
-        summary = "no ledger row"
-    return {
-        "index": index,
-        "lines": lines,
-        "snapshots": names,
-        "failure": failure,
-        "summary": f"{summary}  [{status}]",
-    }
+        out["snapshots"].append(name)
+    return out
 
 
 def _path_specs(cfg: ExperimentConfig) -> list:
@@ -553,23 +539,45 @@ def _path_specs(cfg: ExperimentConfig) -> list:
             for i in range(cfg.n_paths)]
 
 
+def _run_paths(cfg: ExperimentConfig, snapshot_every: int,
+               outdir: str | None) -> list:
+    """Every path of a stepping mode through _simulate_path_task, on a
+    process pool of min(workers, n_paths) workers when that is more than
+    one; returns the task results in path order."""
+    at_once = min(cfg.workers, cfg.n_paths)
+    lanes = max(1, _usable_cpus() // at_once)   # the CPUs left to each path
+    payloads = [(cfg.solver, spec, cfg.ctx, snapshot_every, outdir, i, lanes)
+                for i, spec in enumerate(_path_specs(cfg))]
+    if at_once == 1:
+        return [_simulate_path_task(p) for p in payloads]
+    # imported here: one worker never needs it, and it slows start-up
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=at_once) as pool:
+        return list(pool.map(_simulate_path_task, payloads))
+
+
+def _path_summary(r: dict, nu: float) -> str:
+    """The report.txt line of one simulate path, after its index."""
+    led = r["ledger"]
+    if led is None:                     # crashed
+        return r["status"]
+    if led.n:
+        summary = (f"t = {led.series('t')[-1]:g}  "
+                   f"|v|_H = {math.sqrt(led.series('v_h2')[-1]):.6g}  "
+                   f"sup|v|_H^2 = {led.sup('v_h2'):.6g}  "
+                   f"int|v|_V^2 = {led.integral('v_v2'):.6g}  "
+                   f"energy residual = {energy_residual(led, nu):.3e}")
+    else:                               # the t = 0 row already failed
+        summary = "no ledger row"
+    return f"{summary}  [{r['status']}]"
+
+
 def _mode_simulate(cfg: ExperimentConfig) -> int:
     scfg, ctx = cfg.solver, cfg.ctx
-    # the CPUs left to each of the min(workers, n_paths) paths that run at
-    # once (one at a time without the process pool)
-    lanes = max(1, _usable_cpus() // min(cfg.workers, cfg.n_paths))
-    payloads = [(scfg, spec, ctx, cfg.snapshot_every, cfg.output_dir, i, lanes)
-                for i, spec in enumerate(_path_specs(cfg))]
-    if cfg.workers == 1 or cfg.n_paths == 1:
-        results = [_simulate_path_task(p) for p in payloads]
-    else:
-        # imported here: one worker never needs it, and it slows start-up
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(_simulate_path_task, payloads))
+    results = _run_paths(cfg, cfg.snapshot_every, cfg.output_dir)
 
     diag = [DIAGNOSTICS_HEADER]
-    for r in results:                   # map preserves submission order
+    for r in results:
         diag.extend(r["lines"])
     _write_lines(os.path.join(cfg.output_dir, "diagnostics.csv"), diag)
 
@@ -577,7 +585,7 @@ def _mode_simulate(cfg: ExperimentConfig) -> int:
              f"t_end: {scfg.t_end:g}", _grid_line(ctx)]
     failures = sorted({r["failure"].lower() for r in results if r["failure"]})
     for r in results:
-        lines.append(f"path {r['index']:4d}: {r['summary']}")
+        lines.append(f"path {r['index']:4d}: {_path_summary(r, ctx.nu)}")
         lines.append(f"  snapshots: {', '.join(r['snapshots']) or 'none'}")
     lines.append("result: " + (f"FAIL ({', '.join(failures)})"
                                if failures else "PASS"))
@@ -745,7 +753,7 @@ def _mode_verify_ou(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _mode_verify_energy(cfg: ExperimentConfig) -> int:
-    scfg, ctx = cfg.solver, cfg.ctx
+    ctx = cfg.ctx
 
     # empirical constant for the convective estimates, measured on fields
     # of the same truncation
@@ -760,15 +768,13 @@ def _mode_verify_energy(cfg: ExperimentConfig) -> int:
     lines = [f"paths: {cfg.n_paths}  c_emp: {c_emp:.6g}", _grid_line(ctx)]
     observed_of = {"K1": "int_v2_V", "K2": "sup_v_h2",
                    "K3": "sup_v_v2", "K4": "int_av2"}
-    for i, spec in enumerate(_path_specs(cfg)):
-        tag = f"path{i}"
-        try:
-            res = run(scfg, spec, ctx=ctx, lanes=_usable_cpus())
-        except StepFailure as err:
-            lines.append(f"{tag}: {err.status} at t = {err.t:g}")
+    for r in _run_paths(cfg, snapshot_every=0, outdir=None):
+        tag = f"path{r['index']}"
+        if r["failure"]:
+            lines.append(f"{tag}: {r['status']}")
             oks.append(False)
             continue
-        rep = gronwall_bound_report(res.ledger, ctx.nu, c_emp=c_emp)
+        rep = gronwall_bound_report(r["ledger"], ctx.nu, c_emp=c_emp)
         for name, obs_key in observed_of.items():
             obs = rep["observed"][obs_key]
             bound = rep[name]
@@ -776,7 +782,7 @@ def _mode_verify_energy(cfg: ExperimentConfig) -> int:
                                                    else math.inf)
             rows.append((f"{name}_{obs_key}", obs, bound, ratio, tag))
             oks.append(rep["satisfied"][name])
-        resid = energy_residual(res.ledger, ctx.nu)
+        resid = energy_residual(r["ledger"], ctx.nu)
         scale = max(rep["observed"]["sup_v_h2"], 1.0)
         rows.append(("energy_residual", abs(resid), 0.0,
                      abs(resid) / scale, tag))

@@ -292,22 +292,29 @@ def test_criterion_10_worker_count_determinism(tmp_path):
         [initial]
         v0 = random:decay=2.5,norm=1.0,seed=3
     """)
-    outputs = []
-    for workers in (1, 3):
-        cfg_path = tmp_path / f"w{workers}.ini"
-        cfg_path.write_text(base.format(workers=workers))
-        out = str(tmp_path / f"out{workers}")
-        code = cli_main(["simulate", "--config", str(cfg_path),
-                         "--output", out])
-        assert code == 0
-        outputs.append(out)
-    names = sorted(os.listdir(outputs[0]))
-    identical = names == sorted(os.listdir(outputs[1])) and all(
-        Path(outputs[0], n).read_bytes()
-        == Path(outputs[1], n).read_bytes()
-        for n in names)
+    # both stepping modes run their paths on the same pool
+    found = {}
+    for mode in ("simulate", "verify-energy"):
+        outputs = []
+        for workers in (1, 3):
+            cfg_path = tmp_path / f"w{workers}.ini"
+            cfg_path.write_text(base.format(workers=workers))
+            out = str(tmp_path / f"{mode}{workers}")
+            code = cli_main([mode, "--config", str(cfg_path),
+                             "--output", out])
+            assert code == 0
+            outputs.append(out)
+        names = sorted(os.listdir(outputs[0]))
+        identical = names == sorted(os.listdir(outputs[1])) and all(
+            Path(outputs[0], n).read_bytes()
+            == Path(outputs[1], n).read_bytes()
+            for n in names)
+        found[mode] = (len(names), identical)
     elapsed = time.time() - t0
-    ok = identical and len(names) > 2
+    ok = (found["simulate"][0] > 2 and found["verify-energy"][0] == 2
+          and all(identical for _, identical in found.values()))
     report(10, ok,
-           f"4-path ensemble, 1 vs 3 workers: {len(names)} artifacts "
-           f"byte-identical: {identical}; {elapsed:.1f}s")
+           "4-path ensemble, 1 vs 3 workers: "
+           + "; ".join(f"{mode} {n} artifacts byte-identical: {identical}"
+                       for mode, (n, identical) in found.items())
+           + f"; {elapsed:.1f}s")

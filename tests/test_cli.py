@@ -235,10 +235,12 @@ def test_snapshot_round_trip_bitwise(tmp_path, lmax, spectrum, t, seed):
     v = rng.standard_normal(nm) + 1j * rng.standard_normal(nm)
     z = rng.standard_normal(nm) + 1j * rng.standard_normal(nm)
     v[0] = z[0] = 0.0
+    v[1] = complex(-0.0, -0.0)          # signed zeros survive too
     path = str(tmp_path / "state.bin")
     write_snapshot(path, lmax, spectrum, t, v, z)
     back = read_snapshot(path)
-    assert np.array_equal(back["v"], v) and np.array_equal(back["z"], z)
+    assert back["v"].tobytes() == v.tobytes()
+    assert back["z"].tobytes() == z.tobytes()
     assert back["t"] == t
     assert back["lmax"] == lmax and back["spectrum"] == spectrum
     # fixed layout: magic + u32 version + u32 lmax + u8 flag + f64 time,
@@ -270,6 +272,16 @@ def test_snapshot_rejects_corruption(tmp_path):
     wrong_amp = str(tmp_path / "coeff_shape.bin")
     with pytest.raises(ValueError, match="shape"):
         write_snapshot(wrong_amp, lmax, "paper", 0.0, c[:-1], c)
+
+
+def test_a_rejected_snapshot_leaves_no_file(tmp_path):
+    # a bad z block is found before the header and the v block are written
+    lmax = 12
+    c = np.zeros(n_modes(lmax), dtype=np.complex128)
+    path = tmp_path / "state.bin"
+    with pytest.raises(ValueError, match="shape"):
+        write_snapshot(str(path), lmax, "paper", 0.0, c, c[:-1])
+    assert not path.exists()
 
 
 def test_path_seed_derivation_is_stable_and_distinct():
@@ -923,6 +935,52 @@ def test_a_crashed_path_keeps_the_other_paths_artifacts(tmp_path,
     rows = (clean / "diagnostics.csv").read_text().splitlines()
     assert (out / "diagnostics.csv").read_text().splitlines() == (
         rows[:5] + rows[9:])
+
+
+def test_verify_energy_keeps_the_rows_of_the_paths_that_did_not_crash(
+        tmp_path, monkeypatch):
+    path = write_cfg(tmp_path, CRASH_CFG)
+    clean = tmp_path / "clean"
+    assert main(["verify-energy", "--config", path,
+                 "--output", str(clean)]) == 0
+    crashing_seed = path_seed(6, 1)
+
+    def crashing_run(cfg, spec, **kwargs):
+        if spec.seed == crashing_seed:
+            raise RuntimeError("lane failed\nin path 1")
+        return run(cfg, spec, **kwargs)
+
+    monkeypatch.setattr(cli, "run", crashing_run)
+    out = tmp_path / "out"
+    assert main(["verify-energy", "--config", path,
+                 "--output", str(out)]) == 1
+    assert sorted(os.listdir(out)) == ["checks.csv", "report.txt"]
+    report = (out / "report.txt").read_text().splitlines()
+    assert "path1: CRASHED (RuntimeError: lane failed in path 1)" in report
+    assert report[-1] == "result: FAIL"
+    rows = (clean / "checks.csv").read_text().splitlines()
+    kept = [row for row in rows if not row.endswith(",path1")]
+    assert len(kept) == len(rows) - 5       # K1..K4 and the residual
+    assert (out / "checks.csv").read_text().splitlines() == kept
+
+
+def test_the_pool_holds_no_more_workers_than_paths(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    path = write_cfg(tmp_path, CRASH_CFG.replace(
+        "n_paths = 3", "n_paths = 2\n    workers = 3"))
+    for mode in ("simulate", "verify-energy"):
+        assert main([mode, "--config", path,
+                     "--output", str(tmp_path / mode)]) == 0
+    assert sizes == [2, 2]
 
 
 @pytest.mark.filterwarnings("error")
