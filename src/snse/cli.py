@@ -213,13 +213,16 @@ def _read_file(path: str) -> tuple[dict, dict]:
     values: dict = {}
     lines: dict = {}
     section = None
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.readlines()
+    with open(path, "rb") as fh:
+        raw_lines = fh.read().splitlines()   # at \n, \r\n and \r, as text mode
     for lineno, raw in enumerate(raw_lines, start=1):
-        text = raw.strip()
+        where = f"{path}:{lineno}"
+        try:
+            text = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as err:
+            raise ConfigError(f"{where}: not UTF-8 ({err.reason})") from None
         if not text or text.startswith("#") or text.startswith(";"):
             continue
-        where = f"{path}:{lineno}"
         if text.startswith("["):
             if not text.endswith("]"):
                 raise ConfigError(f"{where}: malformed section header {text!r}")
@@ -542,10 +545,11 @@ def _path_specs(cfg: ExperimentConfig) -> list:
 def _run_paths(cfg: ExperimentConfig, snapshot_every: int,
                outdir: str | None) -> list:
     """Every path of a stepping mode through _simulate_path_task, on a
-    process pool of min(workers, n_paths) workers when that is more than
-    one; returns the task results in path order."""
-    at_once = min(cfg.workers, cfg.n_paths)
-    lanes = max(1, _usable_cpus() // at_once)   # the CPUs left to each path
+    process pool of min(workers, n_paths, usable CPUs) workers when that is
+    more than one; returns the task results in path order."""
+    cpus = _usable_cpus()
+    at_once = min(cfg.workers, cfg.n_paths, cpus)
+    lanes = cpus // at_once                     # the CPUs left to each path
     payloads = [(cfg.solver, spec, cfg.ctx, snapshot_every, outdir, i, lanes)
                 for i, spec in enumerate(_path_specs(cfg))]
     if at_once == 1:

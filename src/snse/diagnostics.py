@@ -244,7 +244,7 @@ def b_form_constants(samples: list, ctx: OperatorContext) -> dict:
     for i in range(n):
         v, z = samples[i], samples[(i + 1) % n]
         nv_, nz_ = norms(v, ctx), norms(z, ctx)
-        av = stokes_apply(v, 1.0, ctx)
+        av = stokes_apply(v, ctx)
         da32 = nv_["DA"] ** 1.5
         forms = {"vvA": ((v, v, av), math.sqrt(nv_["H"]) * nv_["V"] * da32),
                  "vzA": ((v, z, av), math.sqrt(nv_["H"] * nv_["V"] * nz_["V"]) * da32),

@@ -36,7 +36,6 @@ __all__ = [
     "gauss_legendre_grid",
     "min_grid",
     "smooth_length",
-    "eval_ylm",
     "scalar_analysis",
     "scalar_synthesis",
     "vector_synthesis",
@@ -295,25 +294,6 @@ def _flat(C: np.ndarray, lmax: int) -> np.ndarray:
     return C.reshape(-1)[_layout(lmax)[0]]
 
 
-def eval_ylm(l: int, m: int, theta, phi) -> complex | np.ndarray:
-    """Orthonormal spherical harmonic Y_{l,m}(theta, phi), any |m| <= l.
-
-    Condon-Shortley phase included; Y_{l,-m} = (-1)^m conj(Y_{l,m}).
-    """
-    if abs(m) > l:
-        raise ValueError(f"|m|={abs(m)} exceeds l={l}")
-    theta = np.asarray(theta, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    ma = abs(m)
-    P = _legendre_P(l, np.cos(theta), np.sin(theta))
-    val = P[ma, ..., l] * np.exp(1j * ma * phi)
-    if m < 0:
-        val = (-1) ** ma * np.conj(val)
-    if val.ndim == 0:
-        return complex(val)
-    return val
-
-
 # ---------------------------------------------------------------------------
 # Longitude FFT conventions
 # ---------------------------------------------------------------------------
@@ -486,7 +466,7 @@ def norm_h(a: SpectralField) -> float:
 # ---------------------------------------------------------------------------
 
 
-def unit_stream_mode(lmax: int, l: int, m: int = 0, phase: complex = 1.0) -> SpectralField:
+def unit_stream_mode(lmax: int, l: int, m: int = 0) -> SpectralField:
     """Real single-harmonic velocity field with |u|_H = 1.
 
     For m = 0 the coefficient is lam^{-1/2}; for m > 0 the real field uses
@@ -498,7 +478,7 @@ def unit_stream_mode(lmax: int, l: int, m: int = 0, phase: complex = 1.0) -> Spe
     c = np.zeros(n_modes(lmax), dtype=np.complex128)
     lam = l * (l + 1.0)
     amp = lam ** -0.5 if m == 0 else lam ** -0.5 / math.sqrt(2.0)
-    c[mode_index(l, m)] = amp * (phase / abs(phase))
+    c[mode_index(l, m)] = amp
     return SpectralField(lmax, c, "stream")
 
 

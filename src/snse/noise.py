@@ -162,7 +162,6 @@ class LevyIncrementBlock:
     an array dX, and dL has the same leading shape.
     """
 
-    dt: float
     dX: float | np.ndarray
     dL: np.ndarray
 
@@ -228,7 +227,7 @@ def levy_increment_block(spec: NoiseSpec, dt: float, rng: np.random.Generator,
     X = _positive_stable_batch(spec.beta / 2.0, dt, rng, size)
     dX = float(X) if X.ndim == 0 else X
     dL = _gaussian_mode_increments(rng, dX, lmax)
-    return LevyIncrementBlock(dt=float(dt), dX=dX, dL=dL)
+    return LevyIncrementBlock(dX=dX, dL=dL)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from .harmonics import (
     scalar_analysis,
     scalar_synthesis,
     smooth_length,
-    vector_analysis,
     vector_synthesis,
 )
 
@@ -119,39 +118,15 @@ class OperatorContext:
         return lam if self.spectrum == "paper" else np.where(l >= 1, lam - 2.0, 0.0)
 
 
-def stokes_apply(u: SpectralField, s: float, ctx: OperatorContext | None = None) -> SpectralField:
-    """Fractional dissipative operator: multiply mode (l,m) by lam_l**s.
-
-    Without a context, lam_l = l(l+1).  Zero eigenvalues with s < 0 are
-    accepted only on zero coefficients.
-    """
-    lam = ctx.lam_stokes if ctx is not None else basis_eigenvalues(u.lmax)
-    if s == 0:
-        return SpectralField(u.lmax, u.coeffs.copy(), u.kind)
-    nz = lam > 0
-    if s < 0 and np.any(~nz & (u.coeffs != 0)):
-        raise ValueError("negative power of a zero eigenvalue on a nonzero mode")
-    out = np.zeros_like(u.coeffs)
-    out[nz] = u.coeffs[nz] * lam[nz] ** s
-    return SpectralField(u.lmax, out, u.kind)
+def stokes_apply(u: SpectralField, ctx: OperatorContext) -> SpectralField:
+    """Dissipative operator A: multiply mode (l,m) by the context's lam_l."""
+    return SpectralField(u.lmax, u.coeffs * ctx.lam_stokes, u.kind)
 
 
-def coriolis_apply(u: SpectralField, ctx: OperatorContext, path: str = "spectral") -> SpectralField:
-    """Projected rotation term on stream coefficients.
-
-    path="spectral": diagonal multiplier i * (-2 Omega m / (l(l+1))).
-    path="grid": synthesize, form 2 Omega cos(theta) (xhat x u) pointwise,
-    project back (Leray) — the oracle route the diagonal was matched to.
-    """
-    if path == "spectral":
-        return SpectralField(u.lmax, u.coeffs * (1j * ctx.coriolis_diag), u.kind)
-    if path == "grid":
-        g = ctx.grid
-        w = vector_synthesis(u, g).values
-        # xhat x w: (w_theta, w_phi) -> (-w_phi, w_theta)
-        rot = np.stack([-w[1], w[0]]) * (2.0 * ctx.omega * g.mu)[None, :, None]
-        return vector_analysis(GridField(g, rot), u.lmax)
-    raise ValueError(f"unknown path {path!r}")
+def coriolis_apply(u: SpectralField, ctx: OperatorContext) -> SpectralField:
+    """Projected rotation term on stream coefficients: the diagonal
+    multiplier i * (-2 Omega m / (l(l+1)))."""
+    return SpectralField(u.lmax, u.coeffs * (1j * ctx.coriolis_diag), u.kind)
 
 
 def curl_scalar(u: SpectralField) -> SpectralField:

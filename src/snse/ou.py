@@ -47,7 +47,6 @@ from .harmonics import (ParameterError, SpectralField, basis_eigenvalues,
 from .noise import (
     PURPOSE_MC,
     PURPOSE_SUBSTEP,
-    LevyIncrementBlock,
     NoiseSpec,
     _positive_stable_batch,
     _tail_sum,
@@ -62,7 +61,6 @@ __all__ = [
     "make_ou_state",
     "decay_rates",
     "ou_step",
-    "ou_endpoint_ensemble",
     "zlp_constant",
     "zlp_bound",
     "ou_moment_check",
@@ -89,17 +87,12 @@ def decay_rates(ctx: OperatorContext) -> np.ndarray:
     return ctx.nu * ctx.lam_stokes + ctx.alpha + 1j * ctx.coriolis_diag
 
 
-def make_ou_state(ctx: OperatorContext, *,
-                  z0: SpectralField | None = None) -> OUState:
+def make_ou_state(ctx: OperatorContext) -> OUState:
     kappa = decay_rates(ctx)
     if np.any(kappa[1:].real <= 0.0):
         raise ParameterError("alpha", "every mode must decay: Re kappa > 0 on "
                              f"l >= 1 (spectrum = {ctx.spectrum} needs alpha > 0)")
-    if z0 is None:
-        z0 = zero_field(ctx.lmax, "stream")
-    if z0.kind != "stream" or z0.lmax != ctx.lmax:
-        raise ValueError("z0 must be a stream field on the context band limit")
-    return OUState(z=z0.copy(), kappa=kappa)
+    return OUState(z=zero_field(ctx.lmax, "stream"), kappa=kappa)
 
 
 def _mode_gain(spec: NoiseSpec, lmax: int) -> np.ndarray:
@@ -112,33 +105,22 @@ def _mode_gain(spec: NoiseSpec, lmax: int) -> np.ndarray:
     return g
 
 
-def ou_step(state: OUState, dt: float, spec: NoiseSpec, *,
-            blocks: list[LevyIncrementBlock] | None = None) -> OUState:
+def ou_step(state: OUState, dt: float, spec: NoiseSpec) -> OUState:
     """Advance the convolution by dt using spec.n_substeps noise substeps.
 
     Noise is drawn from counter-based streams keyed by the absolute substep
-    index unless a pre-drawn block list is supplied.  Passing blocks allows
-    coupled-refinement studies: the same noise at two substep resolutions.
+    index.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = spec.n_substeps
     delta = dt / n
-    if blocks is not None:
-        if len(blocks) != n:
-            raise ValueError("need exactly n_substeps blocks")
-        for blk in blocks:
-            if abs(blk.dt - delta) > 1e-9 * delta:
-                raise ValueError("block duration does not match the substep")
     g = _mode_gain(spec, state.z.lmax)
     decay = np.exp(-state.kappa * delta)
     y = state.z.coeffs.copy()
     for j in range(n):
-        if blocks is not None:
-            blk = blocks[j]
-        else:
-            gen = substream(spec.seed, PURPOSE_SUBSTEP, state.substep_index + j)
-            blk = levy_increment_block(spec, delta, gen, lmax=state.z.lmax)
+        gen = substream(spec.seed, PURPOSE_SUBSTEP, state.substep_index + j)
+        blk = levy_increment_block(spec, delta, gen, lmax=state.z.lmax)
         y = decay * (y + g * blk.dL)
     return OUState(z=SpectralField(state.z.lmax, y, "stream"),
                    kappa=state.kappa, substep_index=state.substep_index + n)
@@ -147,30 +129,6 @@ def ou_step(state: OUState, dt: float, spec: NoiseSpec, *,
 # ---------------------------------------------------------------------------
 # Monte-Carlo ensembles
 # ---------------------------------------------------------------------------
-
-
-def ou_endpoint_ensemble(spec: NoiseSpec, ctx: OperatorContext, t: float,
-                         n_paths: int, *, n_substeps: int | None = None,
-                         rng: np.random.Generator | None = None) -> np.ndarray:
-    """Direct batched simulation of n_paths independent copies of z starting
-    from 0; returns stream coefficients of shape (n_paths, n_modes).
-
-    Rotation-free (the moment theory ignores the skew part, which cannot
-    change coefficient magnitudes).
-    """
-    n = int(n_substeps) if n_substeps is not None else spec.n_substeps
-    if t <= 0 or n < 1:
-        raise ValueError("need t > 0 and n_substeps >= 1")
-    delta = t / n
-    kappa = make_ou_state(ctx).kappa.real
-    g = _mode_gain(spec, ctx.lmax)
-    decay = np.exp(-kappa * delta)
-    y = np.zeros((n_paths, n_modes(ctx.lmax)), dtype=np.complex128)
-    for j in range(n):
-        gen = rng if rng is not None else substream(spec.seed, PURPOSE_MC, 0, j)
-        dL = levy_increment_block(spec, delta, gen, n_paths, lmax=ctx.lmax).dL
-        y = decay * (y + g * dL)
-    return y
 
 
 _CLOCK_BLOCK = 16   # substeps per product in _discounted_clock_sum

@@ -1,0 +1,58 @@
+"""Independent routes the tests compare the package against.  No mode runs
+them: pointwise harmonics, the rotation term formed on the grid, and a
+batched OU recursion over the package's own increment draw."""
+
+import numpy as np
+
+from snse import harmonics as sh
+from snse import ou
+from snse.noise import PURPOSE_MC, levy_increment_block, substream
+
+
+def eval_ylm(l, m, theta, phi):
+    """Orthonormal spherical harmonic Y_{l,m}(theta, phi), any |m| <= l,
+    from the package's Legendre recurrence at arbitrary points.
+
+    Condon-Shortley phase included; Y_{l,-m} = (-1)^m conj(Y_{l,m}).
+    """
+    if abs(m) > l:
+        raise ValueError(f"|m|={abs(m)} exceeds l={l}")
+    theta = np.asarray(theta, dtype=np.float64)
+    phi = np.asarray(phi, dtype=np.float64)
+    ma = abs(m)
+    P = sh._legendre_P(l, np.cos(theta), np.sin(theta))
+    val = P[ma, ..., l] * np.exp(1j * ma * phi)
+    if m < 0:
+        val = (-1) ** ma * np.conj(val)
+    return complex(val) if val.ndim == 0 else val
+
+
+def coriolis_grid(u, ctx):
+    """Projected rotation term by the grid route: synthesize u, form
+    2 Omega cos(theta) (xhat x u) pointwise, project back (Leray)."""
+    g = ctx.grid
+    w = sh.vector_synthesis(u, g).values
+    # xhat x w: (w_theta, w_phi) -> (-w_phi, w_theta)
+    rot = np.stack([-w[1], w[0]]) * (2.0 * ctx.omega * g.mu)[None, :, None]
+    return sh.vector_analysis(sh.GridField(g, rot), u.lmax)
+
+
+def ou_endpoint_ensemble(spec, ctx, t, n_paths, *, n_substeps=None, rng=None):
+    """Direct batched simulation of n_paths independent copies of z starting
+    from 0; returns stream coefficients of shape (n_paths, n_modes).
+
+    Rotation-free (the moment theory ignores the skew part, which cannot
+    change coefficient magnitudes).
+    """
+    n = int(n_substeps) if n_substeps is not None else spec.n_substeps
+    if t <= 0 or n < 1:
+        raise ValueError("need t > 0 and n_substeps >= 1")
+    delta = t / n
+    g = ou._mode_gain(spec, ctx.lmax)
+    decay = np.exp(-ou.make_ou_state(ctx).kappa.real * delta)
+    y = np.zeros((n_paths, sh.n_modes(ctx.lmax)), dtype=np.complex128)
+    for j in range(n):
+        gen = rng if rng is not None else substream(spec.seed, PURPOSE_MC, 0, j)
+        dL = levy_increment_block(spec, delta, gen, n_paths, lmax=ctx.lmax).dL
+        y = decay * (y + g * dL)
+    return y

@@ -54,7 +54,7 @@ def test_criterion_01_trilinear_and_coriolis_identities():
         cu = coriolis_apply(v, ctx)
         worst_cu = max(worst_cu, abs(inner_h(cu, v))
                        / (2.0 * ctx.omega * nv["H"] ** 2))
-        worst_cau = max(worst_cau, abs(inner_h(cu, stokes_apply(v, 1.0, ctx)))
+        worst_cau = max(worst_cau, abs(inner_h(cu, stokes_apply(v, ctx)))
                         / (2.0 * ctx.omega * nv["V"] ** 2))
         worst_poin = max(worst_poin, 2.0 * nv["H"] ** 2 / nv["V"] ** 2)
     elapsed = time.time() - t0
@@ -76,7 +76,7 @@ def test_criterion_02_basis_eigenpairs_and_round_trips():
     for l in range(1, lmax + 1):
         for m in range(0, l + 1):
             zmode = unit_stream_mode(lmax, l, m)
-            au = stokes_apply(zmode, 1.0, ctx)
+            au = stokes_apply(zmode, ctx)
             worst_eig = max(worst_eig, float(np.max(np.abs(
                 au.coeffs - l * (l + 1.0) * zmode.coeffs))))
             worst_norm = max(worst_norm, abs(norm_h(zmode) - 1.0))

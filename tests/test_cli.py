@@ -563,6 +563,18 @@ def test_config_errors_cite_the_offending_line(tmp_path, capsys):
         assert loc in err and expect in err, (text, err)
 
 
+def test_a_config_line_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    text = textwrap.dedent(MINIMAL)
+    for sep in ("\n", "\r\n", "\r"):            # line ends of text mode
+        path = tmp_path / "latin1.ini"
+        path.write_bytes((text + "# café\n").replace("\n", sep).encode("latin-1"))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:6: not UTF-8" in err, err
+    path.write_text(text + "# café\n", encoding="utf-8")
+    assert parse_config(str(path), mode="simulate").solver.n_steps == 3
+
+
 def test_negative_seed_is_a_config_error(tmp_path, capsys):
     for mode in ("simulate", "verify-operators", "verify-noise", "verify-ou",
                  "verify-energy"):
@@ -981,6 +993,35 @@ def test_the_pool_holds_no_more_workers_than_paths(tmp_path, monkeypatch):
         assert main([mode, "--config", path,
                      "--output", str(tmp_path / mode)]) == 0
     assert sizes == [2, 2]
+
+
+def test_the_pool_holds_no_more_workers_than_usable_cpus(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class Recording:
+        """Records the pool size and maps serially: starts no process."""
+
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    path = write_cfg(tmp_path, CRASH_CFG.replace(
+        "n_paths = 3", "n_paths = 64\n    workers = 64"))
+    assert main(["simulate", "--config", path,
+                 "--output", str(tmp_path / "out")]) == 0
+    assert sizes == [2]
 
 
 @pytest.mark.filterwarnings("error")

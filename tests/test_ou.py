@@ -17,6 +17,8 @@ from snse.harmonics import (SpectralField, _mode_weights, basis_eigenvalues,
                             norm_h, unit_stream_mode)
 from snse.operators import OperatorContext
 
+from oracles import ou_endpoint_ensemble
+
 
 CTX1 = OperatorContext(lmax=1)
 CTX4 = OperatorContext(lmax=4, nu=1.0, omega=0.0)
@@ -57,7 +59,7 @@ def sup_norm_growth(spec, lmax, delta, p, T_list, n_paths, *, n_time=64):
 
 def test_sigma_zero_exact_decay():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", seed=3, n_substeps=4)
-    st = ou.make_ou_state(CTX4, z0=unit_stream_mode(4, 1, 0))
+    st = replace(ou.make_ou_state(CTX4), z=unit_stream_mode(4, 1, 0))
     out = ou.ou_step(st, 0.7, spec)
     assert out.z.coeffs[1] == pytest.approx(math.exp(-2 * 0.7) * st.z.coeffs[1], rel=1e-14)
     assert out.substep_index == 4
@@ -71,7 +73,7 @@ def test_sigma_zero_norm_ignores_rotation():
     norms = []
     for om in (0.0, 5.0):
         ctx = OperatorContext(lmax=4, nu=1.0, omega=om, alpha=0.3)
-        st = ou.make_ou_state(ctx, z0=SpectralField(4, c.copy(), "stream"))
+        st = replace(ou.make_ou_state(ctx), z=SpectralField(4, c.copy(), "stream"))
         norms.append(norm_h(ou.ou_step(st, 0.5, spec).z))
     assert norms[0] == pytest.approx(norms[1], rel=1e-13)
 
@@ -84,8 +86,6 @@ def test_make_state_validation():
     with pytest.raises(ValueError):
         ou.make_ou_state(shifted)
     ou.make_ou_state(replace(shifted, alpha=0.5))  # fine with alpha > 0
-    with pytest.raises(ValueError):
-        ou.make_ou_state(CTX4, z0=unit_stream_mode(5, 1, 0))
 
 
 def test_step_validation():
@@ -93,13 +93,6 @@ def test_step_validation():
     st = ou.make_ou_state(CTX4)
     with pytest.raises(ValueError):
         ou.ou_step(st, 0.0, spec)
-    good = [nz.levy_increment_block(spec, 0.25, nz.substream(0, 0), lmax=4)
-            for _ in range(2)]
-    ou.ou_step(st, 0.5, spec, blocks=good)
-    with pytest.raises(ValueError):
-        ou.ou_step(st, 0.5, spec, blocks=good[:1])
-    with pytest.raises(ValueError):
-        ou.ou_step(st, 0.4, spec, blocks=good)  # dt mismatch against block duration
 
 
 def test_noise_linearity_exact_factor_two():
@@ -136,8 +129,8 @@ def test_zonal_coefficients_stay_real_under_rotation():
 def test_ito_isometry_direct_ensemble():
     # all three l=1 coordinates driven: E|z|^2 = 3 sigma^2 (1-e^{-2kt})/(2k)
     spec = nz.NoiseSpec(beta=2.0, sigma_rule="band:l<=1,value=1.0", seed=21)
-    Y = ou.ou_endpoint_ensemble(spec, CTX1, 1.0, 10**4, n_substeps=400,
-                                rng=nz.substream(5, 0))
+    Y = ou_endpoint_ensemble(spec, CTX1, 1.0, 10**4, n_substeps=400,
+                             rng=nz.substream(5, 0))
     got = float(np.mean(h_norm2_batch(Y, 1)))
     exact = 3.0 * (1.0 - math.exp(-4.0)) / 4.0
     assert abs(got - exact) / exact < 0.03
@@ -146,8 +139,8 @@ def test_ito_isometry_direct_ensemble():
 def test_endpoint_ensemble_is_the_written_out_recursion():
     # one generator feeds every substep: clock, then Gaussians, per substep
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0", seed=6)
-    Y = ou.ou_endpoint_ensemble(spec, OperatorContext(3, nu=0.8, alpha=0.4),
-                                0.5, 7, n_substeps=5, rng=nz.substream(6, 0))
+    Y = ou_endpoint_ensemble(spec, OperatorContext(3, nu=0.8, alpha=0.4),
+                             0.5, 7, n_substeps=5, rng=nz.substream(6, 0))
     rng, delta = nz.substream(6, 0), 0.5 / 5
     decay = np.exp(-(0.8 * basis_eigenvalues(3) + 0.4) * delta)
     y = np.zeros((7, 10), dtype=np.complex128)
@@ -159,14 +152,14 @@ def test_endpoint_ensemble_is_the_written_out_recursion():
 
 def test_endpoint_ensemble_draws_on_the_context_band_limit():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=8,value=0.5", seed=3)
-    Y = ou.ou_endpoint_ensemble(spec, CTX8, 0.5, 6, n_substeps=2)
+    Y = ou_endpoint_ensemble(spec, CTX8, 0.5, 6, n_substeps=2)
     assert Y.shape == (6, 45) and np.all(Y[:, 1:] != 0.0)
 
 
 def test_endpoint_ensemble_validation():
     spec = nz.NoiseSpec(beta=2.0, sigma_rule="zero")
     with pytest.raises(ValueError):
-        ou.ou_endpoint_ensemble(spec, CTX1, 0.0, 10)
+        ou_endpoint_ensemble(spec, CTX1, 0.0, 10)
 
 
 def test_conditional_engine_matches_stable_closed_form():
@@ -443,11 +436,11 @@ def _coarsen(blocks):
     out = []
     for i in range(0, len(blocks), 2):
         a, b = blocks[i], blocks[i + 1]
-        out.append(nz.LevyIncrementBlock(dt=a.dt + b.dt, dX=a.dX + b.dX, dL=a.dL + b.dL))
+        out.append(nz.LevyIncrementBlock(dX=a.dX + b.dX, dL=a.dL + b.dL))
     return out
 
 
-def test_substep_refinement_first_order_on_coupled_noise():
+def test_substep_refinement_first_order_on_coupled_noise(monkeypatch):
     ctx = OperatorContext(lmax=3, nu=1.0, omega=0.0, alpha=0.3)
     z0 = unit_stream_mode(3, 1, 0)
     tpl = dict(beta=1.5, sigma_rule="power:gamma=1.5", seed=5)
@@ -458,9 +451,15 @@ def test_substep_refinement_first_order_on_coupled_noise():
               for _ in range(fine_n)]
 
     def endpoint(nsub, blocks):
+        # ou_step draws its substeps in order: feed it the coupled blocks
+        feed = iter(blocks)
+        monkeypatch.setattr(ou, "levy_increment_block",
+                            lambda spec, dt, gen, *, lmax: next(feed))
         spec = nz.NoiseSpec(n_substeps=nsub, **tpl)
-        st = ou.make_ou_state(ctx, z0=z0)
-        return ou.ou_step(st, 1.0, spec, blocks=blocks).z.coeffs
+        st = replace(ou.make_ou_state(ctx), z=z0)
+        z = ou.ou_step(st, 1.0, spec).z.coeffs
+        assert next(feed, None) is None        # every block was used
+        return z
 
     ref = endpoint(fine_n, finest)
     levels, errs = [8, 16, 32, 64], []
@@ -477,8 +476,8 @@ def test_engine_and_stepper_agree_in_distribution():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="band:l<=2,value=0.7", seed=41)
     ctx = OperatorContext(lmax=2, alpha=0.5)
     direct = h_norm2_batch(
-        ou.ou_endpoint_ensemble(spec, ctx, 0.6, 4000, n_substeps=300,
-                                rng=nz.substream(8, 0)), 2)
+        ou_endpoint_ensemble(spec, ctx, 0.6, 4000, n_substeps=300,
+                             rng=nz.substream(8, 0)), 2)
     engine = ou._conditional_h_norm2_samples(spec, ctx, 0.6, 4000,
                                              max_kappa_dt=0.002,
                                              rng=nz.substream(8, 1))

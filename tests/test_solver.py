@@ -512,7 +512,7 @@ def _lane_case(lmax, scheme):
     rng = np.random.default_rng(8)
     cfg = SolverConfig(dt=0.01, t_end=0.05, scheme=scheme,
                        v0=random_stream_field(lmax, rng, decay=2.5, norm=1.0),
-                       f=unit_stream_mode(lmax, 3, 1, 0.1))
+                       f=unit_stream_mode(lmax, 3, 1))
     spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
                      seed=5, n_substeps=2)
     return cfg, spec, OperatorContext(lmax, nu=0.5, omega=2.0, alpha=0.1)
