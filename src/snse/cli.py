@@ -25,6 +25,7 @@ bytes regardless of worker or lane count.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import struct
@@ -41,9 +42,8 @@ from .noise import (NoiseSpec, PURPOSE_MC, PURPOSE_PATH, _positive_stable_batch,
                     check_moment_order, check_summability,
                     levy_increment_block, moment_scaling_estimate, substream)
 from .operators import OperatorContext
-from .ou import ou_moment_check, zlp_bound
-from .solver import (DIAGNOSTIC_COLUMNS, SolverConfig, StepFailure,
-                     _initial_ou, run)
+from .ou import make_ou_state, ou_moment_check, zlp_bound
+from .solver import DIAGNOSTIC_COLUMNS, SolverConfig, StepFailure, run
 
 __all__ = [
     "ConfigError",
@@ -57,8 +57,6 @@ __all__ = [
     "main",
 ]
 
-MODES = ("simulate", "verify-operators", "verify-noise", "verify-ou",
-         "verify-energy")
 _STEPPING_MODES = ("simulate", "verify-energy")
 
 DIAGNOSTICS_HEADER = ",".join(DIAGNOSTIC_COLUMNS)
@@ -67,15 +65,6 @@ SNAPSHOT_MAGIC = b"SNS2"
 SNAPSHOT_VERSION = 1
 _FLAG_OF_SPECTRUM = {"paper": 0, "ricci_shifted": 1}
 _SPECTRUM_OF_FLAG = {v: k for k, v in _FLAG_OF_SPECTRUM.items()}
-
-# sample counts when [run] n_paths is not set, per mode
-_DEFAULT_PATHS = {
-    "simulate": 1,
-    "verify-operators": 100,
-    "verify-noise": 100_000,
-    "verify-ou": 10_000,
-    "verify-energy": 1,
-}
 
 
 class ConfigError(ValueError):
@@ -86,7 +75,8 @@ class ConfigError(ValueError):
 # Config parsing
 # ---------------------------------------------------------------------------
 
-# section -> key -> type tag
+# section -> key -> type tag; every key name is unique across sections,
+# so a key name alone finds its value and line
 _SCHEMA = {
     "run": {"mode": "str", "output_dir": "str", "snapshot_every": "int",
             "n_paths": "int", "workers": "int"},
@@ -100,10 +90,6 @@ _SCHEMA = {
     "initial": {"v0": "str", "f": "str"},
     "verify": {"p": "float", "t": "str"},
 }
-
-# every key name is unique across sections
-_CONFIG_KEY = {key: (section, key)
-               for section, keys in _SCHEMA.items() for key in keys}
 # constructor parameter -> config key, where the names differ
 _KEY_OF_PARAM = {"sigma_rule": "sigma"}
 # the line an error cites when its own key is absent from the file: the
@@ -209,12 +195,14 @@ def _coerce(kind: str, raw: str):
 
 def _read_file(path: str) -> tuple[dict, dict]:
     """Strict line-by-line parse to (values, line numbers), both keyed
-    by (section, key).  Raises ConfigError on the first bad line."""
+    by key name.  A UTF-8 byte-order mark at the start is dropped.  Raises
+    ConfigError on the first bad line."""
     values: dict = {}
     lines: dict = {}
     section = None
     with open(path, "rb") as fh:
-        raw_lines = fh.read().splitlines()   # at \n, \r\n and \r, as text mode
+        # split at \n, \r\n and \r, as text mode
+        raw_lines = fh.read().removeprefix(b"\xef\xbb\xbf").splitlines()
     for lineno, raw in enumerate(raw_lines, start=1):
         where = f"{path}:{lineno}"
         try:
@@ -243,8 +231,8 @@ def _read_file(path: str) -> tuple[dict, dict]:
         if key not in _SCHEMA[section]:
             raise ConfigError(f"{where}: unknown key {key!r} in "
                               f"section [{section}]")
-        if (section, key) in values:
-            first = lines[(section, key)]
+        if key in values:
+            first = lines[key]
             raise ConfigError(f"{where}: duplicate key {key!r} "
                               f"(first set on line {first})")
         kind = _SCHEMA[section][key]
@@ -253,8 +241,8 @@ def _read_file(path: str) -> tuple[dict, dict]:
         except ValueError:
             raise ConfigError(f"{where}: value {raw_value!r} for {key!r} "
                               f"is not a valid {kind}") from None
-        values[(section, key)] = value
-        lines[(section, key)] = lineno
+        values[key] = value
+        lines[key] = lineno
     return values, lines
 
 
@@ -272,36 +260,32 @@ def parse_config(path: str, *, mode: str | None = None,
     """
     values, lines = _read_file(path)
     if seed is not None:                # an error in it cites no file line
-        values[("noise", "seed")] = seed
-        lines.pop(("noise", "seed"), None)
+        values["seed"] = seed
+        lines.pop("seed", None)
 
-    def get(section, key, default=None):
-        return values.get((section, key), default)
-
-    def given(section, *keys):
+    def given(*keys):
         """The keys set in the file; the owner's default stands for the rest."""
-        return {key: values[section, key] for key in keys
-                if (section, key) in values}
+        return {key: values[key] for key in keys if key in values}
 
     def fail(key, message):
         """Raise citing the key's line, or its stand-in's when absent."""
         for k in (key, _FALLBACK.get(key)):
-            if _CONFIG_KEY.get(k) in lines:
-                raise ConfigError(f"{path}:{lines[_CONFIG_KEY[k]]}: {message}")
+            if k in lines:
+                raise ConfigError(f"{path}:{lines[k]}: {message}")
         raise ConfigError(f"{path}: {message}")
 
-    mode = mode if mode is not None else get("run", "mode")
+    mode = mode if mode is not None else values.get("mode")
     if mode is None:
         raise ConfigError(f"{path}: no mode given (command line or [run] mode)")
-    if mode not in MODES:
-        fail("mode", f"unknown mode {mode!r} (expected one of {', '.join(MODES)})")
-    lmax = get("model", "lmax")
+    if mode not in _MODES:
+        fail("mode", f"unknown mode {mode!r} (expected one of {', '.join(_MODES)})")
+    lmax = values.get("lmax")
     if lmax is None:
         raise ConfigError(f"{path}: missing required key lmax in [model]")
-    n_lat, n_lon = get("model", "n_lat"), get("model", "n_lon")
-    dt, t_end = get("time", "dt"), get("time", "t_end")
-    sigma, p = get("noise", "sigma", "zero"), get("verify", "p", 1.0)
-    t_raw = get("verify", "t", "0.1,1,10")
+    n_lat, n_lon = values.get("n_lat"), values.get("n_lon")
+    dt, t_end = values.get("dt"), values.get("t_end")
+    sigma, p = values.get("sigma", "zero"), values.get("p", 1.0)
+    t_raw = values.get("t", "0.1,1,10")
     try:
         t_list = tuple(float(part) for part in t_raw.split(","))
     except ValueError:
@@ -318,24 +302,24 @@ def parse_config(path: str, *, mode: str | None = None,
         grid = (gauss_legendre_grid(n_lat, n_lon)
                 if None not in (n_lat, n_lon) else None)
         ctx = OperatorContext(lmax, grid=grid, **given(
-            "model", "nu", "omega", "dealias", "spectrum", "alpha"))
+            "nu", "omega", "dealias", "spectrum", "alpha"))
         if (n_lat is None) != (n_lon is None):
             fail("n_lat", "n_lat and n_lon must be given together")
-        spec = NoiseSpec(beta=get("noise", "beta", 2.0), sigma_rule=sigma,
-                         **given("noise", "delta", "seed", "n_substeps"))
+        spec = NoiseSpec(beta=values.get("beta", 2.0), sigma_rule=sigma,
+                         **given("delta", "seed", "n_substeps"))
         for key, value in (("dt", dt), ("t_end", t_end)):
             if mode in _STEPPING_MODES and value is None:
                 raise ConfigError(f"{path}: mode {mode} needs {key} in [time]")
         fields = {}
         for key in ("v0", "f"):
             try:
-                fields[key] = build_field(get("initial", key, "zero"), lmax)
+                fields[key] = build_field(values.get(key, "zero"), lmax)
             except ParameterError as err:
                 raise ParameterError(key, str(err)) from None
         solver = SolverConfig(dt=probe_dt, t_end=probe_t_end, **fields, **given(
-            "time", "scheme", "picard_tol", "picard_max_iter"))
+            "scheme", "picard_tol", "picard_max_iter"))
         if mode in _STEPPING_MODES + ("verify-ou",):
-            _initial_ou(ctx, spec)
+            make_ou_state(ctx, spec)
         check_moment_order(p, spec.beta)
     except ParameterError as err:
         fail(_KEY_OF_PARAM.get(err.param, err.param), str(err))
@@ -343,10 +327,10 @@ def parse_config(path: str, *, mode: str | None = None,
     cfg = ExperimentConfig(
         mode=mode,
         output_dir=(output_dir if output_dir is not None
-                    else get("run", "output_dir", ".")),
-        snapshot_every=get("run", "snapshot_every", 0),
-        n_paths=get("run", "n_paths", _DEFAULT_PATHS[mode]),
-        workers=get("run", "workers", 1),
+                    else values.get("output_dir", ".")),
+        snapshot_every=values.get("snapshot_every", 0),
+        n_paths=values.get("n_paths", _MODES[mode][1]),
+        workers=values.get("workers", 1),
         ctx=ctx, spec=spec,
         solver=solver if mode in _STEPPING_MODES else None,
         sigma=sigma, p=p, t_list=t_list)
@@ -371,6 +355,22 @@ def parse_config(path: str, *, mode: str | None = None,
 # Snapshot files
 # ---------------------------------------------------------------------------
 
+@contextlib.contextmanager
+def _replacing(path: str, mode: str, **kwargs):
+    """A file opened on a temporary name beside path that replaces path when
+    the block ends, so no artifact is ever half written; if the block
+    raises, the temporary file is removed and path is left as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_snapshot(path: str, lmax: int, spectrum: str, t: float,
                    v_coeffs: np.ndarray, z_coeffs: np.ndarray) -> None:
     """Binary state snapshot, little-endian throughout.
@@ -385,7 +385,7 @@ def write_snapshot(path: str, lmax: int, spectrum: str, t: float,
     for coeffs in (v_coeffs, z_coeffs):     # before the file exists
         if coeffs.shape != (nm,):
             raise ValueError(f"coefficient block must have shape ({nm},)")
-    with open(path, "wb") as fh:
+    with _replacing(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<IIBd", SNAPSHOT_VERSION, lmax, flag, float(t)))
         for coeffs in (v_coeffs, z_coeffs):
@@ -441,7 +441,7 @@ def path_seed(seed: int, index: int) -> int:
 
 
 def _write_lines(path: str, lines: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _replacing(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in lines:
             fh.write(line + "\n")
 
@@ -465,14 +465,24 @@ def _grid_line(ctx: OperatorContext) -> str:
             f"L4 {l4.n_lat} x {l4.n_lon}")
 
 
-def _finish(cfg: ExperimentConfig, rows: list, lines: list, ok: bool) -> int:
+def _gate_lines(rows: list) -> list:
+    """One 'check: PASS|FAIL' report line per gated row, in row order."""
+    return [f"{row[0]}: {'PASS' if row[5] else 'FAIL'}" for row in rows
+            if row[5] is not None]
+
+
+def _finish(cfg: ExperimentConfig, rows: list, lines: list,
+            failed_paths: int = 0) -> int:
     """Tail of every verify mode: checks.csv from rows, (check, lhs, rhs,
-    ratio, input_id) tuples, then report.txt from lines and the verdict;
-    returns the exit status."""
+    ratio, input_id, gate) tuples with gate True, False or None for a row
+    reported but not gated, then report.txt from lines and the verdict:
+    PASS when no gate is False and no path failed.  Returns the exit
+    status."""
     csv = ["check,lhs,rhs,ratio,input_id"]
     csv += [f"{name},{_fmt(lhs)},{_fmt(rhs)},{_fmt(ratio)},{input_id}"
-            for name, lhs, rhs, ratio, input_id in rows]
+            for name, lhs, rhs, ratio, input_id, _ in rows]
     _write_lines(os.path.join(cfg.output_dir, "checks.csv"), csv)
+    ok = not failed_paths and False not in [row[5] for row in rows]
     _write_report(cfg, lines + ["result: " + ("PASS" if ok else "FAIL")])
     return 0 if ok else 1
 
@@ -601,6 +611,14 @@ def _mode_simulate(cfg: ExperimentConfig) -> int:
 # verify-operators
 # ---------------------------------------------------------------------------
 
+# the ceiling of each gated worst ratio, in report order: b_antisym and
+# coriolis_zero are identity residuals (exactly zero up to round-off); the
+# rest are bounds whose ratio may approach 1
+_OPERATOR_CEILINGS = {"b_antisym": 1e-9, "coriolis_zero": 1e-10,
+                      "poincare": 1.0 + 1e-12, "ladyzhenskaya": 1.0 + 1e-12,
+                      "b1": 1.0 + 1e-12, "b2": 1.0 + 1e-12, "b5": 1.0 + 1e-12}
+
+
 def _mode_verify_operators(cfg: ExperimentConfig) -> int:
     ctx = cfg.ctx
     rng = substream(cfg.spec.seed, PURPOSE_MC, 101)
@@ -610,28 +628,17 @@ def _mode_verify_operators(cfg: ExperimentConfig) -> int:
     rep = inequality_report(samples, ctx)
     consts = b_form_constants(samples, ctx)
 
-    rows = [(name, c["lhs"], c["rhs"], c["ratio"], c["input_id"])
-            for name, c in rep.items()]
-    rows += [(f"bform_{key}", value, 1.0, value, f"n={n}")
+    rows = [(name, c["lhs"], c["rhs"], c["ratio"], c["input_id"],
+             c["ratio"] <= _OPERATOR_CEILINGS[name]) for name, c in rep.items()]
+    rows += [(f"bform_{key}", value, 1.0, value, f"n={n}", None)
              for key, value in consts.items()]
-
-    # b_antisym / coriolis_zero are identity residuals (exactly zero up to
-    # round-off); the rest are bounds whose ratio may approach 1
-    gates = {
-        "b_antisym": rep["b_antisym"]["ratio"] <= 1e-9,
-        "coriolis_zero": rep["coriolis_zero"]["ratio"] <= 1e-10,
-        "poincare": rep["poincare"]["ratio"] <= 1.0 + 1e-12,
-        "ladyzhenskaya": rep["ladyzhenskaya"]["ratio"] <= 1.0 + 1e-12,
-        "b1": rep["b1"]["ratio"] <= 1.0 + 1e-12,
-        "b2": rep["b2"]["ratio"] <= 1.0 + 1e-12,
-        "b5": rep["b5"]["ratio"] <= 1.0 + 1e-12,
-    }
+    gate = {row[0]: row[5] for row in rows}
     lines = [f"samples: {n} random fields at lmax = {ctx.lmax}",
              _grid_line(ctx)]
     lines += [f"{name}: worst ratio {rep[name]['ratio']:.3e}  "
-              f"[{'PASS' if ok else 'FAIL'}]" for name, ok in gates.items()]
+              f"[{'PASS' if gate[name] else 'FAIL'}]" for name in _OPERATOR_CEILINGS]
     lines += [f"bform_{key}: {value:.6g}" for key, value in consts.items()]
-    return _finish(cfg, rows, lines, all(gates.values()))
+    return _finish(cfg, rows, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +649,6 @@ def _mode_verify_noise(cfg: ExperimentConfig) -> int:
     spec, lmax = cfg.spec, cfg.ctx.lmax
     n = cfg.n_paths
     rows: list = []
-    oks: list = []
 
     if spec.beta == 2.0:
         rng = substream(spec.seed, PURPOSE_MC, 201)
@@ -650,8 +656,8 @@ def _mode_verify_noise(cfg: ExperimentConfig) -> int:
         for dt_probe in (0.25, 0.1, 0.0125):
             block = levy_increment_block(spec, dt_probe, rng, lmax=lmax)
             worst = max(worst, abs(block.dX - dt_probe))
-        rows.append(("clock_deterministic", worst, 0.0, worst, "beta=2"))
-        oks.append(("clock_deterministic", worst == 0.0))
+        rows.append(("clock_deterministic", worst, 0.0, worst, "beta=2",
+                     worst == 0.0))
     else:
         index = spec.beta / 2.0
         rng = substream(spec.seed, PURPOSE_MC, 202)
@@ -664,8 +670,8 @@ def _mode_verify_noise(cfg: ExperimentConfig) -> int:
             exact = math.exp(-(r ** index))
             ratio = emp / exact
             width = 4.0 * float(np.std(sample)) / math.sqrt(n) / exact
-            rows.append((f"laplace_r{r:g}", emp, exact, ratio, f"n={n}"))
-            oks.append((f"laplace_r{r:g}", abs(ratio - 1.0) <= width))
+            rows.append((f"laplace_r{r:g}", emp, exact, ratio, f"n={n}",
+                         abs(ratio - 1.0) <= width))
 
     if np.any(spec.sigma_per_mode(lmax) != 0):
         target = cfg.p / spec.beta
@@ -673,15 +679,13 @@ def _mode_verify_noise(cfg: ExperimentConfig) -> int:
         ts = np.log([t for t, _ in ests])
         ys = np.log([m for _, m in ests])
         slope = float(np.polyfit(ts, ys, 1)[0])
-        rows.append(("moment_slope", slope, target, slope / target,
-                     f"n={n}"))
         # |L|^p has infinite variance at p < beta: no standard error to
         # size this gate by
-        oks.append(("moment_slope", abs(slope - target) <= 0.05))
+        rows.append(("moment_slope", slope, target, slope / target,
+                     f"n={n}", abs(slope - target) <= 0.05))
 
-    lines = [f"samples: {n}  beta: {spec.beta:g}"]
-    lines += [f"{name}: {'PASS' if good else 'FAIL'}" for name, good in oks]
-    return _finish(cfg, rows, lines, all(good for _, good in oks))
+    lines = [f"samples: {n}  beta: {spec.beta:g}"] + _gate_lines(rows)
+    return _finish(cfg, rows, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -728,13 +732,9 @@ def _mode_verify_ou(cfg: ExperimentConfig) -> int:
             for future in helpers:
                 future.result()
 
-    rows: list = []
-    oks: list = []
-    for t, chk in zip(cfg.t_list, checks):
-        ceiling = chk["c_tilde"] * chk["bound"]
-        rows.append((f"ou_moment_t{t:g}", chk["empirical"], ceiling,
-                     chk["ratio"], f"n={n}"))
-        oks.append((f"ou_moment_t{t:g}", chk["passed"]))
+    rows = [(f"ou_moment_t{t:g}", chk["empirical"],
+             chk["c_tilde"] * chk["bound"], chk["ratio"], f"n={n}",
+             chk["passed"]) for t, chk in zip(cfg.t_list, checks)]
 
     # dissipation monotonicity: a larger damping shift can only lower the
     # moment bound; the check at the longest horizon already holds b_lo
@@ -743,13 +743,11 @@ def _mode_verify_ou(cfg: ExperimentConfig) -> int:
     b_hi = zlp_bound(t_ref, cfg.p, spec, replace(ctx, alpha=ctx.alpha + 4.0))
     ratio = b_hi / b_lo if b_lo > 0 else (0.0 if b_hi == 0 else math.inf)
     rows.append(("bound_alpha_monotone", b_hi, b_lo, ratio,
-                 f"alpha {ctx.alpha:g} -> {ctx.alpha + 4:g}"))
-    oks.append(("bound_alpha_monotone", b_hi <= b_lo))
+                 f"alpha {ctx.alpha:g} -> {ctx.alpha + 4:g}", b_hi <= b_lo))
 
     lines = [f"samples: {n}  p: {cfg.p:g}  times: "
-             + ",".join(f"{t:g}" for t in cfg.t_list)]
-    lines += [f"{name}: {'PASS' if good else 'FAIL'}" for name, good in oks]
-    return _finish(cfg, rows, lines, all(good for _, good in oks))
+             + ",".join(f"{t:g}" for t in cfg.t_list)] + _gate_lines(rows)
+    return _finish(cfg, rows, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +766,7 @@ def _mode_verify_energy(cfg: ExperimentConfig) -> int:
     c_emp = max(consts["vzA"], consts["zvA"], consts["vvz"])
 
     rows: list = []
-    oks: list = []
+    failed = 0
     lines = [f"paths: {cfg.n_paths}  c_emp: {c_emp:.6g}", _grid_line(ctx)]
     observed_of = {"K1": "int_v2_V", "K2": "sup_v_h2",
                    "K3": "sup_v_v2", "K4": "int_av2"}
@@ -776,7 +774,7 @@ def _mode_verify_energy(cfg: ExperimentConfig) -> int:
         tag = f"path{r['index']}"
         if r["failure"]:
             lines.append(f"{tag}: {r['status']}")
-            oks.append(False)
+            failed += 1
             continue
         rep = gronwall_bound_report(r["ledger"], ctx.nu, c_emp=c_emp)
         for name, obs_key in observed_of.items():
@@ -784,37 +782,38 @@ def _mode_verify_energy(cfg: ExperimentConfig) -> int:
             bound = rep[name]
             ratio = obs / bound if bound > 0 else (0.0 if obs == 0
                                                    else math.inf)
-            rows.append((f"{name}_{obs_key}", obs, bound, ratio, tag))
-            oks.append(rep["satisfied"][name])
+            rows.append((f"{name}_{obs_key}", obs, bound, ratio, tag,
+                         rep["satisfied"][name]))
         resid = energy_residual(r["ledger"], ctx.nu)
         scale = max(rep["observed"]["sup_v_h2"], 1.0)
         rows.append(("energy_residual", abs(resid), 0.0,
-                     abs(resid) / scale, tag))
+                     abs(resid) / scale, tag, None))
         lines.append(f"{tag}: " + "  ".join(
             f"{name} {'ok' if rep['satisfied'][name] else 'VIOLATED'}"
             for name in ("K1", "K2", "K3", "K4"))
             + f"  residual {resid:.3e}")
 
-    return _finish(cfg, rows, lines, all(oks))
+    return _finish(cfg, rows, lines, failed)
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 # ---------------------------------------------------------------------------
 
-_RUNNERS = {
-    "simulate": _mode_simulate,
-    "verify-operators": _mode_verify_operators,
-    "verify-noise": _mode_verify_noise,
-    "verify-ou": _mode_verify_ou,
-    "verify-energy": _mode_verify_energy,
+# mode -> (runner, sample count when [run] n_paths is not set)
+_MODES = {
+    "simulate": (_mode_simulate, 1),
+    "verify-operators": (_mode_verify_operators, 100),
+    "verify-noise": (_mode_verify_noise, 100_000),
+    "verify-ou": (_mode_verify_ou, 10_000),
+    "verify-energy": (_mode_verify_energy, 1),
 }
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute one mode; returns the process exit status."""
     os.makedirs(cfg.output_dir, exist_ok=True)
-    return _RUNNERS[cfg.mode](cfg)
+    return _MODES[cfg.mode][0](cfg)
 
 
 def main(argv: list | None = None) -> int:
@@ -822,7 +821,7 @@ def main(argv: list | None = None) -> int:
         prog="snse",
         description="Stochastic Navier-Stokes on the rotating 2-sphere: "
                     "simulation and verification modes.")
-    parser.add_argument("mode", choices=MODES)
+    parser.add_argument("mode", choices=_MODES)
     parser.add_argument("--config", required=True, metavar="PATH",
                         help="INI-style experiment description")
     parser.add_argument("--seed", type=int, default=None,

@@ -110,11 +110,6 @@ class QuadratureGrid:
     sin_theta: np.ndarray
     phi: np.ndarray
 
-    def resolves_product(self, lmax: int) -> bool:
-        """2/3-rule check: quadratic products of band limit lmax are exact."""
-        n_lat, n_lon = min_grid(lmax, dealias=True)
-        return self.n_lat >= n_lat and self.n_lon >= n_lon
-
 
 def min_grid(lmax: int, dealias: bool = False) -> tuple[int, int]:
     """Smallest (n_lat, n_lon) resolving band limit lmax exactly; with

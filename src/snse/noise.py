@@ -158,15 +158,14 @@ class LevyIncrementBlock:
     dL is stored in the m >= 0 complex layout: the m = 0 slot is a real
     N(0, dX) draw; an m > 0 slot packs the two independent N(0, dX) real
     coordinate draws as (xi1 - i xi2) sqrt(dX/2), so the implied real
-    coordinates are i.i.d. N(0, dX) as required.  A batch of blocks has
-    an array dX, and dL has the same leading shape.
+    coordinates are i.i.d. N(0, dX) as required.
     """
 
-    dX: float | np.ndarray
+    dX: float
     dL: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.dX < 0):
+        if self.dX < 0:
             raise ValueError("subordinator increment must be >= 0")
 
 
@@ -218,16 +217,13 @@ def _gaussian_mode_increments(rng: np.random.Generator, dX, lmax: int) -> np.nda
 
 
 def levy_increment_block(spec: NoiseSpec, dt: float, rng: np.random.Generator,
-                         size=(), *, lmax: int) -> LevyIncrementBlock:
+                         *, lmax: int) -> LevyIncrementBlock:
     """Draw the shared clock dX, then per-mode Gaussians on degrees up to
-    lmax: one block (float dX) or, for size != (), a batch.  At beta = 2,
-    dX = dt draws nothing."""
+    lmax.  At beta = 2, dX = dt draws nothing."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    X = _positive_stable_batch(spec.beta / 2.0, dt, rng, size)
-    dX = float(X) if X.ndim == 0 else X
-    dL = _gaussian_mode_increments(rng, dX, lmax)
-    return LevyIncrementBlock(dX=dX, dL=dL)
+    dX = float(_positive_stable_batch(spec.beta / 2.0, dt, rng, ()))
+    return LevyIncrementBlock(dX=dX, dL=_gaussian_mode_increments(rng, dX, lmax))
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,8 @@ def product_grid(lmax: int) -> QuadratureGrid:
 class OperatorContext:
     """Shared immutable context: band limit, physical constants, product grid.
 
-    The grid must resolve lmax; dealias=True further requires the 2/3 rule.
+    The grid must resolve lmax, and with dealias=True obey the 2/3 rule: the
+    one grid check, as the operators take fields at lmax only.
     alpha >= 0 is the damping shift of the convolution z only (see ou).
     """
 
@@ -189,11 +190,9 @@ def _covariant_derivative(v: SpectralField, w: SpectralField, grid: QuadratureGr
 def trilinear_b(v: SpectralField, w: SpectralField, z: SpectralField,
                 ctx: OperatorContext) -> float:
     """b(v, w, z) = integral of (nabla_v w) . z over the sphere."""
-    if not (v.lmax == w.lmax == z.lmax):
-        raise ValueError("fields must share a band limit")
+    if not (v.lmax == w.lmax == z.lmax == ctx.lmax):
+        raise ValueError(f"fields must have the operator lmax {ctx.lmax}")
     grid = ctx.grid
-    if ctx.dealias and not grid.resolves_product(v.lmax):
-        raise ValueError("grid does not resolve the triple product")
     conv = _covariant_derivative(v, w, grid)
     Z = vector_synthesis(z, grid).values
     return grid_integral(grid, conv[0] * Z[0] + conv[1] * Z[1])
@@ -205,9 +204,9 @@ def nonlinear_B(u: SpectralField, ctx: OperatorContext) -> SpectralField:
     Pseudo-spectral vorticity route: B(u)_psi[l,m] = (u . grad zeta)_{l,m} / (l(l+1))
     with the advective product formed on the (dealiased) grid.
     """
+    if u.lmax != ctx.lmax:
+        raise ValueError(f"field lmax {u.lmax} != operator lmax {ctx.lmax}")
     grid = ctx.grid
-    if ctx.dealias and not grid.resolves_product(u.lmax):
-        raise ValueError("grid does not dealias products at this band limit")
     zeta = curl_scalar(u)
     U = vector_synthesis(u, grid).values
     Gz = gradient_synthesis(zeta, grid).values

@@ -87,9 +87,12 @@ def decay_rates(ctx: OperatorContext) -> np.ndarray:
     return ctx.nu * ctx.lam_stokes + ctx.alpha + 1j * ctx.coriolis_diag
 
 
-def make_ou_state(ctx: OperatorContext) -> OUState:
+def make_ou_state(ctx: OperatorContext, spec: NoiseSpec) -> OUState:
+    """z = 0 on the model of ctx.  Every mode must decay (Re kappa > 0 on
+    l >= 1) only if spec drives some degree 1..lmax: else z stays 0."""
     kappa = decay_rates(ctx)
-    if np.any(kappa[1:].real <= 0.0):
+    if (np.any(spec.sigma_per_mode(ctx.lmax) != 0)
+            and np.any(kappa[1:].real <= 0.0)):
         raise ParameterError("alpha", "every mode must decay: Re kappa > 0 on "
                              f"l >= 1 (spectrum = {ctx.spectrum} needs alpha > 0)")
     return OUState(z=zero_field(ctx.lmax, "stream"), kappa=kappa)

@@ -35,7 +35,7 @@ from .diagnostics import EnergyLedger, l4_norm, norms
 from .harmonics import ParameterError, SpectralField, zero_field
 from .noise import NoiseSpec, check_summability
 from .operators import OperatorContext, nonlinear_B
-from .ou import OUState, decay_rates, make_ou_state, ou_step
+from .ou import OUState, make_ou_state, ou_step
 
 __all__ = [
     "SCHEMES",
@@ -263,7 +263,6 @@ step_picard = step_imex
 class SimResult:
     """Trajectory handle: final state, per-step ledger, optional snapshots."""
 
-    ctx: OperatorContext
     state: SimState
     snapshots: list = field(default_factory=list)
 
@@ -284,14 +283,6 @@ class SimResult:
                 led.cumulative("b_vvz"),
                 led.cumulative("f_v")]
         return np.column_stack(cols)
-
-
-def _initial_ou(ctx: OperatorContext, spec: NoiseSpec) -> OUState:
-    if np.any(spec.sigma_per_mode(ctx.lmax) != 0):
-        return make_ou_state(ctx)
-    # undriven runs skip the Re kappa > 0 gate (nothing to convolve); the
-    # curvature-shifted spectrum with alpha = 0 is then still integrable
-    return OUState(z=zero_field(ctx.lmax), kappa=decay_rates(ctx))
 
 
 def _record(state: SimState, cfg: SolverConfig, ctx: OperatorContext,
@@ -335,9 +326,9 @@ def run(cfg: SolverConfig, spec: NoiseSpec, *, ctx: OperatorContext,
         raise ValueError("noise spectrum fails the summability check at "
                          f"delta = {spec.delta:g}")
     v0 = cfg.v0.copy() if cfg.v0 is not None else zero_field(ctx.lmax)
-    state = SimState(t=0.0, v=v0, ou=_initial_ou(ctx, spec),
+    state = SimState(t=0.0, v=v0, ou=make_ou_state(ctx, spec),
                      ledger=EnergyLedger())
-    result = SimResult(ctx=ctx, state=state)
+    result = SimResult(state=state)
 
     def snap(s: SimState):
         result.snapshots.append((s.t, s.v.coeffs.copy(), s.ou.z.coeffs.copy()))

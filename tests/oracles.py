@@ -1,12 +1,13 @@
 """Independent routes the tests compare the package against.  No mode runs
 them: pointwise harmonics, the rotation term formed on the grid, and a
-batched OU recursion over the package's own increment draw."""
+batched OU recursion over a batch of the package's increment draw."""
 
 import numpy as np
 
 from snse import harmonics as sh
 from snse import ou
-from snse.noise import PURPOSE_MC, levy_increment_block, substream
+from snse.noise import (PURPOSE_MC, _gaussian_mode_increments,
+                        _positive_stable_batch, substream)
 
 
 def eval_ylm(l, m, theta, phi):
@@ -37,6 +38,14 @@ def coriolis_grid(u, ctx):
     return sh.vector_analysis(sh.GridField(g, rot), u.lmax)
 
 
+def levy_increment_batch(spec, dt, rng, n_paths, lmax):
+    """dL of n_paths independent increment blocks, shape (n_paths,
+    n_modes): every clock first, then every Gaussian, the draws of
+    noise.levy_increment_block made for a whole batch at once."""
+    dX = _positive_stable_batch(spec.beta / 2.0, dt, rng, n_paths)
+    return _gaussian_mode_increments(rng, dX, lmax)
+
+
 def ou_endpoint_ensemble(spec, ctx, t, n_paths, *, n_substeps=None, rng=None):
     """Direct batched simulation of n_paths independent copies of z starting
     from 0; returns stream coefficients of shape (n_paths, n_modes).
@@ -49,10 +58,10 @@ def ou_endpoint_ensemble(spec, ctx, t, n_paths, *, n_substeps=None, rng=None):
         raise ValueError("need t > 0 and n_substeps >= 1")
     delta = t / n
     g = ou._mode_gain(spec, ctx.lmax)
-    decay = np.exp(-ou.make_ou_state(ctx).kappa.real * delta)
+    decay = np.exp(-ou.make_ou_state(ctx, spec).kappa.real * delta)
     y = np.zeros((n_paths, sh.n_modes(ctx.lmax)), dtype=np.complex128)
     for j in range(n):
         gen = rng if rng is not None else substream(spec.seed, PURPOSE_MC, 0, j)
-        dL = levy_increment_block(spec, delta, gen, n_paths, lmax=ctx.lmax).dL
+        dL = levy_increment_batch(spec, delta, gen, n_paths, ctx.lmax)
         y = decay * (y + g * dL)
     return y

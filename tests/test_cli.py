@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import snse.cli as cli
-from snse.cli import (MODES, ConfigError, DIAGNOSTICS_HEADER, build_field,
+from snse.cli import (ConfigError, DIAGNOSTICS_HEADER, build_field,
                       main, parse_config, path_seed, read_snapshot,
                       run_experiment, write_snapshot)
 from snse.diagnostics import CHECKS
@@ -61,7 +61,7 @@ def test_readme_sample_config_parses_in_every_mode(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     path = write_cfg(tmp_path, block)
-    for mode in MODES:
+    for mode in cli._MODES:
         assert parse_config(path, mode=mode).mode == mode
 
 
@@ -282,6 +282,27 @@ def test_a_rejected_snapshot_leaves_no_file(tmp_path):
     with pytest.raises(ValueError, match="shape"):
         write_snapshot(str(path), lmax, "paper", 0.0, c, c[:-1])
     assert not path.exists()
+
+
+def test_an_artifact_write_that_raises_leaves_no_file(tmp_path):
+    # each write raises after its first line: neither the final name nor a
+    # temporary file is left, and an earlier artifact stays whole
+    path = tmp_path / "report.txt"
+    with pytest.raises(TypeError):
+        cli._write_lines(str(path), ["first line", None])
+    assert list(tmp_path.iterdir()) == []
+    lmax = 3
+    c = np.zeros(n_modes(lmax), dtype=np.complex128)
+    unpackable = np.full(n_modes(lmax), "x", dtype=object)
+    with pytest.raises(ValueError, match="complex"):  # after header and v
+        write_snapshot(str(tmp_path / "s.bin"), lmax, "paper", 0.0, c,
+                       unpackable)
+    assert list(tmp_path.iterdir()) == []
+    cli._write_lines(str(path), ["old"])
+    with pytest.raises(TypeError):
+        cli._write_lines(str(path), ["new", None])
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
 
 
 def test_path_seed_derivation_is_stable_and_distinct():
@@ -527,7 +548,6 @@ def test_spectrum_reaches_the_solver(tmp_path):
     assert back["spectrum"] == "ricci_shifted"
     scfg, spec, ctx = cfg.solver, cfg.spec, cfg.ctx
     res = run(scfg, spec, ctx=ctx)
-    assert res.ctx.spectrum == "ricci_shifted"
     assert np.array_equal(back["v"], res.state.v.coeffs)
     # l = 1 is the zero mode of the shifted spectrum, damped under the paper one
     paper = run(scfg, spec, ctx=replace(ctx, spectrum="paper"))
@@ -573,6 +593,26 @@ def test_a_config_line_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
         assert f"{path}:6: not UTF-8" in err, err
     path.write_text(text + "# café\n", encoding="utf-8")
     assert parse_config(str(path), mode="simulate").solver.n_steps == 3
+
+
+def test_a_config_file_with_a_byte_order_mark_parses(tmp_path):
+    # some editors start a UTF-8 file with the mark U+FEFF
+    plain, bom = tmp_path / "plain.ini", tmp_path / "bom.ini"
+    plain.write_bytes(b"[model]\nlmax = 4\n")
+    bom.write_bytes(b"\xef\xbb\xbf[model]\nlmax = 4\n")
+    assert (cli._read_file(str(bom)) == cli._read_file(str(plain))
+            == ({"lmax": 4}, {"lmax": 2}))
+    assert parse_config(str(bom), mode="verify-operators").ctx.lmax == 4
+
+
+def test_config_keys_are_found_by_name(tmp_path):
+    # every key name belongs to one section, so the name alone finds its
+    # value and the line an error cites
+    names = [key for keys in cli._SCHEMA.values() for key in keys]
+    assert len(names) == len(set(names))
+    values, lines = cli._read_file(write_cfg(tmp_path, MINIMAL))
+    assert values == {"lmax": 4, "dt": 0.1, "t_end": 0.3}
+    assert lines == {"lmax": 2, "dt": 4, "t_end": 5}
 
 
 def test_negative_seed_is_a_config_error(tmp_path, capsys):
@@ -803,6 +843,71 @@ def test_verify_ou_mode(tmp_path):
         assert 0 < emp <= ceiling * 1.05
     (hi, lo, ratio, _), = rows["bound_alpha_monotone"]
     assert hi <= lo
+
+
+def test_verify_ou_fails_when_one_gate_fails(tmp_path, monkeypatch):
+    real = cli.ou_moment_check
+
+    def first_horizon_fails(*args, **kwargs):
+        out = real(*args, **kwargs)
+        if kwargs["counter"] == 0:
+            out["passed"] = False
+        return out
+
+    monkeypatch.setattr(cli, "ou_moment_check", first_horizon_fails)
+    path = write_cfg(tmp_path, """\
+        [run]
+        n_paths = 200
+        [model]
+        lmax = 4
+        [noise]
+        beta = 1.5
+        sigma = power:gamma=1.0
+        [verify]
+        t = 0.1,1
+    """)
+    out = str(tmp_path / "out")
+    assert main(["verify-ou", "--config", path, "--output", out]) == 1
+    report = Path(out, "report.txt").read_text().splitlines()
+    assert report[-4:] == ["ou_moment_t0.1: FAIL", "ou_moment_t1: PASS",
+                           "bound_alpha_monotone: PASS", "result: FAIL"]
+
+
+OPERATORS_SMALL = "[run]\nn_paths = 3\n[model]\nlmax = 6\n"
+
+
+def test_verify_operators_fails_when_one_gate_fails(tmp_path, monkeypatch):
+    real = cli.inequality_report
+
+    def b1_fails(samples, ctx):
+        rep = real(samples, ctx)
+        rep["b1"] = dict(rep["b1"], ratio=2.0)
+        return rep
+
+    monkeypatch.setattr(cli, "inequality_report", b1_fails)
+    out = str(tmp_path / "out")
+    assert main(["verify-operators", "--config",
+                 write_cfg(tmp_path, OPERATORS_SMALL), "--output", out]) == 1
+    report = Path(out, "report.txt").read_text().splitlines()
+    gated = [line for line in report if " worst ratio " in line]
+    assert [line.split(":")[0] for line in gated] == [
+        "b_antisym", "coriolis_zero", "poincare", "ladyzhenskaya", "b1",
+        "b2", "b5"]
+    assert "b1: worst ratio 2.000e+00  [FAIL]" in gated
+    assert sum(line.endswith("[PASS]") for line in gated) == 6
+    assert report[-1] == "result: FAIL"
+
+
+def test_verify_operators_does_not_gate_the_b_form_constants(tmp_path,
+                                                             monkeypatch):
+    real = cli.b_form_constants
+    monkeypatch.setattr(cli, "b_form_constants", lambda samples, ctx: {
+        key: 1e300 for key in real(samples, ctx)})
+    out = str(tmp_path / "out")
+    assert main(["verify-operators", "--config",
+                 write_cfg(tmp_path, OPERATORS_SMALL), "--output", out]) == 0
+    assert ",1e+300,1.0,1e+300,n=3" in Path(out, "checks.csv").read_text()
+    assert Path(out, "report.txt").read_text().endswith("result: PASS\n")
 
 
 LANE_OU = """\

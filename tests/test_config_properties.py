@@ -9,11 +9,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from snse.cli import _SCHEMA, ConfigError, MODES, main, parse_config
+from snse.cli import _MODES, _SCHEMA, ConfigError, main, parse_config
 from snse.harmonics import ParameterError, gauss_legendre_grid
 from snse.noise import NoiseSpec
 from snse.operators import OperatorContext
 from snse.solver import SolverConfig
+
+MODES = tuple(_MODES)
 
 # (valid, invalid) values of each key: the invalid ones sit just across a
 # bound.  lmax stays small so every accepted config builds its objects

@@ -109,28 +109,26 @@ def test_block_layout_and_validation():
         nz.levy_increment_block(spec, 0.0, nz.substream(0, 5), lmax=3)
 
 
-def test_batched_block_beta2_draws_no_clock():
-    # deterministic clock: dX == dt on every path and the generator's first
-    # bits go to the Gaussians
+def test_block_beta2_draws_no_clock():
+    # deterministic clock: dX == dt and the generator's first bits go to
+    # the Gaussians
     spec = nz.NoiseSpec(beta=2.0, sigma_rule="const:1.0", seed=0)
-    blk = nz.levy_increment_block(spec, 0.3, nz.substream(4, 2), 50, lmax=3)
-    assert blk.dX.shape == (50,) and np.all(blk.dX == 0.3)
-    ref = nz._gaussian_mode_increments(nz.substream(4, 2), np.full(50, 0.3), 3)
+    blk = nz.levy_increment_block(spec, 0.3, nz.substream(4, 2), lmax=3)
+    assert type(blk.dX) is float and blk.dX == 0.3
+    ref = nz._gaussian_mode_increments(nz.substream(4, 2), 0.3, 3)
     assert np.array_equal(blk.dL, ref)
 
 
-def test_batched_block_is_clock_then_gaussians():
+def test_block_is_clock_then_gaussians():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", seed=0)
-    blk = nz.levy_increment_block(spec, 0.2, nz.substream(4, 3), (6, 5), lmax=3)
+    blk = nz.levy_increment_block(spec, 0.2, nz.substream(4, 3), lmax=3)
     rng = nz.substream(4, 3)
-    dX = nz._positive_stable_batch(0.75, 0.2, rng, (6, 5))
-    assert np.array_equal(blk.dX, dX)
+    dX = float(nz._positive_stable_batch(0.75, 0.2, rng, ()))
+    assert type(blk.dX) is float and blk.dX == dX
     assert np.array_equal(blk.dL, nz._gaussian_mode_increments(rng, dX, 3))
-    assert blk.dL.shape == (6, 5, 10) and np.all(blk.dL[..., 0] == 0.0)
+    assert blk.dL.shape == (10,) and blk.dL[0] == 0.0
     with pytest.raises(ValueError):
-        nz.LevyIncrementBlock(dX=np.array([0.1, -1e-3]), dL=blk.dL[0, :2])
-    one = nz.levy_increment_block(spec, 0.2, nz.substream(4, 3), lmax=3)
-    assert type(one.dX) is float and one.dL.shape == (10,)
+        nz.LevyIncrementBlock(dX=-1e-3, dL=blk.dL)
 
 
 def test_tail_sum_partial_plus_tail():

@@ -212,6 +212,18 @@ def test_trilinear_b_band_limit_mismatch(ctx10):
         op.trilinear_b(v, w, w, ctx10)
 
 
+def test_operators_take_fields_at_the_context_band_limit(ctx10):
+    # the context's grid check covers its own lmax only: a field below it
+    # (which that grid would resolve) is a caller's mistake, not a product
+    low = sh.random_stream_field(9, np.random.default_rng(12))
+    with pytest.raises(ValueError, match="lmax"):
+        op.nonlinear_B(low, ctx10)
+    with pytest.raises(ValueError, match="lmax"):
+        op.trilinear_b(low, low, low, ctx10)
+    u = sh.random_stream_field(10, np.random.default_rng(13))
+    assert op.nonlinear_B(u, ctx10).lmax == 10
+
+
 # ----------------------------------------------------- convective terms: B
 
 
@@ -274,7 +286,7 @@ def test_product_and_l4_grids_take_smooth_fft_lengths():
         g = op.product_grid(lmax)
         assert (g.n_lat, g.n_lon) == prod
         assert g.n_lat == sh.min_grid(lmax, dealias=True)[0]
-        assert g.resolves_product(lmax)
+        assert g.n_lon >= sh.min_grid(lmax, dealias=True)[1]
         assert (l4_grid(lmax).n_lat, l4_grid(lmax).n_lon) == l4
         assert op.OperatorContext(lmax).grid is g
 

@@ -17,7 +17,7 @@ from snse.harmonics import (SpectralField, _mode_weights, basis_eigenvalues,
                             norm_h, unit_stream_mode)
 from snse.operators import OperatorContext
 
-from oracles import ou_endpoint_ensemble
+from oracles import levy_increment_batch, ou_endpoint_ensemble
 
 
 CTX1 = OperatorContext(lmax=1)
@@ -46,7 +46,7 @@ def sup_norm_growth(spec, lmax, delta, p, T_list, n_paths, *, n_time=64):
         y = np.zeros((n_paths, kappa.size), dtype=np.complex128)
         run_max = np.zeros(n_paths)
         for _ in range(n_time):
-            dL = nz.levy_increment_block(spec, dt, gen, n_paths, lmax=lmax).dL
+            dL = levy_increment_batch(spec, dt, gen, n_paths, lmax)
             y = decay * (y + g * dL)
             np.maximum(run_max, h_norm2_batch(y, lmax, delta), out=run_max)
         estimates.append((float(T), float(np.mean(run_max ** (p / 2.0)))))
@@ -59,7 +59,7 @@ def sup_norm_growth(spec, lmax, delta, p, T_list, n_paths, *, n_time=64):
 
 def test_sigma_zero_exact_decay():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", seed=3, n_substeps=4)
-    st = replace(ou.make_ou_state(CTX4), z=unit_stream_mode(4, 1, 0))
+    st = replace(ou.make_ou_state(CTX4, spec), z=unit_stream_mode(4, 1, 0))
     out = ou.ou_step(st, 0.7, spec)
     assert out.z.coeffs[1] == pytest.approx(math.exp(-2 * 0.7) * st.z.coeffs[1], rel=1e-14)
     assert out.substep_index == 4
@@ -73,24 +73,39 @@ def test_sigma_zero_norm_ignores_rotation():
     norms = []
     for om in (0.0, 5.0):
         ctx = OperatorContext(lmax=4, nu=1.0, omega=om, alpha=0.3)
-        st = replace(ou.make_ou_state(ctx), z=SpectralField(4, c.copy(), "stream"))
+        st = replace(ou.make_ou_state(ctx, spec), z=SpectralField(4, c.copy(), "stream"))
         norms.append(norm_h(ou.ou_step(st, 0.5, spec).z))
     assert norms[0] == pytest.approx(norms[1], rel=1e-13)
 
 
 def test_make_state_validation():
+    driven = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0")
     with pytest.raises(ValueError):
-        ou.make_ou_state(replace(CTX4, alpha=-0.1))
+        ou.make_ou_state(replace(CTX4, alpha=-0.1), driven)
     # a spectrum with a zero eigenvalue at l = 1 requires a positive shift
     shifted = OperatorContext(lmax=4, nu=1.0, omega=0.0, spectrum="ricci_shifted")
     with pytest.raises(ValueError):
-        ou.make_ou_state(shifted)
-    ou.make_ou_state(replace(shifted, alpha=0.5))  # fine with alpha > 0
+        ou.make_ou_state(shifted, driven)
+    ou.make_ou_state(replace(shifted, alpha=0.5), driven)  # fine with alpha > 0
+
+
+@pytest.mark.parametrize("sigma", ["zero", "const:0.0"])
+def test_decay_gate_applies_only_to_driven_noise(sigma):
+    # undriven, z stays 0 and the zero mode of the shifted spectrum needs no
+    # damping; driven on a degree up to lmax, it does
+    shifted = OperatorContext(lmax=4, spectrum="ricci_shifted")
+    st = ou.make_ou_state(shifted, nz.NoiseSpec(beta=1.5, sigma_rule=sigma))
+    assert not st.z.coeffs.any() and st.z.kind == "stream"
+    assert np.array_equal(st.kappa, ou.decay_rates(shifted))
+    assert st.kappa[1].real == 0.0
+    for driven in ("const:1.0", "band:l<=1,value=0.5", "power:gamma=2.0"):
+        with pytest.raises(ValueError, match="alpha > 0"):
+            ou.make_ou_state(shifted, nz.NoiseSpec(beta=1.5, sigma_rule=driven))
 
 
 def test_step_validation():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", seed=0, n_substeps=2)
-    st = ou.make_ou_state(CTX4)
+    st = ou.make_ou_state(CTX4, spec)
     with pytest.raises(ValueError):
         ou.ou_step(st, 0.0, spec)
 
@@ -98,8 +113,8 @@ def test_step_validation():
 def test_noise_linearity_exact_factor_two():
     s1 = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", seed=9, n_substeps=5)
     s2 = nz.NoiseSpec(beta=1.5, sigma_rule="const:2.0", seed=9, n_substeps=5)
-    a = ou.ou_step(ou.make_ou_state(replace(CTX4, alpha=0.1)), 0.4, s1)
-    b = ou.ou_step(ou.make_ou_state(replace(CTX4, alpha=0.1)), 0.4, s2)
+    a = ou.ou_step(ou.make_ou_state(replace(CTX4, alpha=0.1), s1), 0.4, s1)
+    b = ou.ou_step(ou.make_ou_state(replace(CTX4, alpha=0.1), s2), 0.4, s2)
     assert np.array_equal(b.z.coeffs, 2.0 * a.z.coeffs)
 
 
@@ -109,8 +124,8 @@ def test_semigroup_composition_bitwise():
     half = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.5", seed=11, n_substeps=6)
     full = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.5", seed=11, n_substeps=12)
     ctx = replace(CTX4, alpha=0.2)
-    two = ou.ou_step(ou.ou_step(ou.make_ou_state(ctx), 0.3, half), 0.3, half)
-    one = ou.ou_step(ou.make_ou_state(ctx), 0.6, full)
+    two = ou.ou_step(ou.ou_step(ou.make_ou_state(ctx, half), 0.3, half), 0.3, half)
+    one = ou.ou_step(ou.make_ou_state(ctx, full), 0.6, full)
     assert np.array_equal(two.z.coeffs, one.z.coeffs)
     assert two.substep_index == one.substep_index == 12
 
@@ -118,7 +133,7 @@ def test_semigroup_composition_bitwise():
 def test_zonal_coefficients_stay_real_under_rotation():
     ctx = OperatorContext(lmax=3, nu=1.0, omega=4.0, alpha=0.2)
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:0.5", seed=13, n_substeps=3)
-    st = ou.make_ou_state(ctx)
+    st = ou.make_ou_state(ctx, spec)
     for _ in range(4):
         st = ou.ou_step(st, 0.25, spec)
     zonal = [1, 3, 6]  # (1,0), (2,0), (3,0) slots
@@ -456,7 +471,7 @@ def test_substep_refinement_first_order_on_coupled_noise(monkeypatch):
         monkeypatch.setattr(ou, "levy_increment_block",
                             lambda spec, dt, gen, *, lmax: next(feed))
         spec = nz.NoiseSpec(n_substeps=nsub, **tpl)
-        st = replace(ou.make_ou_state(ctx), z=z0)
+        st = replace(ou.make_ou_state(ctx, spec), z=z0)
         z = ou.ou_step(st, 1.0, spec).z.coeffs
         assert next(feed, None) is None        # every block was used
         return z

@@ -151,7 +151,7 @@ def test_picard_iteration_geometric_and_consistent(smooth_data):
     v0, _ = smooth_data
     dt, nu, tol = 0.05, 0.5, 1e-13
     ctx = OperatorContext(10, nu=nu)
-    st = SimState(t=0.0, v=v0, ou=make_ou_state(ctx),
+    st = SimState(t=0.0, v=v0, ou=make_ou_state(ctx, _quiet_spec()),
                   ledger=EnergyLedger())
     E = _v_decay_factor(ctx, dt)
     N_n = _nonlinear_rhs(v0.coeffs, st.ou.z, None, ctx)
@@ -191,7 +191,7 @@ def test_picard_linear_problem_single_iteration(monkeypatch):
     monkeypatch.setattr(sol, "_nonlinear_rhs", counting)
     ctx = OperatorContext(8)
     st = SimState(t=0.0, v=unit_stream_mode(8, 3, 2),
-                  ou=make_ou_state(ctx), ledger=EnergyLedger())
+                  ou=make_ou_state(ctx, _quiet_spec()), ledger=EnergyLedger())
     cfg = SolverConfig(dt=0.05, t_end=0.05, scheme="picard",
                        picard_tol=1e-10, v0=unit_stream_mode(8, 3, 2))
     step_picard(st, cfg, _quiet_spec(), ctx=ctx)
@@ -204,7 +204,7 @@ def test_picard_contraction_failure_raises(smooth_data):
     cfg = SolverConfig(dt=0.5, t_end=0.5, scheme="picard",
                        picard_tol=1e-12, picard_max_iter=8, v0=big)
     ctx = OperatorContext(10)
-    st = SimState(t=0.0, v=big, ou=make_ou_state(ctx),
+    st = SimState(t=0.0, v=big, ou=make_ou_state(ctx, _quiet_spec()),
                   ledger=EnergyLedger())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
