@@ -531,11 +531,7 @@ def _simulate_path_task(payload: tuple) -> dict:
         return out
     out["lines"] = [",".join(_fmt(x) for x in row)
                     for row in res.diagnostic_table()]
-    snaps = res.snapshots
-    if not snaps:                       # endpoint only (snapshot_every = 0)
-        state = res.state
-        snaps = [(state.t, state.v.coeffs, state.ou.z.coeffs)]
-    for j, (t, v, z) in enumerate(snaps):
+    for j, (t, v, z) in enumerate(res.snapshots):
         name = f"path{index:04d}_snap{j:04d}.bin"
         write_snapshot(os.path.join(outdir, name), ctx.lmax, ctx.spectrum,
                        t, v, z)

@@ -110,22 +110,20 @@ class EnergyLedger:
                      N: SpectralField, F: SpectralField,
                      ctx: OperatorContext, *, u_l4: float) -> None:
         """Append the row of state (v, z) at time t, given N(v, z), F and
-        u_l4 = |v + z|_L4."""
-        # a state near blow-up can overflow a squared norm; append_row
-        # rejects the non-finite entry, so the overflow itself stays silent
-        with np.errstate(over="ignore", invalid="ignore"):
-            nv = norms(v, ctx)
-            f_v = inner_h(F, v)
-            self.append_row(
-                t=t,
-                v_h2=nv["H"] ** 2, v_v2=nv["V"] ** 2, av2=nv["DA"] ** 2,
-                b_vvz=inner_h(N, v) - f_v,
-                f_v=f_v,
-                F_h2=norm_h(F) ** 2,
-                z_h2=norm_h(z) ** 2,
-                z_v2=norms(z, ctx)["V"] ** 2,
-                u_l4=u_l4,
-            )
+        u_l4 = |v + z|_L4.  A non-finite entry (a squared norm of a state
+        near blow-up can overflow) raises ValueError in append_row."""
+        nv = norms(v, ctx)
+        f_v = inner_h(F, v)
+        self.append_row(
+            t=t,
+            v_h2=nv["H"] ** 2, v_v2=nv["V"] ** 2, av2=nv["DA"] ** 2,
+            b_vvz=inner_h(N, v) - f_v,
+            f_v=f_v,
+            F_h2=norm_h(F) ** 2,
+            z_h2=norm_h(z) ** 2,
+            z_v2=norms(z, ctx)["V"] ** 2,
+            u_l4=u_l4,
+        )
 
     def series(self, name: str) -> np.ndarray:
         return np.asarray(self.data[name], dtype=np.float64)
@@ -184,44 +182,32 @@ def inequality_report(samples: list, ctx: OperatorContext) -> dict:
         raise ValueError("need at least one sample field")
     n = len(samples)
     per = {name: [] for name in CHECKS}
+
+    def add(name, lhs, rhs, input_id):
+        per[name].append({"lhs": lhs, "rhs": rhs,
+                          "ratio": lhs / max(rhs, 1e-300),
+                          "input_id": input_id})
+
     nrm = [norms(s, ctx) for s in samples]
     l4 = [l4_norm(s) for s in samples]
-    tiny = 1e-300
     for i, (u, nu_, l4u) in enumerate(zip(samples, nrm, l4)):
-        per["poincare"].append({
-            "lhs": LAMBDA_1 * nu_["H"] ** 2, "rhs": nu_["V"] ** 2,
-            "ratio": LAMBDA_1 * nu_["H"] ** 2 / max(nu_["V"] ** 2, tiny),
-            "input_id": f"s{i}"})
-        per["ladyzhenskaya"].append({
-            "lhs": l4u, "rhs": math.sqrt(nu_["H"] * nu_["V"]),
-            "ratio": l4u / max(math.sqrt(nu_["H"] * nu_["V"]), tiny),
-            "input_id": f"s{i}"})
-        cu = abs(inner_h(coriolis_apply(u, ctx), u))
-        scale = max(2.0 * abs(ctx.omega), 1.0) * nu_["H"] ** 2
-        per["coriolis_zero"].append({
-            "lhs": cu, "rhs": scale, "ratio": cu / max(scale, tiny),
-            "input_id": f"s{i}"})
+        add("poincare", LAMBDA_1 * nu_["H"] ** 2, nu_["V"] ** 2, f"s{i}")
+        add("ladyzhenskaya", l4u, math.sqrt(nu_["H"] * nu_["V"]), f"s{i}")
+        add("coriolis_zero", abs(inner_h(coriolis_apply(u, ctx), u)),
+            max(2.0 * abs(ctx.omega), 1.0) * nu_["H"] ** 2, f"s{i}")
     for i in range(n):
         j, k = (i + 1) % n, (i + 2) % n
         u, v, w = samples[i], samples[j], samples[k]
         nu_, nv_, nw_ = nrm[i], nrm[j], nrm[k]
         uid = f"s{i}|s{j}|s{k}"
         buvw = abs(trilinear_b(u, v, w, ctx))
-        rhs1 = (math.sqrt(nu_["H"] * nu_["V"]) * math.sqrt(nv_["H"] * nv_["V"])
-                * nw_["V"])
-        per["b1"].append({"lhs": buvw, "rhs": rhs1,
-                          "ratio": buvw / max(rhs1, tiny), "input_id": uid})
-        rhs2 = (math.sqrt(nu_["H"] * nu_["V"]) * math.sqrt(nv_["V"] * nu_["DA"])
-                * nw_["H"])
-        per["b2"].append({"lhs": buvw, "rhs": rhs2,
-                          "ratio": buvw / max(rhs2, tiny), "input_id": uid})
-        rhs5 = l4[i] * nv_["V"] * l4[k]
-        per["b5"].append({"lhs": buvw, "rhs": rhs5,
-                          "ratio": buvw / max(rhs5, tiny), "input_id": uid})
-        bvw_w = abs(trilinear_b(u, w, w, ctx))
-        scale = max(nu_["V"] * nw_["V"] ** 2, tiny)
-        per["b_antisym"].append({"lhs": bvw_w, "rhs": scale,
-                                 "ratio": bvw_w / scale, "input_id": uid})
+        add("b1", buvw, (math.sqrt(nu_["H"] * nu_["V"])
+                         * math.sqrt(nv_["H"] * nv_["V"]) * nw_["V"]), uid)
+        add("b2", buvw, (math.sqrt(nu_["H"] * nu_["V"])
+                         * math.sqrt(nv_["V"] * nu_["DA"]) * nw_["H"]), uid)
+        add("b5", buvw, l4[i] * nv_["V"] * l4[k], uid)
+        add("b_antisym", abs(trilinear_b(u, w, w, ctx)),
+            nu_["V"] * nw_["V"] ** 2, uid)
     return {name: _worst(rows) for name, rows in per.items()}
 
 

@@ -66,15 +66,14 @@ DIAGNOSTIC_COLUMNS = ("t", "norm_H", "norm_V", "norm_DA", "norm_L4_u",
 class StepFailure(RuntimeError):
     """A step could not be completed.
 
-    t is the time the step was to reach, state the last good SimState and
-    result the partial SimResult when raised by run(); each subclass names
-    its failure in reports by status.
+    t is the time the step was to reach, and result the partial SimResult,
+    whose state is the last good one, when raised by run(); each subclass
+    names its failure in reports by status.
     """
 
-    def __init__(self, message: str, t: float, state=None):
+    def __init__(self, message: str, t: float):
         super().__init__(message)
         self.t = t
-        self.state = state
         self.result = None
 
 
@@ -83,9 +82,9 @@ class BlowUpError(StepFailure):
 
     status = "BLOW-UP"
 
-    def __init__(self, t: float, state=None):
+    def __init__(self, t: float):
         super().__init__(f"solution blew up at t = {t:.6g}: non-finite "
-                         "coefficients", t, state)
+                         "coefficients", t)
 
 
 class ContractionError(StepFailure):
@@ -144,17 +143,11 @@ class SolverConfig:
 
 @dataclass
 class SimState:
-    """State at time t.  N holds N(v, z) once run() has evaluated it for the
-    ledger row; the step from this state then reads it instead of
-    evaluating it again.  F holds the force F(z) once the step that made
-    the state has formed it; the ledger row reads it."""
+    """State at time t: v, and z with its clock in the OU state."""
 
     t: float
     v: SpectralField
     ou: OUState
-    ledger: EnergyLedger
-    N: np.ndarray | None = None
-    F: SpectralField | None = None
 
 
 def recombine(state: SimState) -> SpectralField:
@@ -187,9 +180,9 @@ def _v_decay_factor(ctx: OperatorContext, dt: float) -> np.ndarray:
     return np.exp(-dt * (ctx.nu * ctx.lam_stokes + 1j * ctx.coriolis_diag))
 
 
-def _require_finite(coeffs: np.ndarray, t: float, state: SimState) -> None:
+def _require_finite(coeffs: np.ndarray, t: float) -> None:
     if not np.all(np.isfinite(coeffs)):
-        raise BlowUpError(t, state=state)
+        raise BlowUpError(t)
 
 
 def _start(helper, fn, *args):
@@ -206,30 +199,30 @@ def _start(helper, fn, *args):
     return helper.submit(task).result
 
 
-def step_imex(state: SimState, cfg: SolverConfig, spec: NoiseSpec, *,
-              ctx: OperatorContext, helper=None) -> SimState:
-    """One step of cfg.scheme: z by ou_step, then v by integrating-factor
-    Euler, Heun, or the fixed point of the trapezoidal mild map iterated
-    from the Euler predictor (picard).  A helper executor, if given, forms
-    F(z) of the new state meanwhile."""
-    dt = cfg.dt
+def step_imex(state: SimState, N: np.ndarray, cfg: SolverConfig,
+              spec: NoiseSpec, *, ctx: OperatorContext,
+              helper=None) -> tuple[SimState, SpectralField]:
+    """One step of cfg.scheme from state, whose N(v, z) is N: z by ou_step,
+    then v by integrating-factor Euler, Heun, or the fixed point of the
+    trapezoidal mild map iterated from the Euler predictor (picard).
+    Returns the new state and its force F(z), which a helper executor, if
+    given, forms meanwhile."""
+    dt, t = cfg.dt, state.t + cfg.dt
     E = _v_decay_factor(ctx, dt)
-    v_n, N_n = state.v.coeffs, state.N
-    if N_n is None:
-        N_n = _nonlinear_rhs(v_n, state.ou.z, cfg.f, ctx)
+    v_n = state.v.coeffs
 
     ou_next = ou_step(state.ou, dt, spec)
     z_next = ou_next.z
-    _require_finite(z_next.coeffs, state.t + dt, state)
+    _require_finite(z_next.coeffs, t)
     # z_next does not depend on v: its force is formed beside the corrector.
     # A failed corrector leaves it unread, as one lane never computes it
     F_next = _start(helper, effective_force, z_next, cfg.f, ctx)
 
     if cfg.scheme == "imex_euler":
-        v_next = E * (v_n + dt * N_n)
+        v_next = E * (v_n + dt * N)
     else:
-        pred = E * (v_n + dt * N_n)
-        base = E * v_n + 0.5 * dt * E * N_n
+        pred = E * (v_n + dt * N)
+        base = E * v_n + 0.5 * dt * E * N
         if cfg.scheme == "imex_heun":
             v_next = base + 0.5 * dt * _nonlinear_rhs(pred, z_next, cfg.f, ctx)
         else:
@@ -237,7 +230,7 @@ def step_imex(state: SimState, cfg: SolverConfig, spec: NoiseSpec, *,
             for _ in range(cfg.picard_max_iter):
                 w_new = base + 0.5 * dt * _nonlinear_rhs(w, z_next, cfg.f, ctx)
                 if not np.all(np.isfinite(w_new)):
-                    raise BlowUpError(state.t + dt, state=state)
+                    raise BlowUpError(t)
                 dw = SpectralField(ctx.lmax, w_new - w, "stream")
                 if norms(dw, ctx)["V"] < cfg.picard_tol:
                     w = w_new
@@ -247,11 +240,11 @@ def step_imex(state: SimState, cfg: SolverConfig, spec: NoiseSpec, *,
                 raise ContractionError(
                     f"Picard iteration did not contract within "
                     f"{cfg.picard_max_iter} iterations in the step to "
-                    f"t = {state.t + dt:.6g}; reduce dt", state.t + dt, state)
+                    f"t = {t:.6g}; reduce dt", t)
             v_next = w
-    _require_finite(v_next, state.t + dt, state)
-    return SimState(t=state.t + dt, v=SpectralField(ctx.lmax, v_next, "stream"),
-                    ou=ou_next, ledger=state.ledger, F=F_next())
+    _require_finite(v_next, t)
+    return (SimState(t=t, v=SpectralField(ctx.lmax, v_next, "stream"),
+                     ou=ou_next), F_next())
 
 
 # the same stepper under the name run() gives the picard scheme, so that a
@@ -261,14 +254,12 @@ step_picard = step_imex
 
 @dataclass
 class SimResult:
-    """Trajectory handle: final state, per-step ledger, optional snapshots."""
+    """The record of a run: its last good state, the ledger row of every
+    state up to it, and the (t, v, z) snapshots."""
 
     state: SimState
+    ledger: EnergyLedger = field(default_factory=EnergyLedger)
     snapshots: list = field(default_factory=list)
-
-    @property
-    def ledger(self) -> EnergyLedger:
-        return self.state.ledger
 
     def diagnostic_table(self) -> np.ndarray:
         """Columns: t, |v|_H, |v|_V, |Av|_H, |v+z|_L4 and the running
@@ -285,23 +276,22 @@ class SimResult:
         return np.column_stack(cols)
 
 
-def _record(state: SimState, cfg: SolverConfig, ctx: OperatorContext,
-            helper=None) -> None:
-    """Evaluate N(v, z) of the state, kept for the step from it, and append
-    the state's ledger row; a helper executor, if given, forms |u|_L4
-    meanwhile."""
+def _record(state: SimState, F: SpectralField, ledger: EnergyLedger,
+            cfg: SolverConfig, ctx: OperatorContext,
+            helper=None) -> np.ndarray:
+    """Append the ledger row of the state, whose force is F, and return its
+    N(v, z) for the step from it; a helper executor, if given, forms
+    |u|_L4 meanwhile."""
     z = state.ou.z
-    # N and |u|^4 of a state near blow-up can overflow; the row rejects
-    # them silently
+    # N, |u|^4 and the squared norms of a state near blow-up can overflow;
+    # the row rejects the non-finite entry, so the overflow stays silent
     with np.errstate(over="ignore", invalid="ignore"):
         u_l4 = _start(helper, l4_norm, recombine(state))
-        state.N = _nonlinear_rhs(state.v.coeffs, z, cfg.f, ctx)
-        u_l4 = u_l4()
-    if state.F is None:                 # the initial state: no step formed it
-        state.F = effective_force(z, cfg.f, ctx)
-    state.ledger.record_state(state.t, state.v, z,
-                              SpectralField(ctx.lmax, state.N, "stream"),
-                              state.F, ctx, u_l4=u_l4)
+        N = _nonlinear_rhs(state.v.coeffs, z, cfg.f, ctx)
+        ledger.record_state(state.t, state.v, z,
+                            SpectralField(ctx.lmax, N, "stream"), F, ctx,
+                            u_l4=u_l4())
+    return N
 
 
 def run(cfg: SolverConfig, spec: NoiseSpec, *, ctx: OperatorContext,
@@ -309,10 +299,11 @@ def run(cfg: SolverConfig, spec: NoiseSpec, *, ctx: OperatorContext,
     """Integrate to t_end on the model of ctx, recording the energy ledger
     at every step.
 
-    snapshot_every > 0 stores (t, v, z) coefficient snapshots every that
-    many steps (plus the endpoint).  A failed step (blow-up, or a Picard
-    iteration that does not contract) aborts with the partial result and
-    last good state attached to the raised error.
+    The snapshots are the state every snapshot_every steps (none at 0),
+    then the final state once.  A failed step (blow-up, or a Picard
+    iteration that does not contract) aborts with the partial result, whose
+    state and final snapshot are the last good state, attached to the
+    raised error.
 
     lanes is the number of CPUs this path may use.  From 2 lanes at lmax >=
     _LANE_MIN_LMAX one helper thread forms F(z) and |u|_L4 beside the
@@ -326,8 +317,7 @@ def run(cfg: SolverConfig, spec: NoiseSpec, *, ctx: OperatorContext,
         raise ValueError("noise spectrum fails the summability check at "
                          f"delta = {spec.delta:g}")
     v0 = cfg.v0.copy() if cfg.v0 is not None else zero_field(ctx.lmax)
-    state = SimState(t=0.0, v=v0, ou=make_ou_state(ctx, spec),
-                     ledger=EnergyLedger())
+    state = SimState(t=0.0, v=v0, ou=make_ou_state(ctx, spec))
     result = SimResult(state=state)
 
     def snap(s: SimState):
@@ -338,27 +328,29 @@ def run(cfg: SolverConfig, spec: NoiseSpec, *, ctx: OperatorContext,
         # imported here: one lane never needs it, and it slows start-up
         from concurrent.futures import ThreadPoolExecutor
         helper = ThreadPoolExecutor(max_workers=1)
-    n_steps = cfg.n_steps
     stepper = step_picard if cfg.scheme == "picard" else step_imex
-    prev = None                         # the last recorded state
-    with helper or contextlib.nullcontext():
-        for k in range(n_steps + 1):
-            try:
+    F = effective_force(state.ou.z, cfg.f, ctx)
+    try:
+        with helper or contextlib.nullcontext():
+            for k in range(cfg.n_steps + 1):
                 if k > 0:
-                    state = stepper(state, cfg, spec, ctx=ctx, helper=helper)
+                    state, F = stepper(state, N, cfg, spec, ctx=ctx,
+                                       helper=helper)
                     state.t = k * cfg.dt  # keep the grid free of accumulated rounding
                 try:
-                    _record(state, cfg, ctx, helper)
+                    N = _record(state, F, result.ledger, cfg, ctx, helper)
                 except ValueError as err:
                     # coefficients can stay representable while a recorded
                     # quantity (N, |u|^4, squared norms) overflows: same policy
-                    raise BlowUpError(state.t, state=prev) from err
-            except StepFailure as err:
-                err.result = result
-                if snapshot_every > 0 and err.state is not None:
-                    snap(err.state)
-                raise
-            if snapshot_every > 0 and (k % snapshot_every == 0 or k == n_steps):
-                snap(state)
-            result.state = prev = state
+                    raise BlowUpError(state.t) from err
+                result.state = state
+                if snapshot_every > 0 and k % snapshot_every == 0:
+                    snap(state)
+    except StepFailure as err:
+        err.result = result
+        raise
+    finally:
+        if not (result.snapshots
+                and result.snapshots[-1][0] == result.state.t):
+            snap(result.state)
     return result

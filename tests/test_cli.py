@@ -421,18 +421,21 @@ def test_ensemble_worker_count_invariance(tmp_path):
     assert sum(1 for n in names if n.endswith(".bin")) == 3 * 3
 
 
+BLOW_UP = """\
+    [model]
+    lmax = 5
+    nu = 0.001
+    [time]
+    dt = 0.5
+    t_end = 5
+    scheme = imex_euler
+    [initial]
+    v0 = random:decay=1.0,norm=1e8,seed=1
+"""
+
+
 def test_blow_up_exit_code_and_partial_artifacts(tmp_path):
-    path = write_cfg(tmp_path, """\
-        [model]
-        lmax = 5
-        nu = 0.001
-        [time]
-        dt = 0.5
-        t_end = 5
-        scheme = imex_euler
-        [initial]
-        v0 = random:decay=1.0,norm=1e8,seed=1
-    """)
+    path = write_cfg(tmp_path, BLOW_UP)
     out = str(tmp_path / "out")
     with np.errstate(all="ignore"):
         code = main(["simulate", "--config", path, "--output", out])
@@ -443,6 +446,27 @@ def test_blow_up_exit_code_and_partial_artifacts(tmp_path):
     assert lines[0] == DIAGNOSTICS_HEADER       # partial table still valid
     for line in lines[1:]:
         assert all(math.isfinite(float(x)) for x in line.split(","))
+
+
+@pytest.mark.parametrize("scheme", ["imex_euler", "picard"])
+@pytest.mark.parametrize("every", [1, 2])
+def test_a_failed_path_writes_its_last_good_state_once(tmp_path, scheme,
+                                                       every):
+    # the last good state ends the snapshots also when the cadence already
+    # kept it (imex_euler fails in the step to t = 2, picard in the one to
+    # t = 0.5)
+    text = BLOW_UP.replace("imex_euler", scheme)
+    path = write_cfg(tmp_path, f"[run]\nsnapshot_every = {every}\n" + text)
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["simulate", "--config", path, "--output", str(out)]) == 1
+    names = sorted(f for f in os.listdir(out) if f.endswith(".bin"))
+    times = [read_snapshot(str(out / name))["t"] for name in names]
+    assert all(a < b for a, b in zip(times, times[1:])), times
+    last_row = (out / "diagnostics.csv").read_text().splitlines()[-1]
+    assert times[-1] == float(last_row.split(",")[0])
+    report = (out / "report.txt").read_text().splitlines()
+    assert f"  snapshots: {', '.join(names)}" in report
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

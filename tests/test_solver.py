@@ -22,7 +22,7 @@ from snse.harmonics import (
 from snse.noise import NoiseSpec
 from snse.operators import OperatorContext, trilinear_b
 from snse.ou import make_ou_state
-from snse.diagnostics import EnergyLedger, energy_residual, l4_norm, norms
+from snse.diagnostics import energy_residual, l4_norm, norms
 import snse.solver as sol
 from snse.solver import (
     _LANE_MIN_LMAX,
@@ -44,6 +44,21 @@ def _quiet_spec(**kw):
     base = dict(beta=2.0, sigma_rule="zero", delta=0.5, seed=0, n_substeps=1)
     base.update(kw)
     return NoiseSpec(**base)
+
+
+def _nonlinear_calls(monkeypatch):
+    """Count the solver's N(v, z) evaluations at a non-scalar v; the force
+    F = N(0, z) of effective_force is not counted."""
+    calls = {"n": 0}
+    orig = sol._nonlinear_rhs
+
+    def counting(v_coeffs, *a, **k):
+        if not np.isscalar(v_coeffs):
+            calls["n"] += 1
+        return orig(v_coeffs, *a, **k)
+
+    monkeypatch.setattr(sol, "_nonlinear_rhs", counting)
+    return calls
 
 
 def test_config_validation():
@@ -151,8 +166,7 @@ def test_picard_iteration_geometric_and_consistent(smooth_data):
     v0, _ = smooth_data
     dt, nu, tol = 0.05, 0.5, 1e-13
     ctx = OperatorContext(10, nu=nu)
-    st = SimState(t=0.0, v=v0, ou=make_ou_state(ctx, _quiet_spec()),
-                  ledger=EnergyLedger())
+    st = SimState(t=0.0, v=v0, ou=make_ou_state(ctx, _quiet_spec()))
     E = _v_decay_factor(ctx, dt)
     N_n = _nonlinear_rhs(v0.coeffs, st.ou.z, None, ctx)
     base = E * v0.coeffs + 0.5 * dt * E * N_n
@@ -171,31 +185,22 @@ def test_picard_iteration_geometric_and_consistent(smooth_data):
     assert all(r < 1.0 for r in ratios)
     assert max(ratios) < 3.0 * min(ratios)  # roughly geometric
     cfg = SolverConfig(dt=dt, t_end=dt, scheme="picard", picard_tol=tol, v0=v0)
-    st2 = step_picard(st, cfg, _quiet_spec(), ctx=ctx)
+    st2, _ = step_picard(st, N_n, cfg, _quiet_spec(), ctx=ctx)
     assert np.array_equal(st2.v.coeffs, w_fixed)
 
 
 def test_picard_linear_problem_single_iteration(monkeypatch):
     # with no quadratic coupling the mild map is constant in its argument:
     # the first corrector application already sits at the fixed point
-    calls = {"n": 0}
-    orig = sol._nonlinear_rhs
-
-    def counting(v_coeffs, *a, **k):
-        # N(v, z) at a v of the step; the step also forms the new state's
-        # force F = N(0, z), which applies no mild map
-        if not (np.isscalar(v_coeffs) and v_coeffs == 0.0):
-            calls["n"] += 1
-        return orig(v_coeffs, *a, **k)
-
-    monkeypatch.setattr(sol, "_nonlinear_rhs", counting)
     ctx = OperatorContext(8)
     st = SimState(t=0.0, v=unit_stream_mode(8, 3, 2),
-                  ou=make_ou_state(ctx, _quiet_spec()), ledger=EnergyLedger())
+                  ou=make_ou_state(ctx, _quiet_spec()))
     cfg = SolverConfig(dt=0.05, t_end=0.05, scheme="picard",
                        picard_tol=1e-10, v0=unit_stream_mode(8, 3, 2))
-    step_picard(st, cfg, _quiet_spec(), ctx=ctx)
-    assert calls["n"] == 2  # predictor force + one corrector application
+    N = _nonlinear_rhs(st.v.coeffs, st.ou.z, None, ctx)
+    calls = _nonlinear_calls(monkeypatch)
+    step_picard(st, N, cfg, _quiet_spec(), ctx=ctx)
+    assert calls["n"] == 1  # the predictor reads N: one corrector application
 
 
 def test_picard_contraction_failure_raises(smooth_data):
@@ -204,12 +209,12 @@ def test_picard_contraction_failure_raises(smooth_data):
     cfg = SolverConfig(dt=0.5, t_end=0.5, scheme="picard",
                        picard_tol=1e-12, picard_max_iter=8, v0=big)
     ctx = OperatorContext(10)
-    st = SimState(t=0.0, v=big, ou=make_ou_state(ctx, _quiet_spec()),
-                  ledger=EnergyLedger())
+    st = SimState(t=0.0, v=big, ou=make_ou_state(ctx, _quiet_spec()))
+    N = _nonlinear_rhs(big.coeffs, st.ou.z, None, ctx)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises((ContractionError, BlowUpError)):
-            step_picard(st, cfg, _quiet_spec(), ctx=ctx)
+            step_picard(st, N, cfg, _quiet_spec(), ctx=ctx)
 
 
 def test_monotone_energy_decay_unforced():
@@ -301,10 +306,14 @@ def test_blow_up_attaches_partial_result():
                 snapshot_every=1)
     err = exc.value
     assert err.t <= 5.0
-    assert err.result is not None and err.result.ledger.n >= 1
-    assert err.state is not None
-    assert np.all(np.isfinite(err.state.v.coeffs))
-    assert err.result.snapshots  # last finite state captured
+    res = err.result
+    assert res is not None and res.ledger.n >= 1
+    last = res.state                    # the last good state
+    assert last.t == res.ledger.series("t")[-1] < err.t
+    assert np.all(np.isfinite(last.v.coeffs))
+    # the cadence kept every recorded state; the last one is not kept twice
+    assert [t for t, _, _ in res.snapshots] == list(res.ledger.series("t"))
+    assert np.array_equal(res.snapshots[-1][1], last.v.coeffs)
 
 
 def test_galerkin_endpoint_cauchy():
@@ -355,7 +364,7 @@ def test_energy_residual_second_order_unforced():
     assert 3.0 < res[1] / res[2] < 5.0
 
 
-def test_ledger_b_vvz_matches_trilinear_oracle():
+def test_ledger_b_vvz_matches_trilinear_oracle(monkeypatch):
     # each row takes b(v,v,z) = (N(v,z), v) - (F, v) from the N the step
     # reads; the independent quadrature of (nabla_v v) . z must agree, on
     # the product grid and on a finer one
@@ -383,10 +392,15 @@ def test_ledger_b_vvz_matches_trilinear_oracle():
                              + abs(led.data["f_v"][k]))
                     err = abs(led.data["b_vvz"][k] - trilinear_b(v, v, z, ctx))
                     assert err <= 1e-12 * scale, (lmax, spectrum, k, err)
-                # the last row's N is kept on the state the next step reads
-                st = res.state
-                assert np.array_equal(st.N, _nonlinear_rhs(
-                    st.v.coeffs, st.ou.z, cfg.f, ctx))
+    # the N of each row is the one the step from its state reads: an
+    # n-step Heun run forms N(v, z) once per row and once per corrector,
+    # with or without the helper lane
+    cfg, spec, ctx = _lane_case(_LANE_MIN_LMAX, "imex_heun")
+    calls = _nonlinear_calls(monkeypatch)
+    for lanes in (1, 2):
+        calls["n"] = 0
+        run(cfg, spec, ctx=ctx, lanes=lanes)
+        assert calls["n"] == 2 * cfg.n_steps + 1, lanes
 
 
 def test_energy_residual_converges_on_aliased_grid():
