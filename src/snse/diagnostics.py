@@ -17,13 +17,13 @@ from .harmonics import (
     QuadratureGrid,
     SpectralField,
     _mode_weights,
+    _thread_pass,
     basis_eigenvalues,
     gauss_legendre_grid,
     grid_integral,
     inner_h,
     norm_h,
     smooth_length,
-    vector_synthesis,
 )
 from .operators import OperatorContext, coriolis_apply, stokes_apply, trilinear_b
 
@@ -48,9 +48,14 @@ def l4_grid(lmax: int) -> QuadratureGrid:
 
 
 def l4_norm(field: SpectralField) -> float:
+    """|u|_L4 of the velocity of a stream field: one synthesis of its three
+    derivative columns and one irfft on l4_grid."""
     grid = l4_grid(field.lmax)
-    vec = vector_synthesis(field, grid).values
-    return float(grid_integral(grid, (vec[0] ** 2 + vec[1] ** 2) ** 2)) ** 0.25
+    u = _thread_pass(grid, field.lmax, 1).synthesize(field.coeffs)
+    u *= u
+    u[0] += u[1]                                    # |u|^2 (u_phi = -u[1])
+    u[0] *= u[0]
+    return float(grid_integral(grid, u[0])) ** 0.25
 
 
 def norms(field: SpectralField, ctx: OperatorContext) -> dict:

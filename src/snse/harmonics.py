@@ -19,6 +19,7 @@ sum_l l(l+1) * <coefficients>.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -134,14 +135,23 @@ def smooth_length(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _gauss_nodes(n_lat: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights; cached and read-only.
+    Both are exactly symmetric about 0, which the Legendre table uses."""
+    mu, w = np.polynomial.legendre.leggauss(n_lat)
+    for a in (mu, w):
+        a.setflags(write=False)
+    return mu, w
+
+
+@lru_cache(maxsize=None)
 def gauss_legendre_grid(n_lat: int, n_lon: int) -> QuadratureGrid:
     for name, count in (("n_lat", n_lat), ("n_lon", n_lon)):
         if count < 1:
             raise ParameterError(name, f"{name} = {count} must be >= 1")
-    mu, w = np.polynomial.legendre.leggauss(n_lat)
+    mu, w = _gauss_nodes(n_lat)
     theta = np.arccos(mu)
-    for a in (mu, w, theta):
-        a.setflags(write=False)
+    theta.setflags(write=False)
     sin_theta = np.sin(theta)
     phi = 2.0 * np.pi * np.arange(n_lon) / n_lon
     sin_theta.setflags(write=False)
@@ -222,13 +232,22 @@ def zero_field(lmax: int, kind: str = "stream") -> SpectralField:
 #   d(Pbar_l^m)/d(theta) = (l mu Pbar_l^m - e_l^m Pbar_{l-1}^m)/sin(theta),
 #     e_l^m = sqrt((l^2-m^2)(2l+1)/(2l-1))   (e_m^m = 0).
 #
-# Only Pbar is tabulated, padded to P[m, j, l] (zero for l < m) so that one
-# batched matmul over m does every Legendre stage.  Derivatives never need a
-# second table: by the identity above, sum_l c_l dPbar_l is
-# (mu S[l c_l] - S[e_{l+1} c_{l+1}]) / sin(theta) with S the synthesis by
-# Pbar, and its adjoint, sum_j dPbar_l(theta_j) F_j, is
+# One table, Pbar / sin(theta), on the mu <= 0 half of the Gauss nodes only:
+# numpy's Gauss-Legendre nodes and weights are exactly symmetric, and
+#   Pbar_l^m(-mu) = (-1)^(l+m) Pbar_l^m(mu),
+# so the part of a sum over l whose l - m is even (E) takes the same value
+# at mu and -mu, and the part whose l - m is odd (O) changes sign: the node
+# -mu_j gets E_j - O_j where mu_j gets E_j + O_j (Schaeffer, G^3 2013,
+# arXiv:1202.6522).  The table keeps the two parts apart, each packed from
+# l = m on and zero past lmax, so that one batched matmul over m does each,
+# at half the products of a table on every node.  O vanishes at an equator
+# node (odd n_lat) and has no slot at m = lmax, so its part skips both.
+# Derivatives never need a second table: by the identity above, sum_l c_l
+# dPbar_l is (mu S[l c_l] - S[e_{l+1} c_{l+1}]) / sin(theta) with S the
+# synthesis by Pbar, and its adjoint, sum_j dPbar_l(theta_j) F_j, is
 # l (P^T (mu F/sin))_l - e_l (P^T (F/sin))_{l-1}.  Both divide by
-# sin(theta), which Gauss nodes never make 0.
+# sin(theta), which Gauss nodes never make 0, and the table has done so;
+# the plain stages multiply by sin(theta) at the nodes.
 
 
 def _legendre_P(lmax: int, mu: np.ndarray, sin_theta: np.ndarray) -> np.ndarray:
@@ -253,12 +272,76 @@ def _legendre_P(lmax: int, mu: np.ndarray, sin_theta: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _legendre_table(n_lat: int, lmax: int) -> np.ndarray:
-    """Cached P[m, j, l] on the n_lat Gauss nodes, shape (lmax+1, n_lat, lmax+1)."""
-    mu, _ = np.polynomial.legendre.leggauss(n_lat)
-    P = _legendre_P(lmax, mu, np.sin(np.arccos(mu)))
-    P.setflags(write=False)
-    return P
+def _slots(lmax: int) -> tuple:
+    """Slots of the split table, flattened: the even part's (lmax+1) x
+    ceil((lmax+1)/2) slots (m, k) of degree l = m + 2k, then the odd part's
+    lmax x (lmax+1)//2 slots of degree l = m + 2k + 1.  Returns l and m per
+    slot (l > lmax: an empty slot), the padded index m*(lmax+1) + l of each
+    slot ((lmax+1)^2 for an empty one) and the slot of each mode."""
+    L = lmax + 1
+    ms, ls = [], []
+    for parity, n_m, width in ((0, L, (L + 1) // 2), (1, lmax, L // 2)):
+        m, k = np.meshgrid(np.arange(n_m), np.arange(width), indexing="ij")
+        ms.append(m.ravel())
+        ls.append((m + 2 * k + parity).ravel())
+    m, l = np.concatenate(ms), np.concatenate(ls)
+    full = l <= lmax
+    pad = np.where(full, m * L + l, L * L)
+    of_mode = np.empty(n_modes(lmax), dtype=np.int64)
+    of_mode[mode_index(l[full], m[full])] = np.flatnonzero(full)
+    out = (l, m, pad, of_mode)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _legendre_table(n_lat: int, lmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cached (even, odd) table of Pbar / sin(theta) on the Gauss nodes
+    mu_j <= 0 of n_lat: even[m, j, k] = Pbar_{m+2k}^m(mu_j) / sin(theta_j),
+    shape (lmax+1, ceil(n_lat/2), ceil((lmax+1)/2)), and odd[m, j, k] the
+    same of Pbar_{m+2k+1}^m for m < lmax and mu_j < 0, shape (lmax,
+    n_lat//2, (lmax+1)//2); zero past lmax.  Every derivative column is
+    divided by sin(theta) (see above), and the other stages multiply by it."""
+    L = lmax + 1
+    mu = _gauss_nodes(n_lat)[0][: (n_lat + 1) // 2]
+    sin = np.sin(np.arccos(mu))
+    P = _legendre_P(lmax, mu, sin) / sin[:, None]
+    even = np.zeros((L, mu.size, (L + 1) // 2))
+    odd = np.zeros((lmax, n_lat // 2, L // 2))
+    for m in range(L):
+        even[m, :, : (L - m + 1) // 2] = P[m, :, m::2]
+        if m < lmax:
+            odd[m, :, : (L - m) // 2] = P[m, : n_lat // 2, m + 1 :: 2]
+    out = (even, odd)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _derivative_columns(lmax: int, n_fields: int) -> tuple:
+    """Mode index and factor of every synthesis column per slot, for the
+    fields f_k = lam^k psi, k < n_fields (lam = l(l+1)): column k takes
+    i m f_k, column n_fields + k takes l f_k and column 2 n_fields + k takes
+    e_{l+1}^m f_k(l+1), whose syntheses give the angular derivatives (see
+    the table above).  An empty slot has factor 0."""
+    l, m, _, _ = _slots(lmax)
+    up = np.minimum(l + 1, lmax)
+    full, full_up = l <= lmax, l + 1 <= lmax
+    e_up = np.sqrt(np.maximum(up * up - m * m, 0) * (2 * up + 1) / (2 * up - 1))
+    lam, lam_up = l * (l + 1.0), up * (up + 1.0)
+    here = np.where(full, mode_index(np.minimum(l, lmax), m), 0)
+    there = np.where(full_up, mode_index(up, m), 0)
+    ks = range(n_fields)
+    src = [here for _ in ks] + [here for _ in ks] + [there for _ in ks]
+    fac = ([np.where(full, 1j * m * lam**k, 0) for k in ks]
+           + [np.where(full, l * lam**k, 0) for k in ks]
+           + [np.where(full_up, e_up * lam_up**k, 0) for k in ks])
+    out = (np.stack(src, axis=1), np.stack(fac, axis=1).astype(np.complex128))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -301,18 +384,101 @@ def _flat(C: np.ndarray, lmax: int) -> np.ndarray:
 # every m in one matmul.
 
 
+def _hemisphere_synthesis(X: np.ndarray, table: tuple, out: np.ndarray,
+                          halves: np.ndarray, odd_part: np.ndarray) -> None:
+    """out[k, j, m] = sum_l X[slot(m, l), k] Pbar_l^m(theta_j) / sin(theta_j)
+    on every node, from the split table.  X (n_slots, k) in _slots order,
+    out (k, n_lat, lmax+1); halves (lmax+1, 2, ceil(n_lat/2), k), the
+    south rows and the mirrors of the north rows, and odd_part (lmax,
+    n_lat//2, k) are work arrays, all complex."""
+    even, odd = table
+    L, h, width = even.shape
+    h_odd, split, k2 = odd.shape[1], L * width, 2 * X.shape[1]
+    south, north = halves[:, 0], halves[:, 1, :h_odd]
+    np.matmul(even, X[:split].view(np.float64).reshape(L, width, k2),
+              out=south.view(np.float64))
+    np.matmul(odd, X[split:].view(np.float64).reshape(L - 1, odd.shape[2], k2),
+              out=odd_part.view(np.float64))
+    np.subtract(south[:-1, :h_odd], odd_part, out=north[:-1])
+    north[-1] = south[-1, :h_odd]
+    south[:-1, :h_odd] += odd_part
+    np.copyto(out[:, :h], south.transpose(2, 1, 0))
+    np.copyto(out[:, ::-1][:, :h_odd], north.transpose(2, 1, 0))
+
+
+def _hemisphere_analysis(F: np.ndarray, factor: np.ndarray, table: tuple,
+                         even_in: np.ndarray, odd_in: np.ndarray,
+                         out: np.ndarray) -> np.ndarray:
+    """out[slot(m, l), k] = sum_j Pbar_l^m(theta_j) c_j F[k, j, m] over every
+    node, with node factors c_j symmetric about the equator.  F is (k,
+    n_lat, >= lmax+1); factor holds c_j sin(theta_j) (the table holds
+    Pbar / sin) of the nodes mu_j <= 0, halved at an equator node, which the
+    fold of F counts twice.  even_in (lmax+1, ceil(n_lat/2), k) and odd_in
+    (lmax, n_lat//2, k) are work arrays; out is (n_slots, k), all complex."""
+    even, odd = table
+    L, h, width = even.shape
+    h_odd, k2 = odd.shape[1], 2 * F.shape[0]
+    Fm = F.transpose(2, 1, 0)                       # [m, j, k]
+    np.add(Fm[:L, :h], Fm[:L, ::-1][:, :h], out=even_in)
+    even_in *= factor[:, None]
+    np.subtract(Fm[: L - 1, :h_odd], Fm[: L - 1, ::-1][:, :h_odd], out=odd_in)
+    odd_in *= factor[:h_odd, None]
+    split = L * width
+    np.matmul(even.transpose(0, 2, 1), even_in.view(np.float64),
+              out=out[:split].view(np.float64).reshape(L, width, k2))
+    np.matmul(odd.transpose(0, 2, 1), odd_in.view(np.float64),
+              out=out[split:].view(np.float64).reshape(L - 1, odd.shape[2], k2))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _fold_factor(n_lat: int, quadrature: bool) -> np.ndarray:
+    """The factor of _hemisphere_analysis on the nodes mu_j <= 0: sin(theta_j)
+    times the quadrature factor 2 pi w_j, or times 1; halved at an equator
+    node."""
+    mu, w = (a[: (n_lat + 1) // 2] for a in _gauss_nodes(n_lat))
+    c = np.sin(np.arccos(mu)) * (2.0 * np.pi * w if quadrature else 1.0)
+    if n_lat % 2:
+        c[-1] *= 0.5
+    c.setflags(write=False)
+    return c
+
+
+def _slot_synthesis(X: np.ndarray, lmax: int, n_lat: int) -> np.ndarray:
+    """G[k, j, m] = sum_l X[slot(m, l), k] Pbar_l^m(theta_j) / sin(theta_j)
+    for X (n_slots, k) in _slots order, in new arrays."""
+    L, k = lmax + 1, X.shape[-1]
+    G = np.empty((k, n_lat, L), dtype=np.complex128)
+    _hemisphere_synthesis(
+        X, _legendre_table(n_lat, lmax), G,
+        np.empty((L, 2, (n_lat + 1) // 2, k), dtype=np.complex128),
+        np.empty((lmax, n_lat // 2, k), dtype=np.complex128))
+    return G
+
+
 def _legendre_synthesis(X: np.ndarray, lmax: int, n_lat: int) -> np.ndarray:
     """Half spectra G[k, j, m] = sum_l X[m, l, k] Pbar_l^m(theta_j)."""
-    P = _legendre_table(n_lat, lmax)
-    G = np.matmul(P, X.view(np.float64)).view(np.complex128)
-    return G.transpose(2, 1, 0)
+    L, k = lmax + 1, X.shape[-1]
+    padded = np.zeros((L * L + 1, k), dtype=np.complex128)
+    padded[:-1] = X.reshape(L * L, k)
+    G = _slot_synthesis(padded[_slots(lmax)[2]], lmax, n_lat)
+    mu = _gauss_nodes(n_lat)[0]
+    G *= np.sin(np.arccos(-np.abs(mu)))[:, None]    # the table's sin, mirrored
+    return G
 
 
 def _legendre_analysis(F: np.ndarray, lmax: int, n_lat: int) -> np.ndarray:
     """Adjoint of _legendre_synthesis: A[m, l, k] = sum_j Pbar_l^m(theta_j) F[k, j, m]."""
-    P = _legendre_table(n_lat, lmax)
-    X = np.ascontiguousarray(F.transpose(2, 1, 0))
-    return np.matmul(P.transpose(0, 2, 1), X.view(np.float64)).view(np.complex128)
+    L, k = lmax + 1, F.shape[0]
+    pad = _slots(lmax)[2]
+    slots = _hemisphere_analysis(
+        F, _fold_factor(n_lat, False), _legendre_table(n_lat, lmax),
+        np.empty((L, (n_lat + 1) // 2, k), dtype=np.complex128),
+        np.empty((lmax, n_lat // 2, k), dtype=np.complex128),
+        np.empty((pad.size, k), dtype=np.complex128))
+    A = np.zeros((L * L + 1, k), dtype=np.complex128)
+    A[pad] = slots                                  # empty slots land on the last row
+    return A[:-1].reshape(L, L, k)
 
 
 def _synthesize(parts, n_lon: int) -> np.ndarray:
@@ -358,17 +524,9 @@ def scalar_analysis(f: GridField, lmax: int) -> SpectralField:
 def _angular_derivatives(f: SpectralField, grid: QuadratureGrid):
     """Half spectra of (1/sin theta) df/dphi and df/dtheta, each (n_lat, lmax+1)."""
     _require_resolution(grid, f.lmax)
-    _, l, m, e = _layout(f.lmax)
-    C = _padded(f.coeffs, f.lmax)
-    # columns [i m c, l c, e_{l+1} c_{l+1}]: the synthesis S of the first is
-    # d/dphi, and (mu S[l c] - S[e_{l+1} c_{l+1}]) / sin(theta) is d/dtheta
-    X = np.zeros(C.shape + (3,), dtype=np.complex128)
-    X[..., 0] = 1j * m * C
-    X[..., 1] = l * C
-    X[:, :-1, 2] = (e * C)[:, 1:]
-    S = _legendre_synthesis(X, f.lmax, grid.n_lat)
-    sin = grid.sin_theta[:, None]
-    return S[0] / sin, (grid.mu[:, None] * S[1] - S[2]) / sin
+    src, fac = _derivative_columns(f.lmax, 1)
+    S = _slot_synthesis(f.coeffs[src] * fac, f.lmax, grid.n_lat)
+    return S[0], grid.mu[:, None] * S[1] - S[2]
 
 
 def vector_synthesis(psi: SpectralField, grid: QuadratureGrid) -> GridField:
@@ -422,13 +580,128 @@ def vector_analysis(w: GridField, lmax: int) -> SpectralField:
 
 
 # ---------------------------------------------------------------------------
+# One pass per nonlinear term
+# ---------------------------------------------------------------------------
+#
+# nonlinear_B and l4_norm need the first derivatives of psi (and of its
+# vorticity) on a grid, and B one analysis of their product.  A pass does
+# each with one Legendre synthesis of every derivative column, one irfft and
+# one rfft, in work arrays that are views of one buffer per thread: the
+# helper thread of solver.run runs passes beside the calling thread.  The
+# views of a (grid, lmax, fields) are carved once, and stages that are never
+# alive together share memory, so every pass of a thread fits in the
+# largest one.  Every call writes each array it reads, so nothing carries
+# over from an earlier pass, also not from a field that overflowed.
+
+_thread_work = threading.local()
+
+
+class _Pass:
+    """The derivative synthesis of n_fields fields and one scalar analysis
+    at band limit lmax on grid, in work arrays carved from one thread's
+    buffer.  Arrays it returns are views of that buffer: valid until the
+    thread's next pass."""
+
+    def __init__(self, grid: QuadratureGrid, lmax: int, n_fields: int):
+        n, L, c = grid.n_lat, lmax + 1, 3 * n_fields
+        self.n_lon, self.n_fields = grid.n_lon, n_fields
+        self.table = _legendre_table(n, lmax)
+        self.src, self.fac = _derivative_columns(lmax, n_fields)
+        self.of_mode = _slots(lmax)[3]
+        self.factor = _fold_factor(n, True)
+        self.mu = grid.mu[:, None]
+        n_slots, h, h_odd = self.src.shape[0], (n + 1) // 2, n // 2
+        n_half = grid.n_lon // 2 + 1
+        z, r = np.complex128, np.float64
+        # stages of one region are never alive together: the synthesis
+        # columns with the odd part of their Legendre sums, the half
+        # spectra, the rfft output with the analysis output; the Legendre
+        # sums on each half, the grid values, the folded rows
+        self.regions = (
+            ([("X", (n_slots, c), z), ("odd_part", (lmax, h_odd, c), z)],
+             [("H", (c, n, n_half), z)],
+             [("spectrum", (n, n_half), z), ("A", (n_slots, 1), z)]),
+            ([("halves", (L, 2, h, c), z)],
+             [("G", (2 * n_fields, n, grid.n_lon), r)],
+             [("even_in", (L, h, 1), z), ("odd_in", (lmax, h_odd, 1), z)]),
+        )
+
+    def carve(self, buf: np.ndarray | None = None) -> int:
+        """The float64 count the pass takes, and with buf its views into
+        buf: the regions follow each other, every stage of a region starts
+        at the region's start, and every array at a 64-byte boundary."""
+        start = 0
+        for region in self.regions:
+            end = start
+            for stage in region:
+                at = start
+                for name, shape, dtype in stage:
+                    size = math.prod(shape) * (2 if dtype is np.complex128 else 1)
+                    if buf is not None:
+                        view = buf[at : at + size].view(dtype).reshape(shape)
+                        setattr(self, name, view)
+                    at += -(-size // 8) * 8
+                end = max(end, at)
+            start = end
+        return start
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Grid values (2 n_fields, n_lat, n_lon): (1/sin theta) df/dphi of
+        each field f_k = lam^k psi, psi with coefficients coeffs, then
+        df/dtheta of each.  One synthesis of 3 n_fields columns, one irfft."""
+        F, L = self.n_fields, self.halves.shape[0]
+        coeffs.take(self.src, out=self.X, mode="clip")
+        self.X *= self.fac
+        H = self.H
+        _hemisphere_synthesis(self.X, self.table, H[..., :L], self.halves,
+                              self.odd_part)
+        d_theta = H[F : 2 * F, :, :L]               # (mu S[l f] - S[e f(l+1)]) / sin
+        d_theta *= self.mu
+        d_theta -= H[2 * F :, :, :L]
+        # irfft runs faster on a zero-padded spectrum than when it pads
+        H[: 2 * F, :, L:] = 0.0
+        return np.fft.irfft(H[: 2 * F], n=self.n_lon, axis=-1, norm="forward",
+                            out=self.G)
+
+    def analyze(self, values: np.ndarray) -> np.ndarray:
+        """Flat coefficients (a new array) of the scalar analysis of grid
+        values (n_lat, n_lon); values may be a row of synthesize's result."""
+        F = np.fft.rfft(values, axis=-1, norm="forward", out=self.spectrum)
+        _hemisphere_analysis(F[None], self.factor, self.table, self.even_in,
+                             self.odd_in, self.A)
+        return self.A[self.of_mode, 0]
+
+
+def _thread_pass(grid: QuadratureGrid, lmax: int, n_fields: int) -> _Pass:
+    """This thread's _Pass of (grid, lmax, n_fields), carved once from the
+    thread's one buffer; a pass that needs more than the buffer holds
+    replaces it, and the passes of the old one are carved again when next
+    used."""
+    passes = getattr(_thread_work, "passes", None)
+    if passes is None:
+        passes = _thread_work.passes = {}
+        _thread_work.buf = np.empty(0)
+    key = (grid.n_lat, grid.n_lon, lmax, n_fields)
+    p = passes.get(key)
+    if p is None:
+        p = _Pass(grid, lmax, n_fields)
+        need = p.carve()
+        if need > _thread_work.buf.size:
+            _thread_work.buf = np.empty(need)
+            passes.clear()
+        p.carve(_thread_work.buf)
+        passes[key] = p
+    return p
+
+
+# ---------------------------------------------------------------------------
 # Quadrature and inner products
 # ---------------------------------------------------------------------------
 
 
 def grid_integral(grid: QuadratureGrid, values: np.ndarray) -> float:
     """Integral over the sphere of pointwise values (scalar samples)."""
-    return float((2.0 * np.pi / grid.n_lon) * np.sum(grid.weight @ values))
+    return float((2.0 * np.pi / grid.n_lon) * (grid.weight @ values).sum())
 
 
 @lru_cache(maxsize=None)

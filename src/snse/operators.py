@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .harmonics import (
-    GridField,
     ParameterError,
     QuadratureGrid,
     SpectralField,
+    _thread_pass,
     basis_eigenvalues,
     gauss_legendre_grid,
     gradient_synthesis,
@@ -39,7 +39,6 @@ from .harmonics import (
     min_grid,
     mode_degrees,
     n_modes,
-    scalar_analysis,
     scalar_synthesis,
     smooth_length,
     vector_synthesis,
@@ -50,7 +49,6 @@ __all__ = [
     "product_grid",
     "stokes_apply",
     "coriolis_apply",
-    "curl_scalar",
     "trilinear_b",
     "nonlinear_B",
 ]
@@ -130,11 +128,6 @@ def coriolis_apply(u: SpectralField, ctx: OperatorContext) -> SpectralField:
     return SpectralField(u.lmax, u.coeffs * (1j * ctx.coriolis_diag), u.kind)
 
 
-def curl_scalar(u: SpectralField) -> SpectralField:
-    """Scalar vorticity of u = Curl psi: zeta_{l,m} = l(l+1) psi_{l,m}."""
-    return SpectralField(u.lmax, u.coeffs * basis_eigenvalues(u.lmax), "scalar")
-
-
 # ---------------------------------------------------------------------------
 # Convective terms.  Two independent routes:
 #
@@ -202,17 +195,19 @@ def nonlinear_B(u: SpectralField, ctx: OperatorContext) -> SpectralField:
     """Stream coefficients of the projected self-advection P(nabla_u u).
 
     Pseudo-spectral vorticity route: B(u)_psi[l,m] = (u . grad zeta)_{l,m} / (l(l+1))
-    with the advective product formed on the (dealiased) grid.
+    with the advective product formed on the (dealiased) grid: one
+    synthesis of the six derivative columns of psi and zeta = l(l+1) psi,
+    one irfft, the product in place, one rfft and one analysis.
     """
     if u.lmax != ctx.lmax:
         raise ValueError(f"field lmax {u.lmax} != operator lmax {ctx.lmax}")
-    grid = ctx.grid
-    zeta = curl_scalar(u)
-    U = vector_synthesis(u, grid).values
-    Gz = gradient_synthesis(zeta, grid).values
-    adv = U[0] * Gz[0] + U[1] * Gz[1]
-    a = scalar_analysis(GridField(grid, adv), u.lmax)
-    lam = basis_eigenvalues(u.lmax)
-    out = np.zeros_like(a.coeffs)
-    out[1:] = a.coeffs[1:] / lam[1:]
+    p = _thread_pass(ctx.grid, u.lmax, 2)
+    # rows d(psi)/dphi / sin = u_theta, d(zeta)/dphi / sin, d(psi)/dtheta =
+    # -u_phi, d(zeta)/dtheta: u . grad zeta, in place in the first row
+    G = p.synthesize(u.coeffs)
+    G[0] *= G[3]
+    G[2] *= G[1]
+    G[0] -= G[2]
+    out = p.analyze(G[0])
+    out[1:] /= basis_eigenvalues(u.lmax)[1:]
     return SpectralField(u.lmax, out, "stream")

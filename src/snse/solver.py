@@ -303,7 +303,7 @@ def run(cfg: SolverConfig, spec: NoiseSpec, *, ctx: OperatorContext,
     then the final state once.  A failed step (blow-up, or a Picard
     iteration that does not contract) aborts with the partial result, whose
     state and final snapshot are the last good state, attached to the
-    raised error.
+    raised error; a run whose t = 0 ledger row fails has no snapshot.
 
     lanes is the number of CPUs this path may use.  From 2 lanes at lmax >=
     _LANE_MIN_LMAX one helper thread forms F(z) and |u|_L4 beside the
@@ -350,7 +350,9 @@ def run(cfg: SolverConfig, spec: NoiseSpec, *, ctx: OperatorContext,
         err.result = result
         raise
     finally:
-        if not (result.snapshots
-                and result.snapshots[-1][0] == result.state.t):
+        # the final state once, if its ledger row was recorded: a run that
+        # fails at its t = 0 row has no good state to snapshot
+        if result.ledger.n and not (result.snapshots
+                                    and result.snapshots[-1][0] == result.state.t):
             snap(result.state)
     return result

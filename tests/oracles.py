@@ -1,6 +1,7 @@
 """Independent routes the tests compare the package against.  No mode runs
-them: pointwise harmonics, the rotation term formed on the grid, and a
-batched OU recursion over a batch of the package's increment draw."""
+them: pointwise harmonics, the spectral vorticity, the rotation term formed
+on the grid, and a batched OU recursion over a batch of the package's
+increment draw."""
 
 import numpy as np
 
@@ -26,6 +27,13 @@ def eval_ylm(l, m, theta, phi):
     if m < 0:
         val = (-1) ** ma * np.conj(val)
     return complex(val) if val.ndim == 0 else val
+
+
+def curl_scalar(u):
+    """Scalar vorticity of u = Curl psi: zeta_{l,m} = l(l+1) psi_{l,m}, the
+    fact that nonlinear_B's vorticity columns rest on."""
+    return sh.SpectralField(u.lmax, u.coeffs * sh.basis_eigenvalues(u.lmax),
+                            "scalar")
 
 
 def coriolis_grid(u, ctx):

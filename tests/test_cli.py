@@ -510,6 +510,9 @@ def test_blow_up_at_first_row(tmp_path, capsys):
         assert "BLOW-UP at t = 0" in report and "result: FAIL" in report
     csv = Path(tmp_path / "simulate", "diagnostics.csv").read_text()
     assert csv.splitlines() == [DIAGNOSTICS_HEADER]
+    # no state passed its ledger row, so none is snapshot
+    assert not list(Path(tmp_path / "simulate").glob("*.bin"))
+    assert "  snapshots: none" in Path(tmp_path / "simulate", "report.txt").read_text()
     assert capsys.readouterr().err == ""
 
 NON_CONTRACTING = """\

@@ -331,18 +331,35 @@ def test_smooth_length_is_the_least_5_smooth_length():
 
 
 def test_legendre_table_fits_the_old_two_table_footprint():
-    # one padded P table, no dP table: at most the (lmax+1)(lmax+2) n_lat
-    # float64 that P and dP/dtheta took together
-    for n_lat, lmax in [(19, 12), (26, 12), (97, 64), (130, 64), (13, 12)]:
-        P = sh._legendre_table(n_lat, lmax)
-        assert P.dtype == np.float64
-        assert P.size <= (lmax + 1) * (lmax + 2) * n_lat
+    # one table on the mu <= 0 half of the nodes, split by the parity of
+    # l - m, no dP table: at most half the (lmax+1)^2 n_lat float64 of the
+    # padded P table on every node
+    for n_lat, lmax in [(19, 12), (26, 12), (97, 64), (130, 64), (13, 12),
+                        (14, 13), (7, 6)]:
+        table = sh._legendre_table(n_lat, lmax)
+        assert all(part.dtype == np.float64 for part in table)
+        assert 2 * sum(part.size for part in table) <= (lmax + 1) ** 2 * n_lat
 
 
-# smooth default grids, odd explicit grids and prime explicit grids
+def test_hemisphere_table_mirrors_the_table_on_every_node():
+    # Pbar_l^m(-mu) = (-1)^(l+m) Pbar_l^m(mu): the split table on the south
+    # nodes gives the padded table on every node, equator included
+    for n_lat, lmax in [(13, 12), (14, 12), (19, 12), (20, 32)]:
+        g = sh.gauss_legendre_grid(n_lat, 1)
+        P = sh._legendre_P(lmax, g.mu, g.sin_theta)          # P[m, j, l]
+        X = np.zeros((lmax + 1, lmax + 1, lmax + 1))
+        for m in range(lmax + 1):
+            X[m, m:, m:] = np.eye(lmax + 1 - m)                # column k: degree k
+        got = sh._legendre_synthesis(X.astype(complex), lmax, n_lat)
+        assert np.abs(got.transpose(2, 1, 0) - P).max() < 1e-13
+
+
+# smooth default grids, odd and even explicit grids (the split table has
+# an equator node at odd n_lat only) and prime explicit grids
 ROUND_TRIP_GRIDS = [
     (5, None), (12, None), (32, None),
     (12, (13, 25)), (12, (19, 37)), (7, (11, 17)), (20, (23, 43)),
+    (12, (14, 26)), (20, (32, 64)),
 ]
 
 

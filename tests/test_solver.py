@@ -20,7 +20,7 @@ from snse.harmonics import (
     zero_field,
 )
 from snse.noise import NoiseSpec
-from snse.operators import OperatorContext, trilinear_b
+from snse.operators import OperatorContext, nonlinear_B, trilinear_b
 from snse.ou import make_ou_state
 from snse.diagnostics import energy_residual, l4_norm, norms
 import snse.solver as sol
@@ -572,6 +572,36 @@ def test_lanes_give_identical_bytes(monkeypatch, scheme):
         assert a[1].tobytes() == b[1].tobytes()
         assert a[2].tobytes() == b[2].tobytes()
     assert one.state.v.coeffs.tobytes() == two.state.v.coeffs.tobytes()
+
+
+def test_transforms_on_two_threads_give_the_serial_bytes():
+    # the helper runs nonlinear_B(z) and l4_norm beside the calling
+    # thread's nonlinear_B; each thread works in its own buffer, so calls on
+    # two threads at once return what serial calls return
+    ctx = OperatorContext(_LANE_MIN_LMAX)
+    rng = np.random.default_rng(23)
+    fields = [random_stream_field(ctx.lmax, rng) for _ in range(2)]
+    want = [(nonlinear_B(f, ctx).coeffs.tobytes(), l4_norm(f)) for f in fields]
+    got = [[], []]
+
+    def rounds(i):
+        for _ in range(50):
+            got[i].append((nonlinear_B(fields[i], ctx).coeffs.tobytes(),
+                           l4_norm(fields[i])))
+
+    threads = [threading.Thread(target=rounds, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(2):
+        assert got[i] == [want[i]] * 50
 
 
 def test_no_helper_below_the_lane_band_limit(monkeypatch):

@@ -12,9 +12,10 @@ import snse
 UNREAD = {
     # the documented reader of the snapshot format that write_snapshot writes
     ("cli", "read_snapshot"),
-    # the documented inverse of vector_synthesis; the benchmark's transform
-    # counts name it
+    # the documented inverses of vector_synthesis and scalar_synthesis; the
+    # benchmark's transform counts name them
     ("harmonics", "vector_analysis"),
+    ("harmonics", "scalar_analysis"),
 }
 
 
