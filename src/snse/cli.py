@@ -7,9 +7,10 @@ citing the offending line.  Five modes share the entry point:
 
     snse <mode> --config <path> [--seed N] [--output DIR]
 
-simulate          integrate the split system, write diagnostics.csv,
-                  binary state snapshots, and report.txt; a path with a
-                  CPU to spare at lmax >= 48 uses a helper thread
+simulate          integrate the split system, paths in lockstep chunks,
+                  write diagnostics.csv, binary state snapshots, and
+                  report.txt; a chunk with a CPU to spare at lmax >= 48
+                  uses a helper thread
 verify-operators  worst-case inequality ratios on random fields -> checks.csv
 verify-noise      subordinator Laplace transform and moment-scaling slope
 verify-ou         stochastic-convolution moment bounds at the configured times,
@@ -43,7 +44,7 @@ from .noise import (NoiseSpec, PURPOSE_MC, PURPOSE_PATH, _positive_stable_batch,
                     levy_increment_block, moment_scaling_estimate, substream)
 from .operators import OperatorContext
 from .ou import make_ou_state, ou_moment_check, zlp_bound
-from .solver import DIAGNOSTIC_COLUMNS, SolverConfig, StepFailure, run
+from .solver import DIAGNOSTIC_COLUMNS, SolverConfig, chunk_cap, run
 
 __all__ = [
     "ConfigError",
@@ -499,34 +500,17 @@ def _usable_cpus() -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _simulate_path_task(payload: tuple) -> dict:
-    """One sample path of a stepping mode, executable in a worker process.
-
-    Returns the path's ledger and status, and with an output directory its
-    diagnostics.csv lines, pre-formatted so the parent's concatenation is
-    byte-identical no matter where the path ran, and its snapshot files.
-    An exception other than a StepFailure fails this path only: it is
-    reported as CRASHED, with no ledger, rows or snapshots, and the other
-    paths keep their artifacts.
-    """
-    scfg, spec, ctx, snapshot_every, outdir, index, lanes = payload
-    out = {"index": index, "failure": None, "status": "ok", "ledger": None,
-           "lines": [], "snapshots": []}
-    try:
-        res = run(scfg, spec, ctx=ctx, snapshot_every=snapshot_every,
-                  lanes=lanes)
-    except StepFailure as err:
-        res, out["failure"] = err.result, err.status
-        out["status"] = f"{err.status} at t = {err.t:g}"
-    except Exception as err:            # a defect of this path only
-        import traceback                # only a crash needs it
-        print(f"path {index} crashed:", file=sys.stderr)
-        traceback.print_exc()
-        message = " ".join(str(err).splitlines())
-        out.update(failure="CRASHED",
-                   status=f"CRASHED ({type(err).__name__}: {message})")
-        return out
-    out["ledger"] = res.ledger
+def _path_output(res, index: int, ctx: OperatorContext,
+                 outdir: str | None) -> dict:
+    """The task result of one path from its SimResult: its ledger and
+    status, and with an output directory its diagnostics.csv lines,
+    pre-formatted so the parent's concatenation is byte-identical no
+    matter where the path ran, and its snapshot files."""
+    out = {"index": index, "failure": None, "status": "ok",
+           "ledger": res.ledger, "lines": [], "snapshots": []}
+    if res.failure is not None:
+        out["failure"] = res.failure.status
+        out["status"] = f"{res.failure.status} at t = {res.failure.t:g}"
     if outdir is None:                  # verify-energy reads the ledger only
         return out
     out["lines"] = [",".join(_fmt(x) for x in row)
@@ -539,31 +523,77 @@ def _simulate_path_task(payload: tuple) -> dict:
     return out
 
 
-def _path_specs(cfg: ExperimentConfig) -> list:
-    """The NoiseSpec of each path: a single path keeps the config seed,
+def _simulate_path_task(payload: tuple) -> list:
+    """One chunk of sample paths of a stepping mode, stepped in lockstep,
+    executable in a worker process; returns each path's _path_output.
+
+    A StepFailure ends its own path inside solver.run.  If the chunk raises
+    anything else, its paths run again one at a time, and a path that
+    still raises fails alone: it is reported as CRASHED, with no ledger,
+    rows or snapshots, and the other paths keep their artifacts.
+    """
+    scfg, spec, seeds, ctx, snapshot_every, outdir, first, lanes = payload
+
+    def chunk(part: list) -> list:
+        return run(scfg, spec, part, ctx=ctx, snapshot_every=snapshot_every,
+                   lanes=lanes)
+
+    try:
+        results = chunk(seeds)
+    except Exception:                   # a defect of some path: find it
+        results = []
+        for seed in seeds:
+            try:
+                results += chunk([seed])
+            except Exception as err:
+                results.append(err)
+    out = []
+    for index, res in enumerate(results, start=first):
+        if not isinstance(res, Exception):
+            out.append(_path_output(res, index, ctx, outdir))
+            continue
+        import traceback                # only a crash needs it
+        print(f"path {index} crashed:", file=sys.stderr)
+        traceback.print_exception(res)
+        message = " ".join(str(res).splitlines())
+        out.append({"index": index, "failure": "CRASHED", "ledger": None,
+                    "lines": [], "snapshots": [],
+                    "status": f"CRASHED ({type(res).__name__}: {message})"})
+    return out
+
+
+def _path_seeds(cfg: ExperimentConfig) -> list:
+    """The noise seed of each path: a single path keeps the config seed,
     path i of an ensemble takes path_seed(seed, i)."""
-    spec = cfg.spec
-    return [spec if cfg.n_paths == 1 else
-            replace(spec, seed=path_seed(spec.seed, i))
+    seed = cfg.spec.seed
+    return [seed if cfg.n_paths == 1 else path_seed(seed, i)
             for i in range(cfg.n_paths)]
 
 
 def _run_paths(cfg: ExperimentConfig, snapshot_every: int,
                outdir: str | None) -> list:
-    """Every path of a stepping mode through _simulate_path_task, on a
-    process pool of min(workers, n_paths, usable CPUs) workers when that is
-    more than one; returns the task results in path order."""
+    """Every path of a stepping mode through _simulate_path_task, in
+    contiguous chunks, on a process pool of min(workers, n_paths, usable
+    CPUs) workers when that is more than one; returns the path results in
+    path order.  There is at least one chunk per pool worker, and none
+    holds more than solver.chunk_cap paths; a path's bytes do not depend on
+    its chunk."""
     cpus = _usable_cpus()
     at_once = min(cfg.workers, cfg.n_paths, cpus)
-    lanes = cpus // at_once                     # the CPUs left to each path
-    payloads = [(cfg.solver, spec, cfg.ctx, snapshot_every, outdir, i, lanes)
-                for i, spec in enumerate(_path_specs(cfg))]
+    lanes = cpus // at_once                     # the CPUs left to each chunk
+    seeds = _path_seeds(cfg)
+    n_chunks = max(at_once, -(-cfg.n_paths // chunk_cap(cfg.ctx)))
+    cuts = [cfg.n_paths * c // n_chunks for c in range(n_chunks + 1)]
+    payloads = [(cfg.solver, cfg.spec, seeds[a:b], cfg.ctx, snapshot_every,
+                 outdir, a, lanes) for a, b in zip(cuts, cuts[1:])]
     if at_once == 1:
-        return [_simulate_path_task(p) for p in payloads]
-    # imported here: one worker never needs it, and it slows start-up
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=at_once) as pool:
-        return list(pool.map(_simulate_path_task, payloads))
+        chunks = [_simulate_path_task(p) for p in payloads]
+    else:
+        # imported here: one worker never needs it, and it slows start-up
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=at_once) as pool:
+            chunks = list(pool.map(_simulate_path_task, payloads))
+    return [r for results in chunks for r in results]
 
 
 def _path_summary(r: dict, nu: float) -> str:

@@ -31,6 +31,7 @@ __all__ = [
     "l4_grid",
     "norms",
     "EnergyLedger",
+    "record_rows",
     "energy_residual",
     "inequality_report",
     "b_form_constants",
@@ -47,29 +48,34 @@ def l4_grid(lmax: int) -> QuadratureGrid:
     return gauss_legendre_grid(2 * lmax + 2, smooth_length(4 * lmax + 1))
 
 
-def l4_norm(field: SpectralField) -> float:
+def l4_norm(field: SpectralField) -> float | list:
     """|u|_L4 of the velocity of a stream field: one synthesis of its three
-    derivative columns and one irfft on l4_grid."""
+    derivative columns and one irfft on l4_grid.  A stack of fields makes
+    one pass and gives a list, each field's norm with its bytes alone."""
     grid = l4_grid(field.lmax)
-    u = _thread_pass(grid, field.lmax, 1).synthesize(field.coeffs)
+    lead = field.coeffs.shape[:-1]
+    u = _thread_pass(grid, field.lmax, 1, lead).synthesize(field.coeffs)
     u *= u
-    u[0] += u[1]                                    # |u|^2 (u_phi = -u[1])
-    u[0] *= u[0]
-    return float(grid_integral(grid, u[0])) ** 0.25
+    u[..., 0, :, :] += u[..., 1, :, :]              # |u|^2 (u_phi = -u[1])
+    u[..., 0, :, :] *= u[..., 0, :, :]
+    if not lead:
+        return float(grid_integral(grid, u[0])) ** 0.25
+    return [float(grid_integral(grid, row[0])) ** 0.25 for row in u]
 
 
 def norms(field: SpectralField, ctx: OperatorContext) -> dict:
     """Parseval norms H, V = |A^{1/2}.| and DA = |A.| of a field on the
-    context's band limit; |.|_L4 is l4_norm."""
+    context's band limit; |.|_L4 is l4_norm.  Of a stack of fields, each
+    norm is a list over the stack, each field's with its bytes alone."""
     c2 = np.abs(field.coeffs) ** 2 * _mode_weights(field.lmax)
     if field.kind == "stream":
         c2 = c2 * basis_eigenvalues(field.lmax)
     lam_s = ctx.lam_stokes
-    return {
-        "H": float(c2.sum()) ** 0.5,
-        "V": float((c2 * lam_s).sum()) ** 0.5,
-        "DA": float((c2 * lam_s**2).sum()) ** 0.5,
-    }
+    sums = {"H": c2.sum(axis=-1), "V": (c2 * lam_s).sum(axis=-1),
+            "DA": (c2 * lam_s**2).sum(axis=-1)}
+    if c2.ndim == 1:
+        return {k: float(s) ** 0.5 for k, s in sums.items()}
+    return {k: [float(x) ** 0.5 for x in s] for k, s in sums.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +94,8 @@ class EnergyLedger:
     b(v,v,z) is taken from the nonlinearity the scheme integrates,
     (N(v,z), v) - (F, v) with N = -B(v+z) + alpha z + f and
     F = -B(z) + alpha z + f, so the budget closes on any grid.
-    Integrals are trapezoidal over the recorded grid.
+    Integrals are trapezoidal over the recorded grid.  record_rows fills
+    the ledgers of a stack of paths.
     """
 
     data: dict = field(default_factory=lambda: {k: [] for k in _SERIES})
@@ -97,7 +104,10 @@ class EnergyLedger:
     def n(self) -> int:
         return len(self.data["t"])
 
-    def append_row(self, **kw) -> None:
+    def record_state(self, **kw) -> None:
+        """Append the row of one state: t and every series.  A row with a
+        non-finite entry raises ValueError and leaves the ledger as it
+        was."""
         if set(kw) != set(_SERIES):
             missing = set(_SERIES) ^ set(kw)
             raise ValueError(f"ledger row mismatch: {sorted(missing)}")
@@ -110,25 +120,6 @@ class EnergyLedger:
                 raise ValueError(f"non-finite ledger entry {k} at t={t}")
         for k, val in row.items():
             self.data[k].append(val)
-
-    def record_state(self, t: float, v: SpectralField, z: SpectralField,
-                     N: SpectralField, F: SpectralField,
-                     ctx: OperatorContext, *, u_l4: float) -> None:
-        """Append the row of state (v, z) at time t, given N(v, z), F and
-        u_l4 = |v + z|_L4.  A non-finite entry (a squared norm of a state
-        near blow-up can overflow) raises ValueError in append_row."""
-        nv = norms(v, ctx)
-        f_v = inner_h(F, v)
-        self.append_row(
-            t=t,
-            v_h2=nv["H"] ** 2, v_v2=nv["V"] ** 2, av2=nv["DA"] ** 2,
-            b_vvz=inner_h(N, v) - f_v,
-            f_v=f_v,
-            F_h2=norm_h(F) ** 2,
-            z_h2=norm_h(z) ** 2,
-            z_v2=norms(z, ctx)["V"] ** 2,
-            u_l4=u_l4,
-        )
 
     def series(self, name: str) -> np.ndarray:
         return np.asarray(self.data[name], dtype=np.float64)
@@ -148,6 +139,36 @@ class EnergyLedger:
     def sup(self, name: str) -> float:
         y = self.series(name)
         return float(y.max()) if y.size else 0.0
+
+
+def record_rows(ledgers: list, t: float, v: SpectralField, z: SpectralField,
+                N: SpectralField, F: SpectralField, ctx: OperatorContext, *,
+                u_l4: list) -> np.ndarray:
+    """Append to ledgers[i] the row at time t of path i of the stacked
+    state (v, z), one path per row, given N(v, z), F and u_l4[i] = |v +
+    z|_L4.  Every term comes from one stacked pass with each path's bytes
+    alone.  A row with a non-finite entry (a squared norm of a state near
+    blow-up can overflow) leaves its ledger as it was; returns the mask of
+    the rows recorded."""
+    nv, z_v = norms(v, ctx), norms(z, ctx)["V"]
+    f_v, n_v, F_h, z_h = inner_h(F, v), inner_h(N, v), norm_h(F), norm_h(z)
+    ok = np.ones(len(ledgers), dtype=bool)
+    for i, ledger in enumerate(ledgers):
+        try:
+            ledger.record_state(
+                t=t,
+                v_h2=nv["H"][i] ** 2, v_v2=nv["V"][i] ** 2,
+                av2=nv["DA"][i] ** 2,
+                b_vvz=n_v[i] - f_v[i],
+                f_v=f_v[i],
+                F_h2=F_h[i] ** 2,
+                z_h2=z_h[i] ** 2,
+                z_v2=z_v[i] ** 2,
+                u_l4=u_l4[i],
+            )
+        except ValueError:
+            ok[i] = False
+    return ok
 
 
 def energy_residual(ledger: EnergyLedger, nu: float) -> float:

@@ -166,6 +166,8 @@ class SpectralField:
     kind = "scalar": plain function, l = 0 slot meaningful.
     kind = "stream": stream function of a divergence-free tangent field;
     the l = 0 slot must stay zero (constants generate no flow).
+    coeffs is (n_modes,), or (n_paths, n_modes) for a stack of fields of
+    one kind, one path per row, which the solver steps in lockstep.
     """
 
     lmax: int
@@ -174,7 +176,7 @@ class SpectralField:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.shape != (n_modes(self.lmax),):
+        if self.coeffs.ndim > 2 or self.coeffs.shape[-1:] != (n_modes(self.lmax),):
             raise ValueError(
                 f"expected {n_modes(self.lmax)} coefficients for lmax={self.lmax}, "
                 f"got shape {self.coeffs.shape}"
@@ -182,7 +184,7 @@ class SpectralField:
         if self.kind not in ("scalar", "stream"):
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.kind == "stream":
-            self.coeffs[0] = 0.0
+            self.coeffs[..., 0] = 0.0
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.lmax, self.coeffs.copy(), self.kind)
@@ -386,48 +388,54 @@ def _flat(C: np.ndarray, lmax: int) -> np.ndarray:
 
 def _hemisphere_synthesis(X: np.ndarray, table: tuple, out: np.ndarray,
                           halves: np.ndarray, odd_part: np.ndarray) -> None:
-    """out[k, j, m] = sum_l X[slot(m, l), k] Pbar_l^m(theta_j) / sin(theta_j)
-    on every node, from the split table.  X (n_slots, k) in _slots order,
-    out (k, n_lat, lmax+1); halves (lmax+1, 2, ceil(n_lat/2), k), the
-    south rows and the mirrors of the north rows, and odd_part (lmax,
-    n_lat//2, k) are work arrays, all complex."""
+    """out[..., k, j, m] = sum_l X[..., slot(m, l), k] Pbar_l^m(theta_j) /
+    sin(theta_j) on every node, from the split table.  X (..., n_slots, k)
+    in _slots order, out (..., k, n_lat, lmax+1); halves (..., lmax+1, 2,
+    ceil(n_lat/2), k), the south rows and the mirrors of the north rows,
+    and odd_part (..., lmax, n_lat//2, k) are work arrays, all complex.  A
+    leading path axis (...) broadcasts the table, so every matmul has the
+    shapes of one path."""
     even, odd = table
     L, h, width = even.shape
-    h_odd, split, k2 = odd.shape[1], L * width, 2 * X.shape[1]
-    south, north = halves[:, 0], halves[:, 1, :h_odd]
-    np.matmul(even, X[:split].view(np.float64).reshape(L, width, k2),
+    h_odd, split, k2 = odd.shape[1], L * width, 2 * X.shape[-1]
+    lead, Xf = X.shape[:-2], X.view(np.float64)
+    south, north = halves[..., 0, :, :], halves[..., 1, :h_odd, :]
+    np.matmul(even, Xf[..., :split, :].reshape(lead + (L, width, k2)),
               out=south.view(np.float64))
-    np.matmul(odd, X[split:].view(np.float64).reshape(L - 1, odd.shape[2], k2),
+    np.matmul(odd, Xf[..., split:, :].reshape(lead + (L - 1, odd.shape[2], k2)),
               out=odd_part.view(np.float64))
-    np.subtract(south[:-1, :h_odd], odd_part, out=north[:-1])
-    north[-1] = south[-1, :h_odd]
-    south[:-1, :h_odd] += odd_part
-    np.copyto(out[:, :h], south.transpose(2, 1, 0))
-    np.copyto(out[:, ::-1][:, :h_odd], north.transpose(2, 1, 0))
+    np.subtract(south[..., :-1, :h_odd, :], odd_part, out=north[..., :-1, :, :])
+    north[..., -1, :, :] = south[..., -1, :h_odd, :]
+    south[..., :-1, :h_odd, :] += odd_part
+    np.copyto(out[..., :h, :], south.swapaxes(-1, -3))
+    np.copyto(out[..., ::-1, :][..., :h_odd, :], north.swapaxes(-1, -3))
 
 
 def _hemisphere_analysis(F: np.ndarray, factor: np.ndarray, table: tuple,
                          even_in: np.ndarray, odd_in: np.ndarray,
                          out: np.ndarray) -> np.ndarray:
-    """out[slot(m, l), k] = sum_j Pbar_l^m(theta_j) c_j F[k, j, m] over every
-    node, with node factors c_j symmetric about the equator.  F is (k,
-    n_lat, >= lmax+1); factor holds c_j sin(theta_j) (the table holds
-    Pbar / sin) of the nodes mu_j <= 0, halved at an equator node, which the
-    fold of F counts twice.  even_in (lmax+1, ceil(n_lat/2), k) and odd_in
-    (lmax, n_lat//2, k) are work arrays; out is (n_slots, k), all complex."""
+    """out[..., slot(m, l), k] = sum_j Pbar_l^m(theta_j) c_j F[..., k, j, m]
+    over every node, with node factors c_j symmetric about the equator.  F
+    is (..., k, n_lat, >= lmax+1); factor holds c_j sin(theta_j) (the table
+    holds Pbar / sin) of the nodes mu_j <= 0, halved at an equator node,
+    which the fold of F counts twice.  even_in (..., lmax+1, ceil(n_lat/2),
+    k) and odd_in (..., lmax, n_lat//2, k) are work arrays; out is (...,
+    n_slots, k), all complex."""
     even, odd = table
     L, h, width = even.shape
-    h_odd, k2 = odd.shape[1], 2 * F.shape[0]
-    Fm = F.transpose(2, 1, 0)                       # [m, j, k]
-    np.add(Fm[:L, :h], Fm[:L, ::-1][:, :h], out=even_in)
+    h_odd, k2 = odd.shape[1], 2 * F.shape[-3]
+    lead, split = F.shape[:-3], L * width
+    Fm = F.swapaxes(-1, -3)                         # [..., m, j, k]
+    np.add(Fm[..., :L, :h, :], Fm[..., :L, ::-1, :][..., :h, :], out=even_in)
     even_in *= factor[:, None]
-    np.subtract(Fm[: L - 1, :h_odd], Fm[: L - 1, ::-1][:, :h_odd], out=odd_in)
+    np.subtract(Fm[..., : L - 1, :h_odd, :],
+                Fm[..., : L - 1, ::-1, :][..., :h_odd, :], out=odd_in)
     odd_in *= factor[:h_odd, None]
-    split = L * width
+    outf = out.view(np.float64)
     np.matmul(even.transpose(0, 2, 1), even_in.view(np.float64),
-              out=out[:split].view(np.float64).reshape(L, width, k2))
+              out=outf[..., :split, :].reshape(lead + (L, width, k2)))
     np.matmul(odd.transpose(0, 2, 1), odd_in.view(np.float64),
-              out=out[split:].view(np.float64).reshape(L - 1, odd.shape[2], k2))
+              out=outf[..., split:, :].reshape(lead + (L - 1, odd.shape[2], k2)))
     return out
 
 
@@ -598,11 +606,13 @@ _thread_work = threading.local()
 
 class _Pass:
     """The derivative synthesis of n_fields fields and one scalar analysis
-    at band limit lmax on grid, in work arrays carved from one thread's
-    buffer.  Arrays it returns are views of that buffer: valid until the
-    thread's next pass."""
+    at band limit lmax on grid, for one path (lead ()) or a stack of
+    lead[0] paths, in work arrays carved from one thread's buffer.  Arrays
+    it returns are views of that buffer: valid until the thread's next
+    pass."""
 
-    def __init__(self, grid: QuadratureGrid, lmax: int, n_fields: int):
+    def __init__(self, grid: QuadratureGrid, lmax: int, n_fields: int,
+                 lead: tuple = ()):
         n, L, c = grid.n_lat, lmax + 1, 3 * n_fields
         self.n_lon, self.n_fields = grid.n_lon, n_fields
         self.table = _legendre_table(n, lmax)
@@ -617,14 +627,15 @@ class _Pass:
         # columns with the odd part of their Legendre sums, the half
         # spectra, the rfft output with the analysis output; the Legendre
         # sums on each half, the grid values, the folded rows
-        self.regions = (
-            ([("X", (n_slots, c), z), ("odd_part", (lmax, h_odd, c), z)],
-             [("H", (c, n, n_half), z)],
-             [("spectrum", (n, n_half), z), ("A", (n_slots, 1), z)]),
-            ([("halves", (L, 2, h, c), z)],
-             [("G", (2 * n_fields, n, grid.n_lon), r)],
-             [("even_in", (L, h, 1), z), ("odd_in", (lmax, h_odd, 1), z)]),
-        )
+        self.regions = tuple(
+            [[(name, lead + shape, dtype) for name, shape, dtype in stage]
+             for stage in region] for region in (
+                ([("X", (n_slots, c), z), ("odd_part", (lmax, h_odd, c), z)],
+                 [("H", (c, n, n_half), z)],
+                 [("spectrum", (n, n_half), z), ("A", (n_slots, 1), z)]),
+                ([("halves", (L, 2, h, c), z)],
+                 [("G", (2 * n_fields, n, grid.n_lon), r)],
+                 [("even_in", (L, h, 1), z), ("odd_in", (lmax, h_odd, 1), z)])))
 
     def carve(self, buf: np.ndarray | None = None) -> int:
         """The float64 count the pass takes, and with buf its views into
@@ -646,45 +657,49 @@ class _Pass:
         return start
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Grid values (2 n_fields, n_lat, n_lon): (1/sin theta) df/dphi of
-        each field f_k = lam^k psi, psi with coefficients coeffs, then
-        df/dtheta of each.  One synthesis of 3 n_fields columns, one irfft."""
-        F, L = self.n_fields, self.halves.shape[0]
-        coeffs.take(self.src, out=self.X, mode="clip")
+        """Grid values (..., 2 n_fields, n_lat, n_lon): (1/sin theta) df/dphi
+        of each field f_k = lam^k psi, psi with coefficients coeffs (...,
+        n_modes), then df/dtheta of each.  One synthesis of 3 n_fields
+        columns, one irfft."""
+        F, L = self.n_fields, self.halves.shape[-4]
+        coeffs.take(self.src, axis=-1, out=self.X, mode="clip")
         self.X *= self.fac
         H = self.H
         _hemisphere_synthesis(self.X, self.table, H[..., :L], self.halves,
                               self.odd_part)
-        d_theta = H[F : 2 * F, :, :L]               # (mu S[l f] - S[e f(l+1)]) / sin
+        # (mu S[l f] - S[e f(l+1)]) / sin
+        d_theta = H[..., F : 2 * F, :, :L]
         d_theta *= self.mu
-        d_theta -= H[2 * F :, :, :L]
+        d_theta -= H[..., 2 * F :, :, :L]
         # irfft runs faster on a zero-padded spectrum than when it pads
-        H[: 2 * F, :, L:] = 0.0
-        return np.fft.irfft(H[: 2 * F], n=self.n_lon, axis=-1, norm="forward",
-                            out=self.G)
+        H[..., : 2 * F, :, L:] = 0.0
+        return np.fft.irfft(H[..., : 2 * F, :, :], n=self.n_lon, axis=-1,
+                            norm="forward", out=self.G)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        """Flat coefficients (a new array) of the scalar analysis of grid
-        values (n_lat, n_lon); values may be a row of synthesize's result."""
+        """Flat coefficients (..., n_modes), a new array, of the scalar
+        analysis of grid values (..., n_lat, n_lon); values may be a row of
+        synthesize's result."""
         F = np.fft.rfft(values, axis=-1, norm="forward", out=self.spectrum)
-        _hemisphere_analysis(F[None], self.factor, self.table, self.even_in,
-                             self.odd_in, self.A)
-        return self.A[self.of_mode, 0]
+        _hemisphere_analysis(F[..., None, :, :], self.factor, self.table,
+                             self.even_in, self.odd_in, self.A)
+        return self.A[..., self.of_mode, 0]
 
 
-def _thread_pass(grid: QuadratureGrid, lmax: int, n_fields: int) -> _Pass:
-    """This thread's _Pass of (grid, lmax, n_fields), carved once from the
-    thread's one buffer; a pass that needs more than the buffer holds
-    replaces it, and the passes of the old one are carved again when next
-    used."""
+def _thread_pass(grid: QuadratureGrid, lmax: int, n_fields: int,
+                 lead: tuple = ()) -> _Pass:
+    """This thread's _Pass of (grid, lmax, n_fields, lead), carved once
+    from the thread's one buffer; a pass that needs more than the buffer
+    holds replaces it, and the passes of the old one are carved again when
+    next used."""
     passes = getattr(_thread_work, "passes", None)
     if passes is None:
         passes = _thread_work.passes = {}
         _thread_work.buf = np.empty(0)
-    key = (grid.n_lat, grid.n_lon, lmax, n_fields)
+    key = (grid.n_lat, grid.n_lon, lmax, n_fields, lead)
     p = passes.get(key)
     if p is None:
-        p = _Pass(grid, lmax, n_fields)
+        p = _Pass(grid, lmax, n_fields, lead)
         need = p.carve()
         if need > _thread_work.buf.size:
             _thread_work.buf = np.empty(need)
@@ -714,19 +729,24 @@ def _mode_weights(lmax: int) -> np.ndarray:
     return wm
 
 
-def inner_h(a: SpectralField, b: SpectralField) -> float:
-    """H (= L2 of velocity for streams, L2 of values for scalars) pairing."""
+def inner_h(a: SpectralField, b: SpectralField) -> float | list:
+    """H (= L2 of velocity for streams, L2 of values for scalars) pairing;
+    of two stacks, a list over their rows, each with its bytes alone."""
     if a.lmax != b.lmax or a.kind != b.kind:
         raise ValueError("fields must share lmax and kind")
     wm = _mode_weights(a.lmax)
     cross = np.real(a.coeffs * np.conj(b.coeffs)) * wm
     if a.kind == "stream":
         cross = cross * basis_eigenvalues(a.lmax)
-    return float(np.sum(cross))
+    sums = cross.sum(axis=-1)
+    return float(sums) if sums.ndim == 0 else [float(x) for x in sums]
 
 
-def norm_h(a: SpectralField) -> float:
-    return math.sqrt(max(inner_h(a, a), 0.0))
+def norm_h(a: SpectralField) -> float | list:
+    h2 = inner_h(a, a)
+    if isinstance(h2, list):
+        return [math.sqrt(max(x, 0.0)) for x in h2]
+    return math.sqrt(max(h2, 0.0))
 
 
 # ---------------------------------------------------------------------------

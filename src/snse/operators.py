@@ -197,17 +197,18 @@ def nonlinear_B(u: SpectralField, ctx: OperatorContext) -> SpectralField:
     Pseudo-spectral vorticity route: B(u)_psi[l,m] = (u . grad zeta)_{l,m} / (l(l+1))
     with the advective product formed on the (dealiased) grid: one
     synthesis of the six derivative columns of psi and zeta = l(l+1) psi,
-    one irfft, the product in place, one rfft and one analysis.
+    one irfft, the product in place, one rfft and one analysis.  A stack
+    of fields makes one pass over the stack, with each field's bytes.
     """
     if u.lmax != ctx.lmax:
         raise ValueError(f"field lmax {u.lmax} != operator lmax {ctx.lmax}")
-    p = _thread_pass(ctx.grid, u.lmax, 2)
+    p = _thread_pass(ctx.grid, u.lmax, 2, u.coeffs.shape[:-1])
     # rows d(psi)/dphi / sin = u_theta, d(zeta)/dphi / sin, d(psi)/dtheta =
     # -u_phi, d(zeta)/dtheta: u . grad zeta, in place in the first row
     G = p.synthesize(u.coeffs)
-    G[0] *= G[3]
-    G[2] *= G[1]
-    G[0] -= G[2]
-    out = p.analyze(G[0])
-    out[1:] /= basis_eigenvalues(u.lmax)[1:]
+    G[..., 0, :, :] *= G[..., 3, :, :]
+    G[..., 2, :, :] *= G[..., 1, :, :]
+    G[..., 0, :, :] -= G[..., 2, :, :]
+    out = p.analyze(G[..., 0, :, :])
+    out[..., 1:] /= basis_eigenvalues(u.lmax)[1:]
     return SpectralField(u.lmax, out, "stream")

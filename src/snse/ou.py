@@ -60,6 +60,7 @@ __all__ = [
     "OUState",
     "make_ou_state",
     "decay_rates",
+    "substep_factors",
     "ou_step",
     "zlp_constant",
     "zlp_bound",
@@ -108,24 +109,36 @@ def _mode_gain(spec: NoiseSpec, lmax: int) -> np.ndarray:
     return g
 
 
-def ou_step(state: OUState, dt: float, spec: NoiseSpec) -> OUState:
-    """Advance the convolution by dt using spec.n_substeps noise substeps.
+def substep_factors(state: OUState, dt: float, spec: NoiseSpec) -> tuple:
+    """(gain, decay) of ou_step for steps of dt: the per-mode noise gain and
+    the factor exp(-kappa dt / n) of one of spec's n substeps.  Constant over
+    a run, which forms them once."""
+    return (_mode_gain(spec, state.z.lmax),
+            np.exp(-state.kappa * (dt / spec.n_substeps)))
 
-    Noise is drawn from counter-based streams keyed by the absolute substep
-    index.
+
+def ou_step(state: OUState, dt: float, spec: NoiseSpec, seeds: list,
+            factors: tuple) -> OUState:
+    """Advance the stacked convolution, one path per row, by dt using
+    spec.n_substeps noise substeps; factors are substep_factors(state, dt,
+    spec).
+
+    The path of row i draws from counter-based streams of seeds[i] keyed by
+    the absolute substep index.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    n = spec.n_substeps
+    n, lmax = spec.n_substeps, state.z.lmax
     delta = dt / n
-    g = _mode_gain(spec, state.z.lmax)
-    decay = np.exp(-state.kappa * delta)
-    y = state.z.coeffs.copy()
+    g, decay = factors
+    y = state.z.coeffs
+    dL = np.empty_like(y)
     for j in range(n):
-        gen = substream(spec.seed, PURPOSE_SUBSTEP, state.substep_index + j)
-        blk = levy_increment_block(spec, delta, gen, lmax=state.z.lmax)
-        y = decay * (y + g * blk.dL)
-    return OUState(z=SpectralField(state.z.lmax, y, "stream"),
+        for row, seed in zip(dL, seeds):
+            gen = substream(seed, PURPOSE_SUBSTEP, state.substep_index + j)
+            row[...] = levy_increment_block(spec, delta, gen, lmax=lmax).dL
+        y = decay * (y + g * dL)
+    return OUState(z=SpectralField(lmax, y, "stream"),
                    kappa=state.kappa, substep_index=state.substep_index + n)
 
 

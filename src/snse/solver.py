@@ -12,14 +12,28 @@ mild map.  All schemes consume the identical counter-keyed increment
 stream for a given seed, so cross-scheme and cross-resolution runs are
 noise-coupled.
 
+The paths of an ensemble step in lockstep chunks (run steps one chunk; a
+single path is a chunk of one): every per-step array has a leading path
+axis, so the transform passes of nonlinear_B and l4_norm, the OU update,
+the scheme's arithmetic, the finiteness checks, the norms of the Picard
+test and the ledger's norms each make one call for the chunk.  Each path
+still draws from its own noise streams and keeps its own ledger.  A stacked operation broadcasts the
+one-path shapes (the Legendre matmuls, the FFT rows, the elementwise
+updates) and reduces per path, so every path gets the bytes it gets
+alone, whatever its chunk.  A path that fails leaves the stack with its
+partial result, and a Picard path stops iterating where it converges.
+The chunk size is a matter of speed only: chunk_cap bounds it by the
+work arrays of the product pass.
+
 The z lane runs ahead of v: z_{k+1} comes from ou_step alone, so the force
 F(z_{k+1}) = -B(z_{k+1}) + alpha z_{k+1} + f that the ledger row of the next
 state needs is known before the corrector of v starts, and |u_k|_L4 is
-read by that row only.  With a helper thread (run's lanes >= 2 at lmax >=
-_LANE_MIN_LMAX) the helper computes each while the calling thread runs the
-corrector or evaluates N(v_k, z_k); at one lane the same calls run on the
-calling thread when their value is needed.  Each value comes from the same
-function on the same inputs, so the bytes do not depend on the lane count.
+read by that row only.  With a helper thread (lanes >= 2 at lmax >=
+_LANE_MIN_LMAX) the helper computes each, for the whole chunk, while the
+calling thread runs the corrector or evaluates N(v_k, z_k); at one lane
+the same calls run on the calling thread when their value is needed.
+Each value comes from the same function on the same inputs, so the bytes
+do not depend on the lane count.
 """
 
 from __future__ import annotations
@@ -31,11 +45,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import EnergyLedger, l4_norm, norms
-from .harmonics import ParameterError, SpectralField, zero_field
+from .diagnostics import EnergyLedger, l4_norm, norms, record_rows
+from .harmonics import ParameterError, SpectralField, _Pass, zero_field
 from .noise import NoiseSpec, check_summability
 from .operators import OperatorContext, nonlinear_B
-from .ou import OUState, make_ou_state, ou_step
+from .ou import OUState, make_ou_state, ou_step, substep_factors
 
 __all__ = [
     "SCHEMES",
@@ -49,15 +63,22 @@ __all__ = [
     "step_imex",
     "step_picard",
     "run",
+    "chunk_cap",
     "recombine",
 ]
 
 SCHEMES = ("imex_euler", "imex_heun", "picard")
 
-# the band limit from which run() starts a helper thread: below it the
+# the band limit from which run starts a helper thread: below it the
 # hand-off costs about what B(z) and |u|_L4 save (CHANGES.md has the
 # crossover measurement)
 _LANE_MIN_LMAX = 48
+
+# the float64 count of the work arrays that one chunk's product pass may
+# take: a stack of paths amortizes per-call overhead at small band limits,
+# and gains nothing once a pass outgrows the cache (CHANGES.md has the
+# measurement)
+_CHUNK_FLOATS = 2**17
 
 DIAGNOSTIC_COLUMNS = ("t", "norm_H", "norm_V", "norm_DA", "norm_L4_u",
                       "int_V2", "int_bvvz", "int_Fv")
@@ -66,9 +87,9 @@ DIAGNOSTIC_COLUMNS = ("t", "norm_H", "norm_V", "norm_DA", "norm_L4_u",
 class StepFailure(RuntimeError):
     """A step could not be completed.
 
-    t is the time the step was to reach, and result the partial SimResult,
-    whose state is the last good one, when raised by run(); each subclass
-    names its failure in reports by status.
+    t is the time the step was to reach, and result the partial SimResult
+    of the path, whose state is the last good one, once run has ended
+    the path; each subclass names its failure in reports by status.
     """
 
     def __init__(self, message: str, t: float):
@@ -150,6 +171,12 @@ class SimState:
     ou: OUState
 
 
+def chunk_cap(ctx: OperatorContext) -> int:
+    """The most paths one chunk steps in lockstep at ctx's band limit: as
+    many as nonlinear_B's pass holds in _CHUNK_FLOATS, and at least one."""
+    return max(1, _CHUNK_FLOATS // _Pass(ctx.grid, ctx.lmax, 2).carve())
+
+
 def recombine(state: SimState) -> SpectralField:
     """u = v + z (coefficients add mode-wise)."""
     return SpectralField(state.v.lmax, state.v.coeffs + state.ou.z.coeffs, "stream")
@@ -165,11 +192,15 @@ def effective_force(z: SpectralField, f: SpectralField | None,
 def _nonlinear_rhs(v_coeffs: np.ndarray | float, z: SpectralField,
                    f: SpectralField | None, ctx: OperatorContext) -> np.ndarray:
     """N(v, z) = -B(v+z) + alpha z + f on raw coefficients; B(0) = 0 is
-    not evaluated."""
+    not evaluated (in a stack, for the paths whose v + z is 0)."""
     u = v_coeffs + z.coeffs
     out = ctx.alpha * z.coeffs
-    if u.any():
+    live = u.any(axis=-1)
+    if live.all():
         out = -nonlinear_B(SpectralField(z.lmax, u, "stream"), ctx).coeffs + out
+    elif live.any():
+        out[live] = (-nonlinear_B(SpectralField(z.lmax, u[live], "stream"),
+                                  ctx).coeffs + out[live])
     if f is not None:
         out = out + f.coeffs
     return out
@@ -178,11 +209,6 @@ def _nonlinear_rhs(v_coeffs: np.ndarray | float, z: SpectralField,
 def _v_decay_factor(ctx: OperatorContext, dt: float) -> np.ndarray:
     # exact semigroup of the diagonal part nu A + C (alpha acts on z only)
     return np.exp(-dt * (ctx.nu * ctx.lam_stokes + 1j * ctx.coriolis_diag))
-
-
-def _require_finite(coeffs: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(coeffs)):
-        raise BlowUpError(t)
 
 
 def _start(helper, fn, *args):
@@ -199,25 +225,70 @@ def _start(helper, fn, *args):
     return helper.submit(task).result
 
 
-def step_imex(state: SimState, N: np.ndarray, cfg: SolverConfig,
-              spec: NoiseSpec, *, ctx: OperatorContext,
-              helper=None) -> tuple[SimState, SpectralField]:
-    """One step of cfg.scheme from state, whose N(v, z) is N: z by ou_step,
-    then v by integrating-factor Euler, Heun, or the fixed point of the
-    trapezoidal mild map iterated from the Euler predictor (picard).
-    Returns the new state and its force F(z), which a helper executor, if
-    given, forms meanwhile."""
-    dt, t = cfg.dt, state.t + cfg.dt
-    E = _v_decay_factor(ctx, dt)
-    v_n = state.v.coeffs
+def _rows(state: SimState, keep) -> SimState:
+    """The paths of a stacked state at the rows keep (an index array or a
+    mask); an int gives one path's state."""
+    lmax, ou = state.v.lmax, state.ou
+    return SimState(t=state.t,
+                    v=SpectralField(lmax, state.v.coeffs[keep], "stream"),
+                    ou=OUState(SpectralField(lmax, ou.z.coeffs[keep], "stream"),
+                               ou.kappa, ou.substep_index))
 
-    ou_next = ou_step(state.ou, dt, spec)
-    z_next = ou_next.z
-    _require_finite(z_next.coeffs, t)
+
+def step_imex(state: SimState, N: np.ndarray, cfg: SolverConfig,
+              spec: NoiseSpec, seeds: list, *, ctx: OperatorContext,
+              factors: tuple, helper=None) -> tuple:
+    """One step of cfg.scheme from the stacked state, one path per row,
+    whose N(v, z) is N: z by ou_step, the path of row i drawing with
+    seeds[i], then v by integrating-factor Euler, Heun, or the fixed point
+    of the trapezoidal mild map iterated from the Euler predictor (picard).
+    factors are the run's constants (_v_decay_factor,
+    ou.substep_factors).  Each path gets the bytes it gets alone, and a
+    Picard path stops iterating where it converges.
+
+    Returns the state of the paths that went on, in order, their force
+    F(z), which a helper executor, if given, forms meanwhile (both None if
+    no path is left), and the StepFailure of each path that failed, by its
+    row in state.
+    """
+    dt, t = cfg.dt, state.t + cfg.dt
+    E, ou_factors = factors
+    keep = np.arange(len(N))            # the row in state of each path left
+    failed = {}
+
+    def blow_up():
+        return BlowUpError(t)
+
+    def stall():
+        return ContractionError(
+            f"Picard iteration did not contract within {cfg.picard_max_iter} "
+            f"iterations in the step to t = {t:.6g}; reduce dt", t)
+
+    def retire(errors: dict):
+        """The paths at the rows of errors (row -> the maker of its
+        failure) leave; returns the mask of the others."""
+        nonlocal keep
+        go = np.ones(len(keep), dtype=bool)
+        for r, error in errors.items():
+            failed[int(keep[r])] = error()
+            go[r] = False
+        keep = keep[go]
+        return go
+
+    ou = ou_step(state.ou, dt, spec, seeds, ou_factors)
+    z, v_n = ou.z.coeffs, state.v.coeffs
+    bad = np.flatnonzero(~np.isfinite(z).all(axis=-1))
+    if bad.size:
+        go = retire(dict.fromkeys(bad, blow_up))
+        z, v_n, N = z[go], v_n[go], N[go]
+        if not keep.size:
+            return None, None, failed
+    z_next = SpectralField(ctx.lmax, z, "stream")
     # z_next does not depend on v: its force is formed beside the corrector.
     # A failed corrector leaves it unread, as one lane never computes it
-    F_next = _start(helper, effective_force, z_next, cfg.f, ctx)
+    F_next = helper and _start(helper, effective_force, z_next, cfg.f, ctx)
 
+    errors = {}
     if cfg.scheme == "imex_euler":
         v_next = E * (v_n + dt * N)
     else:
@@ -226,40 +297,55 @@ def step_imex(state: SimState, N: np.ndarray, cfg: SolverConfig,
         if cfg.scheme == "imex_heun":
             v_next = base + 0.5 * dt * _nonlinear_rhs(pred, z_next, cfg.f, ctx)
         else:
-            w = pred
+            v_next = np.empty_like(pred)
+            at = np.arange(len(pred))   # the row of each path iterating
+            w, b, zs = pred, base, z_next
             for _ in range(cfg.picard_max_iter):
-                w_new = base + 0.5 * dt * _nonlinear_rhs(w, z_next, cfg.f, ctx)
-                if not np.all(np.isfinite(w_new)):
-                    raise BlowUpError(t)
-                dw = SpectralField(ctx.lmax, w_new - w, "stream")
-                if norms(dw, ctx)["V"] < cfg.picard_tol:
-                    w = w_new
+                w_new = b + 0.5 * dt * _nonlinear_rhs(w, zs, cfg.f, ctx)
+                fin = np.isfinite(w_new).all(axis=-1)
+                dw = SpectralField(ctx.lmax, w_new[fin] - w[fin], "stream")
+                done = ~fin
+                done[fin] = [x < cfg.picard_tol for x in norms(dw, ctx)["V"]]
+                v_next[at[done]] = w_new[done]      # a blown-up row too
+                if done.all():
                     break
+                if done.any():
+                    zs = SpectralField(ctx.lmax, zs.coeffs[~done], "stream")
+                    w_new, b, at = w_new[~done], b[~done], at[~done]
                 w = w_new
             else:
-                raise ContractionError(
-                    f"Picard iteration did not contract within "
-                    f"{cfg.picard_max_iter} iterations in the step to "
-                    f"t = {t:.6g}; reduce dt", t)
-            v_next = w
-    _require_finite(v_next, t)
+                errors = dict.fromkeys(at, stall)
+    for r in np.flatnonzero(~np.isfinite(v_next).all(axis=-1)):
+        errors.setdefault(r, blow_up)
+    go = slice(None)
+    if errors:
+        go = retire(errors)
+        if not keep.size:
+            return None, None, failed
+        v_next = v_next[go]
+        z_next = SpectralField(ctx.lmax, z_next.coeffs[go], "stream")
+    F = (SpectralField(ctx.lmax, F_next().coeffs[go], "stream") if F_next
+         else effective_force(z_next, cfg.f, ctx))
     return (SimState(t=t, v=SpectralField(ctx.lmax, v_next, "stream"),
-                     ou=ou_next), F_next())
+                     ou=OUState(z_next, ou.kappa, ou.substep_index)),
+            F, failed)
 
 
-# the same stepper under the name run() gives the picard scheme, so that a
-# tracer wrapping each name counts the steps of each scheme
+# the same stepper under the name run gives the picard scheme, so
+# that a tracer wrapping each name counts the steps of each scheme
 step_picard = step_imex
 
 
 @dataclass
 class SimResult:
     """The record of a run: its last good state, the ledger row of every
-    state up to it, and the (t, v, z) snapshots."""
+    state up to it, the (t, v, z) snapshots, and the StepFailure that ended
+    it early, if one did."""
 
     state: SimState
     ledger: EnergyLedger = field(default_factory=EnergyLedger)
     snapshots: list = field(default_factory=list)
+    failure: StepFailure | None = None
 
     def diagnostic_table(self) -> np.ndarray:
         """Columns: t, |v|_H, |v|_V, |Av|_H, |v+z|_L4 and the running
@@ -276,37 +362,42 @@ class SimResult:
         return np.column_stack(cols)
 
 
-def _record(state: SimState, F: SpectralField, ledger: EnergyLedger,
+def _record(state: SimState, F: SpectralField, ledgers: list,
             cfg: SolverConfig, ctx: OperatorContext,
-            helper=None) -> np.ndarray:
-    """Append the ledger row of the state, whose force is F, and return its
-    N(v, z) for the step from it; a helper executor, if given, forms
-    |u|_L4 meanwhile."""
+            helper=None) -> tuple[np.ndarray, np.ndarray]:
+    """Append the ledger row of each path of the stacked state, whose force
+    is F, to the path's ledger, and return N(v, z) for the step from it
+    with the mask of the paths recorded: a row with a non-finite entry is
+    not.  A helper executor, if given, forms |u|_L4 meanwhile."""
     z = state.ou.z
     # N, |u|^4 and the squared norms of a state near blow-up can overflow;
     # the row rejects the non-finite entry, so the overflow stays silent
     with np.errstate(over="ignore", invalid="ignore"):
         u_l4 = _start(helper, l4_norm, recombine(state))
         N = _nonlinear_rhs(state.v.coeffs, z, cfg.f, ctx)
-        ledger.record_state(state.t, state.v, z,
-                            SpectralField(ctx.lmax, N, "stream"), F, ctx,
-                            u_l4=u_l4())
-    return N
+        ok = record_rows(ledgers, state.t, state.v, z,
+                         SpectralField(ctx.lmax, N, "stream"), F, ctx,
+                         u_l4=u_l4())
+    return N, ok
 
 
-def run(cfg: SolverConfig, spec: NoiseSpec, *, ctx: OperatorContext,
-        snapshot_every: int = 0, lanes: int = 1) -> SimResult:
-    """Integrate to t_end on the model of ctx, recording the energy ledger
-    at every step.
+def run(cfg: SolverConfig, spec: NoiseSpec, seeds: list, *,
+        ctx: OperatorContext, snapshot_every: int = 0,
+        lanes: int = 1) -> list:
+    """Integrate one path per seed, each driven by spec's noise drawn with
+    its seed, in lockstep to t_end on the model of ctx, recording each
+    path's energy ledger at every step.  Returns each path's SimResult, in
+    order, with the bytes the path gets alone.
 
     The snapshots are the state every snapshot_every steps (none at 0),
     then the final state once.  A failed step (blow-up, or a Picard
-    iteration that does not contract) aborts with the partial result, whose
-    state and final snapshot are the last good state, attached to the
-    raised error; a run whose t = 0 ledger row fails has no snapshot.
+    iteration that does not contract) ends its path with the partial
+    result, whose state and final snapshot are the last good state, and
+    whose failure is the StepFailure, with the result attached; the other
+    paths go on.  A path whose t = 0 ledger row fails has no snapshot.
 
-    lanes is the number of CPUs this path may use.  From 2 lanes at lmax >=
-    _LANE_MIN_LMAX one helper thread forms F(z) and |u|_L4 beside the
+    lanes is the number of CPUs this chunk may use.  From 2 lanes at lmax
+    >= _LANE_MIN_LMAX one helper thread forms F(z) and |u|_L4 beside the
     calling thread (module docstring); it ends before run returns or
     raises, and the result is the same at any lane count.
     """
@@ -316,15 +407,34 @@ def run(cfg: SolverConfig, spec: NoiseSpec, *, ctx: OperatorContext,
     if not check_summability(spec)["converged"]:
         raise ValueError("noise spectrum fails the summability check at "
                          f"delta = {spec.delta:g}")
-    v0 = cfg.v0.copy() if cfg.v0 is not None else zero_field(ctx.lmax)
-    state = SimState(t=0.0, v=v0, ou=make_ou_state(ctx, spec))
-    result = SimResult(state=state)
+    lmax, n = ctx.lmax, len(seeds)
+    v0 = cfg.v0.coeffs if cfg.v0 is not None else zero_field(lmax).coeffs
+    ou = make_ou_state(ctx, spec)
+    z0 = np.zeros((n, v0.size), dtype=complex)
+    state = SimState(t=0.0,
+                     v=SpectralField(lmax, np.repeat(v0[None], n, 0), "stream"),
+                     ou=OUState(SpectralField(lmax, z0, "stream"), ou.kappa))
+    results = [SimResult(state=None) for _ in seeds]
+    rows = list(range(n))               # the path of each row of state
+    good = {i: (state, i) for i in rows}  # path -> its last good (state, row)
+    factors = (_v_decay_factor(ctx, cfg.dt),
+               substep_factors(ou, cfg.dt, spec))
 
-    def snap(s: SimState):
-        result.snapshots.append((s.t, s.v.coeffs.copy(), s.ou.z.coeffs.copy()))
+    def finish(i: int, err: StepFailure | None = None):
+        """Path i ends, failed with err or not: its record takes its last
+        good state, snapshot once if its ledger row was recorded (one
+        that fails at its t = 0 row has no good state to snapshot)."""
+        res = results[i]
+        res.state = _rows(*good[i])
+        if err is not None:
+            res.failure, err.result = err, res
+        if res.ledger.n and not (res.snapshots
+                                 and res.snapshots[-1][0] == res.state.t):
+            res.snapshots.append((res.state.t, res.state.v.coeffs.copy(),
+                                  res.state.ou.z.coeffs.copy()))
 
     helper = None
-    if lanes >= 2 and ctx.lmax >= _LANE_MIN_LMAX:
+    if lanes >= 2 and lmax >= _LANE_MIN_LMAX:
         # imported here: one lane never needs it, and it slows start-up
         from concurrent.futures import ThreadPoolExecutor
         helper = ThreadPoolExecutor(max_workers=1)
@@ -334,25 +444,36 @@ def run(cfg: SolverConfig, spec: NoiseSpec, *, ctx: OperatorContext,
         with helper or contextlib.nullcontext():
             for k in range(cfg.n_steps + 1):
                 if k > 0:
-                    state, F = stepper(state, N, cfg, spec, ctx=ctx,
-                                       helper=helper)
+                    state, F, failed = stepper(
+                        state, N, cfg, spec, [seeds[i] for i in rows],
+                        ctx=ctx, factors=factors, helper=helper)
+                    for r, err in failed.items():
+                        finish(rows[r], err)
+                    rows = [i for r, i in enumerate(rows) if r not in failed]
+                    if not rows:
+                        break
                     state.t = k * cfg.dt  # keep the grid free of accumulated rounding
-                try:
-                    N = _record(state, F, result.ledger, cfg, ctx, helper)
-                except ValueError as err:
-                    # coefficients can stay representable while a recorded
-                    # quantity (N, |u|^4, squared norms) overflows: same policy
-                    raise BlowUpError(state.t) from err
-                result.state = state
-                if snapshot_every > 0 and k % snapshot_every == 0:
-                    snap(state)
-    except StepFailure as err:
-        err.result = result
-        raise
+                N, ok = _record(state, F, [results[i].ledger for i in rows],
+                                cfg, ctx, helper)
+                for r, i in enumerate(rows):
+                    if not ok[r]:
+                        # coefficients can stay representable while a
+                        # recorded quantity (N, |u|^4, squared norms)
+                        # overflows: same policy
+                        finish(i, BlowUpError(state.t))
+                        continue
+                    good[i] = (state, r)
+                    if snapshot_every > 0 and k % snapshot_every == 0:
+                        results[i].snapshots.append(
+                            (state.t, state.v.coeffs[r].copy(),
+                             state.ou.z.coeffs[r].copy()))
+                if not ok.all():
+                    rows = [i for r, i in enumerate(rows) if ok[r]]
+                    if not rows:
+                        break
+                    state, N = _rows(state, ok), N[ok]
+                    F = SpectralField(lmax, F.coeffs[ok], "stream")
     finally:
-        # the final state once, if its ledger row was recorded: a run that
-        # fails at its t = 0 row has no good state to snapshot
-        if result.ledger.n and not (result.snapshots
-                                    and result.snapshots[-1][0] == result.state.t):
-            snap(result.state)
-    return result
+        for i in rows:
+            finish(i)
+    return results

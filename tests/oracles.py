@@ -1,12 +1,14 @@
-"""Independent routes the tests compare the package against.  No mode runs
-them: pointwise harmonics, the spectral vorticity, the rotation term formed
-on the grid, and a batched OU recursion over a batch of the package's
-increment draw."""
+"""Independent routes the tests compare the package against, and one-path
+entries to the stacked stepper.  No mode runs them: pointwise harmonics,
+the spectral vorticity, the rotation term formed on the grid, a batched OU
+recursion over a batch of the package's increment draw, and a single path
+through solver.run, solver.step_imex and ou.ou_step, whose failure
+raises."""
 
 import numpy as np
 
 from snse import harmonics as sh
-from snse import ou
+from snse import ou, solver
 from snse.noise import (PURPOSE_MC, _gaussian_mode_increments,
                         _positive_stable_batch, substream)
 
@@ -73,3 +75,45 @@ def ou_endpoint_ensemble(spec, ctx, t, n_paths, *, n_substeps=None, rng=None):
         dL = levy_increment_batch(spec, delta, gen, n_paths, ctx.lmax)
         y = decay * (y + g * dL)
     return y
+
+
+def _stack(field):
+    """A field as a stack of one."""
+    return sh.SpectralField(field.lmax, field.coeffs[None], field.kind)
+
+
+def run_path(cfg, spec, *, ctx, snapshot_every=0, lanes=1):
+    """solver.run of the one path that draws with spec.seed; its failed
+    step raises the StepFailure, with the partial SimResult attached."""
+    result, = solver.run(cfg, spec, [spec.seed], ctx=ctx,
+                         snapshot_every=snapshot_every, lanes=lanes)
+    if result.failure is not None:
+        raise result.failure
+    return result
+
+
+def ou_step_path(state, dt, spec):
+    """ou.ou_step of one path, an OUState of one z, drawing with
+    spec.seed."""
+    stack = ou.OUState(_stack(state.z), state.kappa, state.substep_index)
+    out = ou.ou_step(stack, dt, spec, [spec.seed],
+                     ou.substep_factors(state, dt, spec))
+    return ou.OUState(sh.SpectralField(out.z.lmax, out.z.coeffs[0], "stream"),
+                      out.kappa, out.substep_index)
+
+
+def step_path(state, N, cfg, spec, *, ctx):
+    """solver.step_imex of one path, a SimState of one v and z, whose
+    N(v, z) is N: the new state and its force F(z), or the StepFailure
+    raised."""
+    stack = solver.SimState(state.t, _stack(state.v),
+                            ou.OUState(_stack(state.ou.z), state.ou.kappa,
+                                       state.ou.substep_index))
+    factors = (solver._v_decay_factor(ctx, cfg.dt),
+               ou.substep_factors(state.ou, cfg.dt, spec))
+    out, F, failed = solver.step_imex(stack, N[None], cfg, spec, [spec.seed],
+                                      ctx=ctx, factors=factors)
+    if failed:
+        raise failed[0]
+    return (solver._rows(out, 0),
+            sh.SpectralField(ctx.lmax, F.coeffs[0], "stream"))

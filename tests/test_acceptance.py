@@ -26,7 +26,9 @@ from snse.noise import (NoiseSpec, _positive_stable_batch,
 from snse.operators import (OperatorContext, coriolis_apply, nonlinear_B,
                             stokes_apply, trilinear_b)
 from snse.ou import ou_moment_check, zlp_bound
-from snse.solver import SolverConfig, run
+from snse.solver import SolverConfig
+
+from oracles import run_path
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -106,7 +108,7 @@ def test_criterion_03_single_mode_decay_exact():
         for scheme in ("imex_euler", "imex_heun"):
             cfg = SolverConfig(dt=dt, t_end=1.0, scheme=scheme,
                                v0=unit_stream_mode(5, l, 2))
-            res = run(cfg, NoiseSpec(beta=2.0),
+            res = run_path(cfg, NoiseSpec(beta=2.0),
                       ctx=OperatorContext(5, nu=nu, omega=omega))
             got = norm_h(res.state.v)
             exact = math.exp(-nu * l * (l + 1.0) * 1.0)
@@ -222,15 +224,15 @@ def test_criterion_08_energy_residual_convergence():
         cfg = SolverConfig(dt=dt, t_end=1.0, scheme="imex_heun", v0=v0)
         spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
                          seed=11, n_substeps=nsub)
-        residuals.append(abs(energy_residual(run(cfg, spec, ctx=ctx).ledger,
-                                             ctx.nu)))
+        residuals.append(abs(energy_residual(
+            run_path(cfg, spec, ctx=ctx).ledger, ctx.nu)))
     ratios = [residuals[i] / residuals[i + 1] for i in range(3)]
     shrink_ok = all(r >= 1.7 for r in ratios)
     # noise-free forced run: level-one constants hold along the whole path
     cfg = SolverConfig(dt=0.025, t_end=1.0, scheme="imex_heun", v0=v0,
                        f=unit_stream_mode(12, 3, 1))
     rep = gronwall_bound_report(
-        run(cfg, NoiseSpec(beta=2.0), ctx=ctx).ledger, ctx.nu)
+        run_path(cfg, NoiseSpec(beta=2.0), ctx=ctx).ledger, ctx.nu)
     k_ok = bool(rep["satisfied"]["K1"] and rep["satisfied"]["K2"])
     elapsed = time.time() - t0
     ok = shrink_ok and k_ok and elapsed < 60.0
@@ -250,7 +252,7 @@ def _refinement_stats(lmax: int, dt: float, nsub: int) -> tuple:
     cfg = SolverConfig(dt=dt, t_end=0.5, scheme="imex_heun", v0=v0)
     spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
                      seed=11, n_substeps=nsub)
-    led = run(cfg, spec, ctx=OperatorContext(lmax, nu=0.5)).ledger
+    led = run_path(cfg, spec, ctx=OperatorContext(lmax, nu=0.5)).ledger
     return led.sup("v_v2"), led.integral("av2")
 
 

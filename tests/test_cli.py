@@ -23,6 +23,8 @@ from snse.harmonics import n_modes, norm_h
 from snse.noise import NoiseSpec, _positive_stable_batch
 from snse.solver import run
 
+from oracles import run_path
+
 
 def write_cfg(tmp_path, text, name="cfg.ini"):
     path = tmp_path / name
@@ -372,7 +374,7 @@ def test_simulate_matches_library_run_exactly(tmp_path):
     path = write_cfg(tmp_path, STOCHASTIC_RUN)
     assert main(["simulate", "--config", path, "--output", out]) == 0
     cfg = parse_config(path, mode="simulate")
-    res = run(cfg.solver, cfg.spec, ctx=cfg.ctx)
+    res = run_path(cfg.solver, cfg.spec, ctx=cfg.ctx)
     table = res.diagnostic_table()
     lines = Path(out, "diagnostics.csv").read_text().splitlines()
     got = np.array([[float(x) for x in line.split(",")]
@@ -574,10 +576,10 @@ def test_spectrum_reaches_the_solver(tmp_path):
     back = read_snapshot(os.path.join(cfg.output_dir, "path0000_snap0000.bin"))
     assert back["spectrum"] == "ricci_shifted"
     scfg, spec, ctx = cfg.solver, cfg.spec, cfg.ctx
-    res = run(scfg, spec, ctx=ctx)
+    res = run_path(scfg, spec, ctx=ctx)
     assert np.array_equal(back["v"], res.state.v.coeffs)
     # l = 1 is the zero mode of the shifted spectrum, damped under the paper one
-    paper = run(scfg, spec, ctx=replace(ctx, spectrum="paper"))
+    paper = run_path(scfg, spec, ctx=replace(ctx, spectrum="paper"))
     assert not np.array_equal(back["v"], paper.state.v.coeffs)
     cfg = parse_config(path, mode="verify-energy",
                        output_dir=str(tmp_path / "e"))
@@ -1052,19 +1054,27 @@ CRASH_CFG = """\
 """
 
 
-def test_a_crashed_path_keeps_the_other_paths_artifacts(tmp_path,
-                                                        monkeypatch):
-    path = write_cfg(tmp_path, CRASH_CFG)
-    clean = tmp_path / "clean"
-    assert main(["simulate", "--config", path, "--output", str(clean)]) == 0
-    crashing_seed = path_seed(6, 1)
+def crashing_chunks(monkeypatch, crashing_seed):
+    """Make cli's chunk runner raise whenever the chunk holds the path of
+    crashing_seed; returns the seeds of each chunk run in this process."""
+    chunks = []
 
-    def crashing_run(cfg, spec, **kwargs):
-        if spec.seed == crashing_seed:
+    def crashing_run(cfg, spec, seeds, **kwargs):
+        chunks.append(list(seeds))
+        if crashing_seed in seeds:
             raise RuntimeError("lane failed\nin path 1")
-        return run(cfg, spec, **kwargs)
+        return run(cfg, spec, seeds, **kwargs)
 
     monkeypatch.setattr(cli, "run", crashing_run)
+    return chunks
+
+
+def crashed_path_keeps_the_other_paths_artifacts(tmp_path, monkeypatch,
+                                                 text):
+    path = write_cfg(tmp_path, text)
+    clean = tmp_path / "clean"
+    assert main(["simulate", "--config", path, "--output", str(clean)]) == 0
+    chunks = crashing_chunks(monkeypatch, path_seed(6, 1))
     out = tmp_path / "out"
     assert main(["simulate", "--config", path, "--output", str(out)]) == 1
     report = (out / "report.txt").read_text().splitlines()
@@ -1079,6 +1089,26 @@ def test_a_crashed_path_keeps_the_other_paths_artifacts(tmp_path,
     rows = (clean / "diagnostics.csv").read_text().splitlines()
     assert (out / "diagnostics.csv").read_text().splitlines() == (
         rows[:5] + rows[9:])
+    return chunks
+
+
+def test_a_crashed_path_keeps_the_other_paths_artifacts(tmp_path,
+                                                        monkeypatch):
+    # one worker steps the three paths as one chunk, which the crash of
+    # path 1 fails: its paths run again one at a time, and only path 1
+    # crashes
+    chunks = crashed_path_keeps_the_other_paths_artifacts(
+        tmp_path, monkeypatch, CRASH_CFG)
+    seeds = [path_seed(6, i) for i in range(3)]
+    assert chunks == [seeds] + [[seed] for seed in seeds]
+
+
+def test_a_path_that_crashes_in_a_chunk_of_its_own(tmp_path, monkeypatch):
+    # three workers on three CPUs: each path is a chunk of its own
+    force_lanes(monkeypatch, 3)
+    crashed_path_keeps_the_other_paths_artifacts(
+        tmp_path, monkeypatch,
+        CRASH_CFG.replace("n_paths = 3", "n_paths = 3\n    workers = 3"))
 
 
 def test_verify_energy_keeps_the_rows_of_the_paths_that_did_not_crash(
@@ -1087,14 +1117,7 @@ def test_verify_energy_keeps_the_rows_of_the_paths_that_did_not_crash(
     clean = tmp_path / "clean"
     assert main(["verify-energy", "--config", path,
                  "--output", str(clean)]) == 0
-    crashing_seed = path_seed(6, 1)
-
-    def crashing_run(cfg, spec, **kwargs):
-        if spec.seed == crashing_seed:
-            raise RuntimeError("lane failed\nin path 1")
-        return run(cfg, spec, **kwargs)
-
-    monkeypatch.setattr(cli, "run", crashing_run)
+    crashing_chunks(monkeypatch, path_seed(6, 1))
     out = tmp_path / "out"
     assert main(["verify-energy", "--config", path,
                  "--output", str(out)]) == 1

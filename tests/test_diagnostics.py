@@ -28,6 +28,7 @@ from snse.diagnostics import (
     l4_grid,
     l4_norm,
     norms,
+    record_rows,
 )
 
 
@@ -37,7 +38,7 @@ def _decay_ledger(T=1.0, n=2001, nu=1.0):
     led = EnergyLedger()
     for t in np.linspace(0.0, T, n):
         e = math.exp(-4.0 * nu * t)
-        led.append_row(t=t, v_h2=e, v_v2=2 * e, av2=4 * e, b_vvz=0.0,
+        led.record_state(t=t, v_h2=e, v_v2=2 * e, av2=4 * e, b_vvz=0.0,
                        f_v=0.0, F_h2=0.0, z_h2=0.0, z_v2=0.0, u_l4=0.0)
     return led
 
@@ -166,13 +167,13 @@ def test_ledger_validation():
     led = EnergyLedger()
     row = dict(t=0.0, v_h2=1.0, v_v2=2.0, av2=4.0, b_vvz=0.0, f_v=0.0,
                F_h2=0.0, z_h2=0.0, z_v2=0.0, u_l4=0.0)
-    led.append_row(**row)
+    led.record_state(**row)
     with pytest.raises(ValueError):
-        led.append_row(**{**row, "t": 0.0})  # times must increase
+        led.record_state(**{**row, "t": 0.0})  # times must increase
     with pytest.raises(ValueError):
-        led.append_row(**{k: v for k, v in row.items() if k != "u_l4"})
+        led.record_state(**{k: v for k, v in row.items() if k != "u_l4"})
     with pytest.raises(ValueError):
-        led.append_row(**{**row, "t": 1.0, "v_h2": float("nan")})
+        led.record_state(**{**row, "t": 1.0, "v_h2": float("nan")})
     assert led.n == 1
 
 
@@ -190,7 +191,8 @@ def test_record_state_matches_direct_evaluations():
     F = SpectralField(8, -nonlinear_B(z, ctx).coeffs + alpha * z.coeffs
                       + f.coeffs, "stream")
     led = EnergyLedger()
-    led.record_state(0.0, v, z, N, F, ctx, u_l4=l4_norm(u))
+    stack = [SpectralField(8, x.coeffs[None], "stream") for x in (v, z, N, F)]
+    assert record_rows([led], 0.0, *stack, ctx, u_l4=[l4_norm(u)]).all()
     from snse.harmonics import inner_h, norm_h
     nv = norms(v, ctx)
     assert abs(led.data["v_h2"][0] - nv["H"] ** 2) < 1e-14
@@ -205,7 +207,7 @@ def test_record_state_matches_direct_evaluations():
 def test_cumulative_trapezoid_known_values():
     led = EnergyLedger()
     for t, y in [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]:
-        led.append_row(t=t, v_h2=y, v_v2=0.0, av2=0.0, b_vvz=0.0, f_v=0.0,
+        led.record_state(t=t, v_h2=y, v_v2=0.0, av2=0.0, b_vvz=0.0, f_v=0.0,
                        F_h2=0.0, z_h2=0.0, z_v2=0.0, u_l4=0.0)
     np.testing.assert_allclose(led.cumulative("v_h2"), [0.0, 0.5, 2.0])
     assert led.integral("v_h2") == 2.0
@@ -240,7 +242,7 @@ def test_gronwall_report_arithmetic_with_force_and_noise_terms():
     # synthetic constant series make every trapezoid a product
     led = EnergyLedger()
     for t in (0.0, 0.5, 1.0):
-        led.append_row(t=t, v_h2=2.0, v_v2=4.0, av2=8.0, b_vvz=0.1,
+        led.record_state(t=t, v_h2=2.0, v_v2=4.0, av2=8.0, b_vvz=0.1,
                        f_v=0.2, F_h2=0.3, z_h2=0.5, z_v2=0.7, u_l4=1.0)
     nu = 2.0
     rep = gronwall_bound_report(led, nu, c_emp=1.0)
@@ -260,7 +262,7 @@ def test_gronwall_report_saturates_a_huge_convective_constant():
     # and an integrand that is 0 contributes 0 (no nan, no warning)
     still = EnergyLedger()
     for t in (0.0, 0.5, 1.0):
-        still.append_row(t=t, v_h2=0.0, v_v2=0.0, av2=0.0, b_vvz=0.0, f_v=0.0,
+        still.record_state(t=t, v_h2=0.0, v_v2=0.0, av2=0.0, b_vvz=0.0, f_v=0.0,
                          F_h2=0.0, z_h2=0.0, z_v2=0.0, u_l4=0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -278,7 +280,7 @@ def test_gronwall_report_validation():
     with pytest.raises(ValueError):
         gronwall_bound_report(_decay_ledger(), 0.0, c_emp=1.0)
     short = EnergyLedger()
-    short.append_row(t=0.0, v_h2=1.0, v_v2=2.0, av2=4.0, b_vvz=0.0, f_v=0.0,
+    short.record_state(t=0.0, v_h2=1.0, v_v2=2.0, av2=4.0, b_vvz=0.0, f_v=0.0,
                      F_h2=0.0, z_h2=0.0, z_v2=0.0, u_l4=0.0)
     with pytest.raises(ValueError):
         gronwall_bound_report(short, 1.0, c_emp=1.0)

@@ -17,7 +17,7 @@ from snse.harmonics import (SpectralField, _mode_weights, basis_eigenvalues,
                             norm_h, unit_stream_mode)
 from snse.operators import OperatorContext
 
-from oracles import levy_increment_batch, ou_endpoint_ensemble
+from oracles import levy_increment_batch, ou_endpoint_ensemble, ou_step_path
 
 
 CTX1 = OperatorContext(lmax=1)
@@ -60,7 +60,7 @@ def sup_norm_growth(spec, lmax, delta, p, T_list, n_paths, *, n_time=64):
 def test_sigma_zero_exact_decay():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="zero", seed=3, n_substeps=4)
     st = replace(ou.make_ou_state(CTX4, spec), z=unit_stream_mode(4, 1, 0))
-    out = ou.ou_step(st, 0.7, spec)
+    out = ou_step_path(st, 0.7, spec)
     assert out.z.coeffs[1] == pytest.approx(math.exp(-2 * 0.7) * st.z.coeffs[1], rel=1e-14)
     assert out.substep_index == 4
 
@@ -74,7 +74,7 @@ def test_sigma_zero_norm_ignores_rotation():
     for om in (0.0, 5.0):
         ctx = OperatorContext(lmax=4, nu=1.0, omega=om, alpha=0.3)
         st = replace(ou.make_ou_state(ctx, spec), z=SpectralField(4, c.copy(), "stream"))
-        norms.append(norm_h(ou.ou_step(st, 0.5, spec).z))
+        norms.append(norm_h(ou_step_path(st, 0.5, spec).z))
     assert norms[0] == pytest.approx(norms[1], rel=1e-13)
 
 
@@ -107,14 +107,14 @@ def test_step_validation():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", seed=0, n_substeps=2)
     st = ou.make_ou_state(CTX4, spec)
     with pytest.raises(ValueError):
-        ou.ou_step(st, 0.0, spec)
+        ou_step_path(st, 0.0, spec)
 
 
 def test_noise_linearity_exact_factor_two():
     s1 = nz.NoiseSpec(beta=1.5, sigma_rule="const:1.0", seed=9, n_substeps=5)
     s2 = nz.NoiseSpec(beta=1.5, sigma_rule="const:2.0", seed=9, n_substeps=5)
-    a = ou.ou_step(ou.make_ou_state(replace(CTX4, alpha=0.1), s1), 0.4, s1)
-    b = ou.ou_step(ou.make_ou_state(replace(CTX4, alpha=0.1), s2), 0.4, s2)
+    a = ou_step_path(ou.make_ou_state(replace(CTX4, alpha=0.1), s1), 0.4, s1)
+    b = ou_step_path(ou.make_ou_state(replace(CTX4, alpha=0.1), s2), 0.4, s2)
     assert np.array_equal(b.z.coeffs, 2.0 * a.z.coeffs)
 
 
@@ -124,8 +124,8 @@ def test_semigroup_composition_bitwise():
     half = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.5", seed=11, n_substeps=6)
     full = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.5", seed=11, n_substeps=12)
     ctx = replace(CTX4, alpha=0.2)
-    two = ou.ou_step(ou.ou_step(ou.make_ou_state(ctx, half), 0.3, half), 0.3, half)
-    one = ou.ou_step(ou.make_ou_state(ctx, full), 0.6, full)
+    two = ou_step_path(ou_step_path(ou.make_ou_state(ctx, half), 0.3, half), 0.3, half)
+    one = ou_step_path(ou.make_ou_state(ctx, full), 0.6, full)
     assert np.array_equal(two.z.coeffs, one.z.coeffs)
     assert two.substep_index == one.substep_index == 12
 
@@ -135,7 +135,7 @@ def test_zonal_coefficients_stay_real_under_rotation():
     spec = nz.NoiseSpec(beta=1.5, sigma_rule="const:0.5", seed=13, n_substeps=3)
     st = ou.make_ou_state(ctx, spec)
     for _ in range(4):
-        st = ou.ou_step(st, 0.25, spec)
+        st = ou_step_path(st, 0.25, spec)
     zonal = [1, 3, 6]  # (1,0), (2,0), (3,0) slots
     assert np.all(st.z.coeffs[zonal].imag == 0.0)
     assert np.all(np.isfinite(st.z.coeffs))
@@ -472,7 +472,7 @@ def test_substep_refinement_first_order_on_coupled_noise(monkeypatch):
                             lambda spec, dt, gen, *, lmax: next(feed))
         spec = nz.NoiseSpec(n_substeps=nsub, **tpl)
         st = replace(ou.make_ou_state(ctx, spec), z=z0)
-        z = ou.ou_step(st, 1.0, spec).z.coeffs
+        z = ou_step_path(st, 1.0, spec).z.coeffs
         assert next(feed, None) is None        # every block was used
         return z
 

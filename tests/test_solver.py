@@ -32,12 +32,11 @@ from snse.solver import (
     SolverConfig,
     effective_force,
     recombine,
-    run,
-    step_imex,
-    step_picard,
     _nonlinear_rhs,
     _v_decay_factor,
 )
+
+from oracles import run_path, step_path
 
 
 def _quiet_spec(**kw):
@@ -76,7 +75,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         OperatorContext(6, alpha=-1.0)
     with pytest.raises(ValueError):
-        run(SolverConfig(**ok, v0=unit_stream_mode(5, 1, 0)), _quiet_spec(),
+        run_path(SolverConfig(**ok, v0=unit_stream_mode(5, 1, 0)), _quiet_spec(),
             ctx=OperatorContext(6))
 
 
@@ -87,13 +86,13 @@ def test_single_mode_exact_decay():
         for dt in (0.1, 0.05, 0.01):
             cfg = SolverConfig(dt=dt, t_end=1.0, scheme=scheme,
                                v0=unit_stream_mode(8, 1, 0))
-            got = math.sqrt(run(cfg, spec, ctx=OperatorContext(8, nu=1.0))
+            got = math.sqrt(run_path(cfg, spec, ctx=OperatorContext(8, nu=1.0))
                             .ledger.series("v_h2")[-1])
             assert abs(got - math.exp(-2.0)) < 1e-8 * math.exp(-2.0)
 
 
 def test_zero_data_zero_trajectory():
-    res = run(SolverConfig(dt=0.1, t_end=0.5), _quiet_spec(),
+    res = run_path(SolverConfig(dt=0.1, t_end=0.5), _quiet_spec(),
               ctx=OperatorContext(8))
     assert not res.state.v.coeffs.any()
     assert res.ledger.sup("v_h2") == 0.0
@@ -130,7 +129,7 @@ def _endpoint(scheme, dt, v0, f):
     cfg = SolverConfig(dt=dt, t_end=0.5, scheme=scheme, v0=v0, f=f,
                        picard_tol=1e-13)
     ctx = OperatorContext(10, nu=0.5, omega=2.0)
-    return run(cfg, _quiet_spec(), ctx=ctx).state.v.coeffs
+    return run_path(cfg, _quiet_spec(), ctx=ctx).state.v.coeffs
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +184,7 @@ def test_picard_iteration_geometric_and_consistent(smooth_data):
     assert all(r < 1.0 for r in ratios)
     assert max(ratios) < 3.0 * min(ratios)  # roughly geometric
     cfg = SolverConfig(dt=dt, t_end=dt, scheme="picard", picard_tol=tol, v0=v0)
-    st2, _ = step_picard(st, N_n, cfg, _quiet_spec(), ctx=ctx)
+    st2, _ = step_path(st, N_n, cfg, _quiet_spec(), ctx=ctx)
     assert np.array_equal(st2.v.coeffs, w_fixed)
 
 
@@ -199,7 +198,7 @@ def test_picard_linear_problem_single_iteration(monkeypatch):
                        picard_tol=1e-10, v0=unit_stream_mode(8, 3, 2))
     N = _nonlinear_rhs(st.v.coeffs, st.ou.z, None, ctx)
     calls = _nonlinear_calls(monkeypatch)
-    step_picard(st, N, cfg, _quiet_spec(), ctx=ctx)
+    step_path(st, N, cfg, _quiet_spec(), ctx=ctx)
     assert calls["n"] == 1  # the predictor reads N: one corrector application
 
 
@@ -214,14 +213,14 @@ def test_picard_contraction_failure_raises(smooth_data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises((ContractionError, BlowUpError)):
-            step_picard(st, N, cfg, _quiet_spec(), ctx=ctx)
+            step_path(st, N, cfg, _quiet_spec(), ctx=ctx)
 
 
 def test_monotone_energy_decay_unforced():
     rng = np.random.default_rng(4)
     cfg = SolverConfig(dt=0.02, t_end=1.0, scheme="imex_heun",
                        v0=random_stream_field(10, rng, decay=2.0, norm=0.8))
-    h = run(cfg, _quiet_spec(), ctx=OperatorContext(10)).ledger.series("v_h2")
+    h = run_path(cfg, _quiet_spec(), ctx=OperatorContext(10)).ledger.series("v_h2")
     assert np.all(np.diff(h) < 0)
 
 
@@ -232,7 +231,7 @@ def test_rotation_neutral_on_linear_trajectory():
     for omega in (0.0, 7.0):
         cfg = SolverConfig(dt=0.1, t_end=1.0, scheme="imex_heun",
                            v0=unit_stream_mode(8, 5, 3))
-        series[omega] = run(cfg, _quiet_spec(),
+        series[omega] = run_path(cfg, _quiet_spec(),
                             ctx=OperatorContext(8, omega=omega)
                             ).ledger.series("v_h2")
     assert np.max(np.abs(series[0.0] - series[7.0])) < 1e-13
@@ -250,7 +249,7 @@ def test_rotation_decoherence_is_weak_and_vanishes_with_amplitude():
         for omega in (0.0, 5.0):
             v0 = SpectralField(12, amp * shape.coeffs, "stream")
             cfg = SolverConfig(dt=0.01, t_end=1.0, scheme="imex_heun", v0=v0)
-            out[omega] = run(cfg, _quiet_spec(),
+            out[omega] = run_path(cfg, _quiet_spec(),
                              ctx=OperatorContext(12, omega=omega)
                              ).ledger.series("v_h2")
         return np.max(np.abs(out[0.0] - out[5.0]))
@@ -267,10 +266,10 @@ def test_bitwise_reproducibility_and_seed_override():
     cfg = SolverConfig(dt=0.02, t_end=0.3, scheme="imex_heun",
                        v0=random_stream_field(10, rng, decay=2.0, norm=0.8))
     ctx = OperatorContext(10, omega=2.0, alpha=1.0)
-    r1, r2 = run(cfg, spec, ctx=ctx), run(cfg, spec, ctx=ctx)
+    r1, r2 = run_path(cfg, spec, ctx=ctx), run_path(cfg, spec, ctx=ctx)
     assert np.array_equal(r1.state.v.coeffs, r2.state.v.coeffs)
     assert np.array_equal(r1.diagnostic_table(), r2.diagnostic_table())
-    r3 = run(cfg, replace(spec, seed=99), ctx=ctx)
+    r3 = run_path(cfg, replace(spec, seed=99), ctx=ctx)
     assert not np.array_equal(r1.state.v.coeffs, r3.state.v.coeffs)
 
 
@@ -284,7 +283,7 @@ def test_noise_path_invariant_under_dt_refinement():
         spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5,
                          seed=77, n_substeps=nsub)
         cfg = SolverConfig(dt=dt, t_end=0.4, scheme="imex_heun", v0=v0)
-        res = run(cfg, spec, ctx=OperatorContext(10, omega=2.0, alpha=1.0),
+        res = run_path(cfg, spec, ctx=OperatorContext(10, omega=2.0, alpha=1.0),
                   snapshot_every=every)
         return {round(t, 10): z for (t, _, z) in res.snapshots}
 
@@ -302,7 +301,7 @@ def test_blow_up_attaches_partial_result():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(BlowUpError) as exc:
-            run(cfg, _quiet_spec(), ctx=OperatorContext(10),
+            run_path(cfg, _quiet_spec(), ctx=OperatorContext(10),
                 snapshot_every=1)
     err = exc.value
     assert err.t <= 5.0
@@ -324,7 +323,7 @@ def test_galerkin_endpoint_cauchy():
         c = base24.coeffs[: n_modes(lm)].copy()
         cfg = SolverConfig(dt=0.005, t_end=0.5, scheme="imex_heun",
                            v0=SpectralField(lm, c, "stream"))
-        res = run(cfg, _quiet_spec(), ctx=OperatorContext(lm, nu=0.2))
+        res = run_path(cfg, _quiet_spec(), ctx=OperatorContext(lm, nu=0.2))
         ends[lm] = math.sqrt(res.ledger.series("v_h2")[-1])
     d1, d2 = abs(ends[16] - ends[12]), abs(ends[24] - ends[16])
     assert d1 > d2 > 0.0
@@ -341,7 +340,7 @@ def test_perturbation_growth_within_gronwall_factor():
     out = {}
     for tag, field in (("base", v0), ("pert", v0p)):
         cfg = SolverConfig(dt=0.01, t_end=0.25, scheme="imex_heun", v0=field)
-        out[tag] = run(cfg, spec,
+        out[tag] = run_path(cfg, spec,
                        ctx=OperatorContext(10, omega=1.0, alpha=1.0))
     w0 = norm_h(SpectralField(10, v0p.coeffs - v0.coeffs, "stream"))
     wT = norm_h(SpectralField(10, out["pert"].state.v.coeffs
@@ -359,7 +358,7 @@ def test_energy_residual_second_order_unforced():
     for dt in (0.025, 0.0125, 0.00625):
         cfg = SolverConfig(dt=dt, t_end=1.0, scheme="imex_heun", v0=v0)
         res.append(abs(energy_residual(
-            run(cfg, _quiet_spec(), ctx=OperatorContext(10)).ledger, 1.0)))
+            run_path(cfg, _quiet_spec(), ctx=OperatorContext(10)).ledger, 1.0)))
     assert 3.0 < res[0] / res[1] < 5.0
     assert 3.0 < res[1] / res[2] < 5.0
 
@@ -381,7 +380,7 @@ def test_ledger_b_vvz_matches_trilinear_oracle(monkeypatch):
                     f=random_stream_field(lmax, rng, decay=1.5, norm=0.5))
                 spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0",
                                  delta=0.5, seed=lmax)
-                res = run(cfg, spec, snapshot_every=1, ctx=ctx)
+                res = run_path(cfg, spec, snapshot_every=1, ctx=ctx)
                 led = res.ledger
                 assert led.n == len(res.snapshots) == 4
                 for k, (_, v, z) in enumerate(res.snapshots):
@@ -399,7 +398,7 @@ def test_ledger_b_vvz_matches_trilinear_oracle(monkeypatch):
     calls = _nonlinear_calls(monkeypatch)
     for lanes in (1, 2):
         calls["n"] = 0
-        run(cfg, spec, ctx=ctx, lanes=lanes)
+        run_path(cfg, spec, ctx=ctx, lanes=lanes)
         assert calls["n"] == 2 * cfg.n_steps + 1, lanes
 
 
@@ -413,7 +412,7 @@ def test_energy_residual_converges_on_aliased_grid():
     res = []
     for dt in (0.01, 0.005):
         cfg = SolverConfig(dt=dt, t_end=0.5, v0=v0)
-        res.append(abs(energy_residual(run(cfg, _quiet_spec(), ctx=ctx).ledger,
+        res.append(abs(energy_residual(run_path(cfg, _quiet_spec(), ctx=ctx).ledger,
                                        nu)))
     assert res[0] / res[1] >= 3.0
 
@@ -423,7 +422,7 @@ def test_run_gates():
     divergent = NoiseSpec(beta=1.5, sigma_rule="const:0.05", delta=0.5,
                           seed=0, n_substeps=1)
     with pytest.raises(ValueError):
-        run(cfg, divergent, ctx=ctx)
+        run_path(cfg, divergent, ctx=ctx)
 
 
 def test_run_undriven_shifted_spectrum():
@@ -432,14 +431,14 @@ def test_run_undriven_shifted_spectrum():
     cfg = SolverConfig(dt=0.1, t_end=0.5, v0=unit_stream_mode(6, 1, 0),
                        scheme="imex_euler")
     ctx = OperatorContext(6, spectrum="ricci_shifted")
-    res = run(cfg, _quiet_spec(), ctx=ctx)
+    res = run_path(cfg, _quiet_spec(), ctx=ctx)
     h = res.ledger.series("v_h2")
     np.testing.assert_allclose(h, h[0], rtol=1e-12)  # zero eigenvalue: no decay
     driven = NoiseSpec(beta=2.0, sigma_rule="const:0.1", delta=0.0, seed=0,
                        n_substeps=1)
     cfg2 = SolverConfig(dt=0.1, t_end=0.5)
     with pytest.raises(ValueError):
-        run(cfg2, driven, ctx=ctx)
+        run_path(cfg2, driven, ctx=ctx)
 
 
 def test_snapshot_cadence_and_recombine():
@@ -448,7 +447,7 @@ def test_snapshot_cadence_and_recombine():
     rng = np.random.default_rng(12)
     cfg = SolverConfig(dt=0.05, t_end=0.5, scheme="imex_heun",
                        v0=random_stream_field(8, rng, decay=2.0, norm=0.5))
-    res = run(cfg, spec, ctx=OperatorContext(8, alpha=0.5), snapshot_every=3)
+    res = run_path(cfg, spec, ctx=OperatorContext(8, alpha=0.5), snapshot_every=3)
     times = [t for (t, _, _) in res.snapshots]
     assert times == [k * 0.05 for k in (0, 3, 6, 9, 10)]
     t_last, v_last, z_last = res.snapshots[-1]
@@ -465,7 +464,7 @@ def test_diagnostic_table_layout():
     rng = np.random.default_rng(6)
     cfg = SolverConfig(dt=0.1, t_end=0.5, scheme="imex_heun",
                        v0=random_stream_field(8, rng, decay=2.0, norm=0.7))
-    res = run(cfg, _quiet_spec(), ctx=OperatorContext(8))
+    res = run_path(cfg, _quiet_spec(), ctx=OperatorContext(8))
     tab = res.diagnostic_table()
     assert tab.shape == (6, 8)
     assert np.array_equal(tab[:, 0], np.arange(6) * 0.1)
@@ -483,7 +482,7 @@ def test_energy_residual_below_1e10_at_fine_step():
     cfg = SolverConfig(dt=1e-5, t_end=0.05, scheme="imex_heun",
                        v0=unit_stream_mode(1, 1, 0))
     ctx = OperatorContext(1, nu=1.0)
-    res = run(cfg, _quiet_spec(), ctx=ctx)
+    res = run_path(cfg, _quiet_spec(), ctx=ctx)
     assert abs(energy_residual(res.ledger, ctx.nu)) < 1e-10
 
 
@@ -497,7 +496,7 @@ def test_gronwall_constants_hold_across_ten_seeds():
     spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5)
     worst = 0.0
     for seed in range(10):
-        res = run(cfg, replace(spec, seed=seed), ctx=ctx)
+        res = run_path(cfg, replace(spec, seed=seed), ctx=ctx)
         rep = gronwall_bound_report(res.ledger, ctx.nu)
         assert all(rep["satisfied"].values()), f"seed {seed}: {rep['satisfied']}"
         worst = max(worst, rep["observed"]["sup_v_h2"] / rep["K2"])
@@ -512,7 +511,7 @@ def test_gronwall_zero_data_is_trivially_satisfied():
 
     cfg = SolverConfig(dt=0.1, t_end=0.4)
     ctx = OperatorContext(4)
-    rep = gronwall_bound_report(run(cfg, _quiet_spec(), ctx=ctx).ledger,
+    rep = gronwall_bound_report(run_path(cfg, _quiet_spec(), ctx=ctx).ledger,
                                 ctx.nu)
     assert rep["K1"] == rep["K2"] == rep["K3"] == rep["K4"] == 0.0
     assert all(rep["satisfied"].values())
@@ -557,7 +556,7 @@ def test_lanes_give_identical_bytes(monkeypatch, scheme):
         forces = _threads_of(monkeypatch, "effective_force")
         try:
             sys.setswitchinterval(1e-6)     # a thread switch every microsecond
-            results[lanes] = run(cfg, spec, ctx=ctx, snapshot_every=2,
+            results[lanes] = run_path(cfg, spec, ctx=ctx, snapshot_every=2,
                                  lanes=lanes)
         finally:
             sys.setswitchinterval(interval)
@@ -613,7 +612,7 @@ def test_no_helper_below_the_lane_band_limit(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
     threads = _threads_of(monkeypatch, "l4_norm")
     cfg, spec, ctx = _lane_case(_LANE_MIN_LMAX - 1, "imex_heun")
-    run(cfg, spec, ctx=ctx, lanes=2)
+    run_path(cfg, spec, ctx=ctx, lanes=2)
     assert set(threads) == {threading.get_ident()}
 
 
@@ -632,7 +631,7 @@ def test_helper_failure_reaches_the_caller(monkeypatch, task):
     cfg, spec, ctx = _lane_case(_LANE_MIN_LMAX, "imex_heun")
     before = threading.active_count()
     with pytest.raises(RuntimeError) as info:
-        run(cfg, spec, ctx=ctx, lanes=2)
+        run_path(cfg, spec, ctx=ctx, lanes=2)
     assert info.value is boom
     assert threading.active_count() == before
 
@@ -653,7 +652,7 @@ def test_helper_tasks_run_under_the_callers_errstate(monkeypatch):
         monkeypatch.setattr(sol, task, recording)
     cfg, spec, ctx = _lane_case(_LANE_MIN_LMAX, "imex_euler")
     with np.errstate(all="raise", under="ignore"):
-        run(cfg, spec, ctx=ctx, lanes=2)
+        run_path(cfg, spec, ctx=ctx, lanes=2)
     caller = threading.get_ident()
     outer = dict(divide="raise", over="raise", under="ignore", invalid="raise")
     ledger = dict(outer, over="ignore", invalid="ignore")
@@ -661,3 +660,80 @@ def test_helper_tasks_run_under_the_callers_errstate(monkeypatch):
     assert all(err == outer for _, err in states["effective_force"])
     assert any(t != caller for t, _ in states["l4_norm"])
     assert any(t != caller for t, _ in states["effective_force"])
+
+
+# ---------------------------------------------------------------------------
+# lockstep chunks
+# ---------------------------------------------------------------------------
+
+def _assert_same_path(a, b):
+    """Two SimResults of one path agree bit for bit: ledger rows,
+    snapshots, last good state, status and failure time."""
+    assert a.ledger.data.keys() == b.ledger.data.keys()
+    for name, series in a.ledger.data.items():
+        other = b.ledger.data[name]
+        assert np.array(series).tobytes() == np.array(other).tobytes()
+    assert len(a.snapshots) == len(b.snapshots)
+    for (ta, va, za), (tb, vb, zb) in zip(a.snapshots, b.snapshots):
+        assert ta == tb and va.tobytes() == vb.tobytes()
+        assert za.tobytes() == zb.tobytes()
+    assert a.state.t == b.state.t
+    assert a.state.v.coeffs.tobytes() == b.state.v.coeffs.tobytes()
+    assert a.state.ou.z.coeffs.tobytes() == b.state.ou.z.coeffs.tobytes()
+    assert type(a.failure) is type(b.failure)
+    if a.failure is not None:
+        assert a.failure.t == b.failure.t and a.failure.result is a
+
+
+def test_a_chunk_gives_each_path_the_bytes_it_gets_alone():
+    # eight picard paths in one chunk: they end ok, BLOW-UP mid-run and NO
+    # CONTRACTION, each at its own step (here seed 3 blows up at t = 0.8,
+    # seeds 0, 4 and 5 stop contracting at t = 1, 0.4 and 0.3); a failed
+    # path leaves the stack and a converged one stops iterating, so every
+    # path gets its bytes alone
+    ctx = OperatorContext(12, nu=0.01, alpha=0.1)
+    cfg = SolverConfig(dt=0.1, t_end=1.0, scheme="picard",
+                       v0=random_stream_field(12, np.random.default_rng(0),
+                                              decay=1.0, norm=2.0))
+    spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=1.0")
+    seeds = list(range(8))
+    with np.errstate(all="ignore"):
+        chunk = sol.run(cfg, spec, seeds, ctx=ctx, snapshot_every=3)
+        alone = [sol.run(cfg, spec, [seed], ctx=ctx, snapshot_every=3)[0]
+                 for seed in seeds]
+    assert {type(r.failure) for r in chunk} == {type(None), BlowUpError,
+                                                ContractionError}
+    blown = [i for i, r in enumerate(chunk)
+             if isinstance(r.failure, BlowUpError) and r.failure.t > cfg.dt]
+    assert blown
+    for a, b in zip(chunk, alone):
+        _assert_same_path(a, b)
+    with pytest.raises(BlowUpError) as info, np.errstate(all="ignore"):
+        run_path(cfg, replace(spec, seed=blown[0]), ctx=ctx,
+                 snapshot_every=3)
+    _assert_same_path(info.value.result, chunk[blown[0]])
+
+
+def test_a_chunk_on_the_helper_lane_gives_each_path_its_bytes(monkeypatch):
+    # a chunk of two at the band limit where the helper starts: the helper
+    # forms the stacked F(z) and |u|_L4, and each path keeps the bytes it
+    # gets alone on one lane
+    cfg, spec, ctx = _lane_case(_LANE_MIN_LMAX, "picard")
+    seeds = [spec.seed, 6]
+    alone = [sol.run(cfg, spec, [seed], ctx=ctx, snapshot_every=2)[0]
+             for seed in seeds]
+    stacks = []
+    for name in ("l4_norm", "effective_force"):
+        orig = getattr(sol, name)
+
+        def recording(field, *args, orig=orig):
+            stacks.append((threading.get_ident(), field.coeffs.shape[0]))
+            return orig(field, *args)
+
+        monkeypatch.setattr(sol, name, recording)
+    chunk = sol.run(cfg, spec, seeds, ctx=ctx, snapshot_every=2, lanes=2)
+    assert len(stacks) == 2 * (cfg.n_steps + 1)
+    assert {n for _, n in stacks} == {2}
+    assert {t for t, _ in stacks} - {threading.get_ident()}
+    for a, b in zip(chunk, alone):
+        _assert_same_path(a, b)
