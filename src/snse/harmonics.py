@@ -277,9 +277,9 @@ def _legendre_P(lmax: int, mu: np.ndarray, sin_theta: np.ndarray) -> np.ndarray:
 def _slots(lmax: int) -> tuple:
     """Slots of the split table, flattened: the even part's (lmax+1) x
     ceil((lmax+1)/2) slots (m, k) of degree l = m + 2k, then the odd part's
-    lmax x (lmax+1)//2 slots of degree l = m + 2k + 1.  Returns l and m per
-    slot (l > lmax: an empty slot), the padded index m*(lmax+1) + l of each
-    slot ((lmax+1)^2 for an empty one) and the slot of each mode."""
+    lmax x (lmax+1)//2 slots of degree l = m + 2k + 1.  The one coefficient
+    layout of every transform: returns l and m per slot (l > lmax: an empty
+    slot, which a synthesis reads as 0) and the slot of each mode."""
     L = lmax + 1
     ms, ls = [], []
     for parity, n_m, width in ((0, L, (L + 1) // 2), (1, lmax, L // 2)):
@@ -288,10 +288,9 @@ def _slots(lmax: int) -> tuple:
         ls.append((m + 2 * k + parity).ravel())
     m, l = np.concatenate(ms), np.concatenate(ls)
     full = l <= lmax
-    pad = np.where(full, m * L + l, L * L)
     of_mode = np.empty(n_modes(lmax), dtype=np.int64)
     of_mode[mode_index(l[full], m[full])] = np.flatnonzero(full)
-    out = (l, m, pad, of_mode)
+    out = (l, m, of_mode)
     for arr in out:
         arr.setflags(write=False)
     return out
@@ -328,7 +327,7 @@ def _derivative_columns(lmax: int, n_fields: int) -> tuple:
     i m f_k, column n_fields + k takes l f_k and column 2 n_fields + k takes
     e_{l+1}^m f_k(l+1), whose syntheses give the angular derivatives (see
     the table above).  An empty slot has factor 0."""
-    l, m, _, _ = _slots(lmax)
+    l, m, _ = _slots(lmax)
     up = np.minimum(l + 1, lmax)
     full, full_up = l <= lmax, l + 1 <= lmax
     e_up = np.sqrt(np.maximum(up * up - m * m, 0) * (2 * up + 1) / (2 * up - 1))
@@ -346,34 +345,6 @@ def _derivative_columns(lmax: int, n_fields: int) -> tuple:
     return out
 
 
-@lru_cache(maxsize=None)
-def _layout(lmax: int) -> tuple:
-    """Padded (m, l) layout of band limit lmax: the flat padded slot
-    m*(lmax+1) + l of each mode, then l, m and e_l^m (0 for l <= m) per
-    padded slot."""
-    L = lmax + 1
-    ls, ms = mode_degrees(lmax)
-    m, l = np.meshgrid(np.arange(L), np.arange(L), indexing="ij")
-    e = np.sqrt(np.maximum(l * l - m * m, 0) * (2 * l + 1) / np.maximum(2 * l - 1, 1))
-    out = (ms * L + ls, l.astype(np.float64), m.astype(np.float64), e)
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
-def _padded(coeffs: np.ndarray, lmax: int) -> np.ndarray:
-    """Flat coefficients (n_modes,) -> zero-padded C[m, l]."""
-    L = lmax + 1
-    C = np.zeros(L * L, dtype=np.complex128)
-    C[_layout(lmax)[0]] = coeffs
-    return C.reshape(L, L)
-
-
-def _flat(C: np.ndarray, lmax: int) -> np.ndarray:
-    """Padded C[m, l] -> flat coefficients (n_modes,); inverse of _padded."""
-    return C.reshape(-1)[_layout(lmax)[0]]
-
-
 # ---------------------------------------------------------------------------
 # Longitude FFT conventions
 # ---------------------------------------------------------------------------
@@ -381,9 +352,9 @@ def _flat(C: np.ndarray, lmax: int) -> np.ndarray:
 #   f(theta, phi) = g_0 + sum_{m>=1} [g_m e^{i m phi} + conj(g_m) e^{-i m phi}],
 # which is exactly numpy's unnormalized ("forward") irfft of [g_0, g_1, ...]
 # and whose analysis is the 1/n_lon-normalized rfft.  The Legendre stage
-# works on stacks of columns C[m, l, k]: the complex data is viewed as
+# works on columns X[slot, k] in _slots order: the complex data is viewed as
 # interleaved real columns, so the real table multiplies every column of
-# every m in one matmul.
+# every m in one matmul per parity.
 
 
 def _hemisphere_synthesis(X: np.ndarray, table: tuple, out: np.ndarray,
@@ -464,37 +435,23 @@ def _slot_synthesis(X: np.ndarray, lmax: int, n_lat: int) -> np.ndarray:
     return G
 
 
-def _legendre_synthesis(X: np.ndarray, lmax: int, n_lat: int) -> np.ndarray:
-    """Half spectra G[k, j, m] = sum_l X[m, l, k] Pbar_l^m(theta_j)."""
-    L, k = lmax + 1, X.shape[-1]
-    padded = np.zeros((L * L + 1, k), dtype=np.complex128)
-    padded[:-1] = X.reshape(L * L, k)
-    G = _slot_synthesis(padded[_slots(lmax)[2]], lmax, n_lat)
-    mu = _gauss_nodes(n_lat)[0]
-    G *= np.sin(np.arccos(-np.abs(mu)))[:, None]    # the table's sin, mirrored
-    return G
-
-
-def _legendre_analysis(F: np.ndarray, lmax: int, n_lat: int) -> np.ndarray:
-    """Adjoint of _legendre_synthesis: A[m, l, k] = sum_j Pbar_l^m(theta_j) F[k, j, m]."""
-    L, k = lmax + 1, F.shape[0]
-    pad = _slots(lmax)[2]
-    slots = _hemisphere_analysis(
+def _slot_analysis(F: np.ndarray, lmax: int, n_lat: int) -> np.ndarray:
+    """A[mode_index(l, m), k] = sum_j Pbar_l^m(theta_j) F[k, j, m] for F (k,
+    n_lat, >= lmax+1), read from the slots of the adjoint of _slot_synthesis
+    times sin(theta), in new arrays."""
+    L, k, (l, _, of_mode) = lmax + 1, F.shape[0], _slots(lmax)
+    return _hemisphere_analysis(
         F, _fold_factor(n_lat, False), _legendre_table(n_lat, lmax),
         np.empty((L, (n_lat + 1) // 2, k), dtype=np.complex128),
         np.empty((lmax, n_lat // 2, k), dtype=np.complex128),
-        np.empty((pad.size, k), dtype=np.complex128))
-    A = np.zeros((L * L + 1, k), dtype=np.complex128)
-    A[pad] = slots                                  # empty slots land on the last row
-    return A[:-1].reshape(L, L, k)
+        np.empty((l.size, k), dtype=np.complex128))[of_mode]
 
 
 def _synthesize(parts, n_lon: int) -> np.ndarray:
     """Grid values (k, n_lat, n_lon) of the half spectra parts[k] (n_lat, m)."""
     n_lat, n_m = parts[0].shape
     H = np.zeros((len(parts), n_lat, n_lon // 2 + 1), dtype=np.complex128)
-    for k, G in enumerate(parts):
-        H[k, :, :n_m] = G
+    H[..., :n_m] = parts
     return np.fft.irfft(H, n=n_lon, axis=-1, norm="forward")
 
 
@@ -515,8 +472,11 @@ def _require_resolution(grid: QuadratureGrid, lmax: int):
 def scalar_synthesis(f: SpectralField, grid: QuadratureGrid) -> GridField:
     """Evaluate a spectral scalar on the grid (inverse of scalar_analysis)."""
     _require_resolution(grid, f.lmax)
-    X = _padded(f.coeffs, f.lmax)[..., None]
-    G = _legendre_synthesis(X, f.lmax, grid.n_lat)
+    l, _, of_mode = _slots(f.lmax)
+    X = np.zeros((l.size, 1), dtype=np.complex128)      # empty slots read 0
+    X[of_mode, 0] = f.coeffs
+    G = _slot_synthesis(X, f.lmax, grid.n_lat)
+    G *= np.sin(np.arccos(-np.abs(grid.mu)))[:, None]   # the table's sin, mirrored
     return GridField(grid, _synthesize(G, grid.n_lon)[0])
 
 
@@ -525,8 +485,8 @@ def scalar_analysis(f: GridField, lmax: int) -> SpectralField:
     grid = f.grid
     _require_resolution(grid, lmax)
     F = _analyze_half(f.values, lmax) * (2.0 * np.pi * grid.weight)[:, None]
-    A = _legendre_analysis(F[None], lmax, grid.n_lat)
-    return SpectralField(lmax, _flat(A[..., 0], lmax), "scalar")
+    return SpectralField(lmax, _slot_analysis(F[None], lmax, grid.n_lat)[:, 0],
+                         "scalar")
 
 
 def _angular_derivatives(f: SpectralField, grid: QuadratureGrid):
@@ -566,12 +526,12 @@ def _curl_coeffs(w: GridField, lmax: int) -> np.ndarray:
     F = _analyze_half(w.values, lmax) * (2.0 * np.pi * grid.weight)[:, None]
     F /= grid.sin_theta[:, None]
     cols = np.stack([F[0], grid.mu[:, None] * F[1], F[1]])
-    A = _legendre_analysis(cols, lmax, grid.n_lat)
-    _, l, m, e = _layout(lmax)
-    prev = np.zeros_like(A[..., 2])                # (P^T (F/sin))_{l-1}
-    prev[:, 1:] = A[:, :-1, 2]
-    out = -1j * m * A[..., 0] - (l * A[..., 1] - e * prev)
-    return _flat(out, lmax)
+    A = _slot_analysis(cols, lmax, grid.n_lat)
+    l, m = mode_degrees(lmax)
+    e = np.sqrt((l * l - m * m) * (2 * l + 1) / np.maximum(2 * l - 1, 1))
+    # (P^T (F/sin))_{l-1}; at l = m there is no such degree, and e_l^m = 0
+    prev = A[mode_index(np.maximum(l - 1, m), m), 2]
+    return -1j * m * A[:, 0] - (l * A[:, 1] - e * prev)
 
 
 def vector_analysis(w: GridField, lmax: int) -> SpectralField:
@@ -617,7 +577,7 @@ class _Pass:
         self.n_lon, self.n_fields = grid.n_lon, n_fields
         self.table = _legendre_table(n, lmax)
         self.src, self.fac = _derivative_columns(lmax, n_fields)
-        self.of_mode = _slots(lmax)[3]
+        self.of_mode = _slots(lmax)[2]
         self.factor = _fold_factor(n, True)
         self.mu = grid.mu[:, None]
         n_slots, h, h_odd = self.src.shape[0], (n + 1) // 2, n // 2

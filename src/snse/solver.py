@@ -370,14 +370,10 @@ def _record(state: SimState, F: SpectralField, ledgers: list,
     with the mask of the paths recorded: a row with a non-finite entry is
     not.  A helper executor, if given, forms |u|_L4 meanwhile."""
     z = state.ou.z
-    # N, |u|^4 and the squared norms of a state near blow-up can overflow;
-    # the row rejects the non-finite entry, so the overflow stays silent
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_l4 = _start(helper, l4_norm, recombine(state))
-        N = _nonlinear_rhs(state.v.coeffs, z, cfg.f, ctx)
-        ok = record_rows(ledgers, state.t, state.v, z,
-                         SpectralField(ctx.lmax, N, "stream"), F, ctx,
-                         u_l4=u_l4())
+    u_l4 = _start(helper, l4_norm, recombine(state))
+    N = _nonlinear_rhs(state.v.coeffs, z, cfg.f, ctx)
+    ok = record_rows(ledgers, state.t, state.v, z,
+                     SpectralField(ctx.lmax, N, "stream"), F, ctx, u_l4=u_l4())
     return N, ok
 
 
@@ -439,9 +435,13 @@ def run(cfg: SolverConfig, spec: NoiseSpec, seeds: list, *,
         from concurrent.futures import ThreadPoolExecutor
         helper = ThreadPoolExecutor(max_workers=1)
     stepper = step_picard if cfg.scheme == "picard" else step_imex
-    F = effective_force(state.ou.z, cfg.f, ctx)
     try:
-        with helper or contextlib.nullcontext():
+        # a step or a ledger row of a state near blow-up can overflow (in
+        # N, |u|^4, the squared norms, the FFTs); each turns the non-finite
+        # value into a BLOW-UP, so the overflow stays silent
+        with (helper or contextlib.nullcontext(),
+              np.errstate(over="ignore", invalid="ignore")):
+            F = effective_force(state.ou.z, cfg.f, ctx)
             for k in range(cfg.n_steps + 1):
                 if k > 0:
                     state, F, failed = stepper(

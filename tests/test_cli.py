@@ -473,9 +473,11 @@ def test_a_failed_path_writes_its_last_good_state_once(tmp_path, scheme,
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_blow_up_is_silent(tmp_path, capsys):
-    # the overflow of a norm near blow-up becomes the blow-up verdict, not
-    # a warning on stderr
-    path = write_cfg(tmp_path, """\
+    # the overflow near blow-up becomes the blow-up verdict, not a warning
+    # on stderr: of a norm in a ledger row, and mid-step, in the products,
+    # FFTs and norms of a corrector or a Picard iterate (the six picard
+    # paths at seed 2 end ok, NO CONTRACTION and BLOW-UP)
+    blow_up = """\
         [model]
         lmax = 8
         nu = 0.001
@@ -485,11 +487,34 @@ def test_blow_up_is_silent(tmp_path, capsys):
         scheme = imex_euler
         [initial]
         v0 = random:decay=0.5,norm=200.0
-    """)
-    out = str(tmp_path / "out")
-    assert main(["simulate", "--config", path, "--output", out]) == 1
-    assert "BLOW-UP" in Path(out, "report.txt").read_text()
-    assert capsys.readouterr().err == ""
+    """
+    mixed = """\
+        [run]
+        n_paths = 6
+        snapshot_every = 5
+        [model]
+        lmax = 12
+        nu = 0.01
+        alpha = 0.1
+        [noise]
+        beta = 1.5
+        sigma = power:gamma=1.0
+        seed = 2
+        [time]
+        dt = 0.1
+        t_end = 2
+        scheme = picard
+        [initial]
+        v0 = random:decay=1.0,norm=2.0
+    """
+    for name, text, verdicts in (("blow-up", blow_up, ["BLOW-UP"]),
+                                 ("mixed", mixed, ["BLOW-UP", "NO CONTRACTION"])):
+        path = write_cfg(tmp_path, text, name=f"{name}.ini")
+        out = str(tmp_path / name)
+        assert main(["simulate", "--config", path, "--output", out]) == 1
+        report = Path(out, "report.txt").read_text()
+        assert all(verdict in report for verdict in verdicts)
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

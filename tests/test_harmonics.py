@@ -343,14 +343,15 @@ def test_legendre_table_fits_the_old_two_table_footprint():
 
 def test_hemisphere_table_mirrors_the_table_on_every_node():
     # Pbar_l^m(-mu) = (-1)^(l+m) Pbar_l^m(mu): the split table on the south
-    # nodes gives the padded table on every node, equator included
+    # nodes gives the full table on every node, equator included
     for n_lat, lmax in [(13, 12), (14, 12), (19, 12), (20, 32)]:
         g = sh.gauss_legendre_grid(n_lat, 1)
         P = sh._legendre_P(lmax, g.mu, g.sin_theta)          # P[m, j, l]
-        X = np.zeros((lmax + 1, lmax + 1, lmax + 1))
-        for m in range(lmax + 1):
-            X[m, m:, m:] = np.eye(lmax + 1 - m)                # column k: degree k
-        got = sh._legendre_synthesis(X.astype(complex), lmax, n_lat)
+        l, _, _ = sh._slots(lmax)
+        full = np.flatnonzero(l <= lmax)
+        X = np.zeros((l.size, lmax + 1), dtype=complex)
+        X[full, l[full]] = 1.0                                 # column k: degree k
+        got = sh._slot_synthesis(X, lmax, n_lat) * g.sin_theta[:, None]
         assert np.abs(got.transpose(2, 1, 0) - P).max() < 1e-13
 
 
@@ -380,6 +381,16 @@ def test_round_trips_on_smooth_and_prime_grids(lmax, dims):
         assert np.abs(back.coeffs - chi.coeffs).max() < 1e-12
         back = sh.vector_analysis(sh.vector_synthesis(psi, g), lmax)
         assert np.abs(back.coeffs - psi.coeffs).max() < 1e-12
+        # both routes share one layout: the public syntheses are the rows
+        # [d/dphi, -d/dtheta] and [d/dtheta, d/dphi] of the pass that
+        # nonlinear_B runs, bit for bit, so trilinear_b checks its bytes
+        for f, rows, public in ((psi, (0, 1), sh.vector_synthesis),
+                                (chi, (1, 0), sh.gradient_synthesis)):
+            G = sh._thread_pass(g, lmax, 1).synthesize(f.coeffs)
+            want = np.stack([G[rows[0]], G[rows[1]]])
+            if public is sh.vector_synthesis:
+                want[1] = -want[1]
+            assert public(f, g).values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("lmax, dims", ROUND_TRIP_GRIDS)

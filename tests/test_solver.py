@@ -638,8 +638,8 @@ def test_helper_failure_reaches_the_caller(monkeypatch, task):
 
 def test_helper_tasks_run_under_the_callers_errstate(monkeypatch):
     # numpy's errstate is per thread context; a helper task takes the one
-    # of the call that started it (|u|_L4's adds the ledger's overflow
-    # silence)
+    # of the call that started it: the caller's, with run's overflow
+    # silence around its step loop
     states = {}
     for task in ("l4_norm", "effective_force"):
         orig = getattr(sol, task)
@@ -654,10 +654,10 @@ def test_helper_tasks_run_under_the_callers_errstate(monkeypatch):
     with np.errstate(all="raise", under="ignore"):
         run_path(cfg, spec, ctx=ctx, lanes=2)
     caller = threading.get_ident()
-    outer = dict(divide="raise", over="raise", under="ignore", invalid="raise")
-    ledger = dict(outer, over="ignore", invalid="ignore")
-    assert all(err == ledger for _, err in states["l4_norm"])
-    assert all(err == outer for _, err in states["effective_force"])
+    silenced = dict(divide="raise", over="ignore", under="ignore",
+                    invalid="ignore")
+    assert all(err == silenced for _, err in states["l4_norm"])
+    assert all(err == silenced for _, err in states["effective_force"])
     assert any(t != caller for t, _ in states["l4_norm"])
     assert any(t != caller for t, _ in states["effective_force"])
 
