@@ -18,12 +18,18 @@ is the band limit of the field that is driven.
 
 Randomness is counter-based: every draw site derives a fresh Philox stream
 from (seed, purpose, counter), so increment streams are reproducible
-bitwise regardless of scheduling or worker count.
+bitwise regardless of scheduling or worker count.  A stack of paths draws
+one block per substep from one stream per path: each stream gives its row
+the draws a path alone takes from it, and the Kanter transform and the
+Gaussian packing run once on the stack.  Both are elementwise numpy
+ufuncs, which give each element the same bits in an array of any shape,
+so every row keeps the bits of its path alone.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -153,36 +159,34 @@ class NoiseSpec:
 
 @dataclass
 class LevyIncrementBlock:
-    """One shared subordinator increment plus per-mode coordinate increments.
+    """Shared subordinator increments plus per-mode coordinate increments.
 
-    dL is stored in the m >= 0 complex layout: the m = 0 slot is a real
-    N(0, dX) draw; an m > 0 slot packs the two independent N(0, dX) real
-    coordinate draws as (xi1 - i xi2) sqrt(dX/2), so the implied real
+    One path: dX is a float and dL has shape (n_modes,).  A stack of k
+    paths: dX has shape (k,) and dL shape (k, n_modes), row i the block of
+    path i.  dL is stored in the m >= 0 complex layout: the m = 0 slot is
+    a real N(0, dX) draw; an m > 0 slot packs the two independent N(0, dX)
+    real coordinate draws as (xi1 - i xi2) sqrt(dX/2), so the implied real
     coordinates are i.i.d. N(0, dX) as required.
     """
 
-    dX: float
+    dX: float | np.ndarray
     dL: np.ndarray
 
     def __post_init__(self):
-        if self.dX < 0:
+        if (np.asarray(self.dX) < 0).any():
             raise ValueError("subordinator increment must be >= 0")
 
 
-def _positive_stable_batch(index: float, scale_t: float, rng: np.random.Generator,
-                           size) -> np.ndarray:
-    """Kanter representation of the positive stable law with Laplace
-    transform E exp(-r X) = exp(-scale_t * r^index), vectorized.
+def _kanter(a: float, scale_t: float, U: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Kanter representation of the positive a-stable law with Laplace
+    transform E exp(-r X) = exp(-scale_t * r^a), elementwise in U and E:
 
     X = scale_t^{1/a} sin(aU) sin((1-a)U)^{(1-a)/a} / (sin(U)^{1/a} E^{(1-a)/a})
-    with U ~ Uniform(0, pi), E ~ Exp(1); evaluated in log space.
+
+    with U ~ Uniform(0, pi), E ~ Exp(1); evaluated in log space.  U and E
+    are clipped in place away from the ends of their ranges.
     """
-    a = index
-    if a == 1.0:
-        return np.full(size, scale_t, dtype=np.float64)
-    U = rng.uniform(0.0, math.pi, size=size)
     np.clip(U, 1e-12, math.pi - 1e-12, out=U)
-    E = rng.standard_exponential(size=size)
     np.clip(E, 1e-300, None, out=E)
     logx = (
         math.log(scale_t) / a
@@ -194,18 +198,23 @@ def _positive_stable_batch(index: float, scale_t: float, rng: np.random.Generato
     return np.exp(logx)
 
 
-def _gaussian_mode_increments(rng: np.random.Generator, dX, lmax: int) -> np.ndarray:
-    """Conditionally Gaussian coordinate increments in the complex layout.
+def _positive_stable_batch(index: float, scale_t: float, rng: np.random.Generator,
+                           size) -> np.ndarray:
+    """Positive index-stable draws of Laplace transform
+    E exp(-r X) = exp(-scale_t * r^index) from one generator: every U of
+    size, then every E, through _kanter.  index = 1 is the deterministic
+    clock scale_t and draws nothing."""
+    if index == 1.0:
+        return np.full(size, scale_t, dtype=np.float64)
+    U = rng.uniform(0.0, math.pi, size=size)
+    E = rng.standard_exponential(size=size)
+    return _kanter(index, scale_t, U, E)
 
-    dX may be scalar or an array of leading batch dimensions.
-    """
-    dX = np.asarray(dX, dtype=np.float64)
-    nm = n_modes(lmax)
+
+def _pack_gaussians(xi: np.ndarray, dX: np.ndarray, lmax: int) -> np.ndarray:
+    """Standard-normal pairs xi of shape dX.shape + (n_modes, 2) as N(0, dX)
+    coordinate increments in the complex layout."""
     _, ms = mode_degrees(lmax)
-    # interleaved (re, im) pairs per mode slot: the draw sequence for the
-    # modes below any l is then independent of lmax, so refining the
-    # truncation keeps the shared modes on the same noise path
-    xi = rng.standard_normal(dX.shape + (nm, 2))
     root = np.sqrt(dX)[..., None]
     out = np.where(
         ms == 0,
@@ -216,14 +225,39 @@ def _gaussian_mode_increments(rng: np.random.Generator, dX, lmax: int) -> np.nda
     return out
 
 
-def levy_increment_block(spec: NoiseSpec, dt: float, rng: np.random.Generator,
+def levy_increment_block(spec: NoiseSpec, dt: float,
+                         rng: np.random.Generator | Sequence[np.random.Generator],
                          *, lmax: int) -> LevyIncrementBlock:
     """Draw the shared clock dX, then per-mode Gaussians on degrees up to
-    lmax.  At beta = 2, dX = dt draws nothing."""
+    lmax.  At beta = 2, dX = dt draws nothing.
+
+    rng is one Generator for one path's block, or a sequence of k
+    Generators for a stack of k paths' blocks.  Each generator gives its
+    row the same draws in the same order (the clock's U, its E, then the
+    Gaussians), so row i has the bits of the one-path block drawn from
+    rng[i]; the Kanter transform and the packing run once on the stack.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    dX = float(_positive_stable_batch(spec.beta / 2.0, dt, rng, ()))
-    return LevyIncrementBlock(dX=dX, dL=_gaussian_mode_increments(rng, dX, lmax))
+    one = isinstance(rng, np.random.Generator)
+    gens = [rng] if one else rng
+    a = spec.beta / 2.0
+    U, E = np.empty(len(gens)), np.empty(len(gens))
+    # interleaved (re, im) pairs per mode slot: the draw sequence for the
+    # modes below any l is then independent of lmax, so refining the
+    # truncation keeps the shared modes on the same noise path
+    xi = np.empty((len(gens), n_modes(lmax), 2))
+    for i, gen in enumerate(gens):
+        if a != 1.0:
+            U[i] = gen.uniform(0.0, math.pi)
+            E[i] = gen.standard_exponential()
+        gen.standard_normal(out=xi[i])
+    dX = (np.full(len(gens), dt, dtype=np.float64) if a == 1.0
+          else _kanter(a, dt, U, E))
+    dL = _pack_gaussians(xi, dX, lmax)
+    if one:
+        return LevyIncrementBlock(dX=float(dX[0]), dL=dL[0])
+    return LevyIncrementBlock(dX=dX, dL=dL)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ lambda_l^S all read from the operator context (OperatorContext.alpha is
 the shift's one home).  Stepping applies the deterministic factor exactly
 and discretizes the stochastic integral with left-endpoint substeps, which
 is adapted and biases the conditional variance low (never high), so
-moment-bound comparisons stay conservative.
+moment-bound comparisons stay conservative.  ou_step advances a stack of
+paths, one per row; each substep draws the whole stack's increments as one
+stacked block, every path from its own counter-keyed stream.
 
 Moment utilities compare E|z_t|^p with c_p times the closed-form sum over
 the real rates kappa_l = nu lambda_l^S + alpha
@@ -124,7 +126,8 @@ def ou_step(state: OUState, dt: float, spec: NoiseSpec, seeds: list,
     spec).
 
     The path of row i draws from counter-based streams of seeds[i] keyed by
-    the absolute substep index.
+    the absolute substep index; each substep draws the chunk's increments
+    as one stacked block.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -132,12 +135,11 @@ def ou_step(state: OUState, dt: float, spec: NoiseSpec, seeds: list,
     delta = dt / n
     g, decay = factors
     y = state.z.coeffs
-    dL = np.empty_like(y)
     for j in range(n):
-        for row, seed in zip(dL, seeds):
-            gen = substream(seed, PURPOSE_SUBSTEP, state.substep_index + j)
-            row[...] = levy_increment_block(spec, delta, gen, lmax=lmax).dL
-        y = decay * (y + g * dL)
+        gens = [substream(seed, PURPOSE_SUBSTEP, state.substep_index + j)
+                for seed in seeds]
+        y = decay * (y + g * levy_increment_block(spec, delta, gens,
+                                                  lmax=lmax).dL)
     return OUState(z=SpectralField(lmax, y, "stream"),
                    kappa=state.kappa, substep_index=state.substep_index + n)
 

@@ -1,16 +1,16 @@
 """Independent routes the tests compare the package against, and one-path
 entries to the stacked stepper.  No mode runs them: pointwise harmonics,
-the spectral vorticity, the rotation term formed on the grid, a batched OU
-recursion over a batch of the package's increment draw, and a single path
-through solver.run, solver.step_imex and ou.ou_step, whose failure
-raises."""
+the spectral vorticity, the rotation term formed on the grid, increment
+draws from one generator (its clocks, then its Gaussians) and a batched OU
+recursion over them, and a single path through solver.run,
+solver.step_imex and ou.ou_step, whose failure raises."""
 
 import numpy as np
 
 from snse import harmonics as sh
 from snse import ou, solver
-from snse.noise import (PURPOSE_MC, _gaussian_mode_increments,
-                        _positive_stable_batch, substream)
+from snse.noise import (PURPOSE_MC, _pack_gaussians, _positive_stable_batch,
+                        substream)
 
 
 def eval_ylm(l, m, theta, phi):
@@ -48,12 +48,21 @@ def coriolis_grid(u, ctx):
     return sh.vector_analysis(sh.GridField(g, rot), u.lmax)
 
 
+def gaussian_mode_increments(rng, dX, lmax):
+    """N(0, dX) coordinate increments drawn from one generator: the
+    (n_modes, 2) standard-normal pairs of each leading index of dX in
+    turn, in the complex layout of noise.levy_increment_block."""
+    dX = np.asarray(dX, dtype=np.float64)
+    xi = rng.standard_normal(dX.shape + (sh.n_modes(lmax), 2))
+    return _pack_gaussians(xi, dX, lmax)
+
+
 def levy_increment_batch(spec, dt, rng, n_paths, lmax):
     """dL of n_paths independent increment blocks, shape (n_paths,
     n_modes): every clock first, then every Gaussian, the draws of
     noise.levy_increment_block made for a whole batch at once."""
     dX = _positive_stable_batch(spec.beta / 2.0, dt, rng, n_paths)
-    return _gaussian_mode_increments(rng, dX, lmax)
+    return gaussian_mode_increments(rng, dX, lmax)
 
 
 def ou_endpoint_ensemble(spec, ctx, t, n_paths, *, n_substeps=None, rng=None):

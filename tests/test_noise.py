@@ -11,6 +11,8 @@ from scipy import stats
 
 from snse import noise as nz
 
+from oracles import gaussian_mode_increments
+
 
 def test_positive_stable_degenerate_index_one():
     rng = nz.substream(0, 0)
@@ -115,7 +117,7 @@ def test_block_beta2_draws_no_clock():
     spec = nz.NoiseSpec(beta=2.0, sigma_rule="const:1.0", seed=0)
     blk = nz.levy_increment_block(spec, 0.3, nz.substream(4, 2), lmax=3)
     assert type(blk.dX) is float and blk.dX == 0.3
-    ref = nz._gaussian_mode_increments(nz.substream(4, 2), 0.3, 3)
+    ref = gaussian_mode_increments(nz.substream(4, 2), 0.3, 3)
     assert np.array_equal(blk.dL, ref)
 
 
@@ -125,10 +127,37 @@ def test_block_is_clock_then_gaussians():
     rng = nz.substream(4, 3)
     dX = float(nz._positive_stable_batch(0.75, 0.2, rng, ()))
     assert type(blk.dX) is float and blk.dX == dX
-    assert np.array_equal(blk.dL, nz._gaussian_mode_increments(rng, dX, 3))
+    assert np.array_equal(blk.dL, gaussian_mode_increments(rng, dX, 3))
     assert blk.dL.shape == (10,) and blk.dL[0] == 0.0
     with pytest.raises(ValueError):
         nz.LevyIncrementBlock(dX=-1e-3, dL=blk.dL)
+
+
+@pytest.mark.parametrize("beta", [1.2, 1.5, 2.0])
+@pytest.mark.parametrize("lmax", [12, 64])
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_a_stacked_row_is_its_own_paths_block(k, lmax, beta):
+    # row i of a chunk's block has the bits of path i's block alone, and of
+    # its draws in one-path order (clock U and E on a 0-d array, then the
+    # Gaussians), whatever the chunk size
+    spec = nz.NoiseSpec(beta=beta, sigma_rule="const:1.0")
+    seeds, index, dt = [3 + 5 * i for i in range(k)], 17, 0.05
+    stack = nz.levy_increment_block(
+        spec, dt, [nz.substream(s, nz.PURPOSE_SUBSTEP, index) for s in seeds],
+        lmax=lmax)
+    assert stack.dX.shape == (k,) and stack.dL.shape == (k, nz.n_modes(lmax))
+    for i, seed in enumerate(seeds):
+        alone = nz.levy_increment_block(
+            spec, dt, nz.substream(seed, nz.PURPOSE_SUBSTEP, index), lmax=lmax)
+        rng = nz.substream(seed, nz.PURPOSE_SUBSTEP, index)
+        dX = float(nz._positive_stable_batch(beta / 2.0, dt, rng, ()))
+        dL = gaussian_mode_increments(rng, dX, lmax)
+        for block in (alone, nz.LevyIncrementBlock(dX=dX, dL=dL)):
+            assert np.float64(block.dX).tobytes() == stack.dX[i].tobytes()
+            assert block.dL.tobytes() == stack.dL[i].tobytes()
+    with pytest.raises(ValueError):
+        nz.LevyIncrementBlock(dX=np.where(np.arange(k) == k // 2, -1e-3,
+                                          stack.dX), dL=stack.dL)
 
 
 def test_tail_sum_partial_plus_tail():

@@ -17,7 +17,8 @@ from snse.harmonics import (SpectralField, _mode_weights, basis_eigenvalues,
                             norm_h, unit_stream_mode)
 from snse.operators import OperatorContext
 
-from oracles import levy_increment_batch, ou_endpoint_ensemble, ou_step_path
+from oracles import (gaussian_mode_increments, levy_increment_batch,
+                     ou_endpoint_ensemble, ou_step_path)
 
 
 CTX1 = OperatorContext(lmax=1)
@@ -161,7 +162,7 @@ def test_endpoint_ensemble_is_the_written_out_recursion():
     y = np.zeros((7, 10), dtype=np.complex128)
     for _ in range(5):
         dX = nz._positive_stable_batch(0.75, delta, rng, 7)
-        y = decay * (y + ou._mode_gain(spec, 3) * nz._gaussian_mode_increments(rng, dX, 3))
+        y = decay * (y + ou._mode_gain(spec, 3) * gaussian_mode_increments(rng, dX, 3))
     assert np.array_equal(Y, y)
 
 
