@@ -321,7 +321,8 @@ def parse_config(path: str, *, mode: str | None = None,
             "scheme", "picard_tol", "picard_max_iter"))
         if mode in _STEPPING_MODES + ("verify-ou",):
             make_ou_state(ctx, spec)
-        check_moment_order(p, spec.beta)
+        if mode in ("verify-noise", "verify-ou"):   # the modes that read p
+            check_moment_order(p, spec.beta)
     except ParameterError as err:
         fail(_KEY_OF_PARAM.get(err.param, err.param), str(err))
 

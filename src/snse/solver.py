@@ -15,15 +15,21 @@ noise-coupled.
 The paths of an ensemble step in lockstep chunks (run steps one chunk; a
 single path is a chunk of one): every per-step array has a leading path
 axis, so the transform passes of nonlinear_B and l4_norm, the OU update,
-the scheme's arithmetic, the finiteness checks, the norms of the Picard
-test and the ledger's norms each make one call for the chunk.  Each path
-still draws from its own noise streams and keeps its own ledger.  A stacked operation broadcasts the
-one-path shapes (the Legendre matmuls, the FFT rows, the elementwise
-updates) and reduces per path, so every path gets the bytes it gets
-alone, whatever its chunk.  A path that fails leaves the stack with its
-partial result, and a Picard path stops iterating where it converges.
-The chunk size is a matter of speed only: chunk_cap bounds it by the
-work arrays of the product pass.
+the scheme's arithmetic, the norms of the Picard test and the ledger's
+norms each make one call for the chunk.  Each path still draws from its
+own noise streams and keeps its own ledger.  A stacked operation
+broadcasts the one-path shapes (the Legendre matmuls, the FFT rows, the
+elementwise updates) and reduces per path, so every path gets the bytes
+it gets alone, whatever its chunk, and a Picard path stops iterating
+where it converges.  The chunk size is a matter of speed only: chunk_cap
+bounds it by the work arrays of the product pass.
+
+A path fails in one place, the ledger row of the state a step reached.
+The stepper returns every row: one that blew up keeps its non-finite
+coefficients, and one whose Picard iteration stalled has a NaN v, so its
+ledger row is refused (the H norms weigh every mode with l >= 1).  run
+ends a stalled path as NO CONTRACTION and any other refused one as
+BLOW-UP, and the path leaves the stack with its partial result.
 
 The z lane runs ahead of v: z_{k+1} comes from ou_step alone, so the force
 F(z_{k+1}) = -B(z_{k+1}) + alpha z_{k+1} + f that the ledger row of the next
@@ -99,7 +105,8 @@ class StepFailure(RuntimeError):
 
 
 class BlowUpError(StepFailure):
-    """Coefficients left the representable range during a step."""
+    """A coefficient or a ledger entry of the state a step reached is not
+    finite."""
 
     status = "BLOW-UP"
 
@@ -112,6 +119,11 @@ class ContractionError(StepFailure):
     """The Picard iteration of a step did not contract."""
 
     status = "NO CONTRACTION"
+
+    def __init__(self, t: float, max_iter: int):
+        super().__init__(f"Picard iteration did not contract within "
+                         f"{max_iter} iterations in the step to t = {t:.6g}; "
+                         "reduce dt", t)
 
 
 @dataclass
@@ -246,49 +258,18 @@ def step_imex(state: SimState, N: np.ndarray, cfg: SolverConfig,
     ou.substep_factors).  Each path gets the bytes it gets alone, and a
     Picard path stops iterating where it converges.
 
-    Returns the state of the paths that went on, in order, their force
-    F(z), which a helper executor, if given, forms meanwhile (both None if
-    no path is left), and the StepFailure of each path that failed, by its
-    row in state.
+    Returns the next state of every row, its force F(z), which a helper
+    executor, if given, forms meanwhile, and the mask of the rows whose
+    Picard iteration did not contract (their v is NaN).  A row that blew
+    up keeps its non-finite coefficients: run ends it at its ledger row.
     """
-    dt, t = cfg.dt, state.t + cfg.dt
+    dt = cfg.dt
     E, ou_factors = factors
-    keep = np.arange(len(N))            # the row in state of each path left
-    failed = {}
-
-    def blow_up():
-        return BlowUpError(t)
-
-    def stall():
-        return ContractionError(
-            f"Picard iteration did not contract within {cfg.picard_max_iter} "
-            f"iterations in the step to t = {t:.6g}; reduce dt", t)
-
-    def retire(errors: dict):
-        """The paths at the rows of errors (row -> the maker of its
-        failure) leave; returns the mask of the others."""
-        nonlocal keep
-        go = np.ones(len(keep), dtype=bool)
-        for r, error in errors.items():
-            failed[int(keep[r])] = error()
-            go[r] = False
-        keep = keep[go]
-        return go
-
     ou = ou_step(state.ou, dt, spec, seeds, ou_factors)
-    z, v_n = ou.z.coeffs, state.v.coeffs
-    bad = np.flatnonzero(~np.isfinite(z).all(axis=-1))
-    if bad.size:
-        go = retire(dict.fromkeys(bad, blow_up))
-        z, v_n, N = z[go], v_n[go], N[go]
-        if not keep.size:
-            return None, None, failed
-    z_next = SpectralField(ctx.lmax, z, "stream")
-    # z_next does not depend on v: its force is formed beside the corrector.
-    # A failed corrector leaves it unread, as one lane never computes it
-    F_next = helper and _start(helper, effective_force, z_next, cfg.f, ctx)
-
-    errors = {}
+    z_next, v_n = ou.z, state.v.coeffs
+    # z_next does not depend on v: its force is formed beside the corrector
+    F = _start(helper, effective_force, z_next, cfg.f, ctx)
+    stalled = np.zeros(len(N), dtype=bool)
     if cfg.scheme == "imex_euler":
         v_next = E * (v_n + dt * N)
     else:
@@ -297,7 +278,7 @@ def step_imex(state: SimState, N: np.ndarray, cfg: SolverConfig,
         if cfg.scheme == "imex_heun":
             v_next = base + 0.5 * dt * _nonlinear_rhs(pred, z_next, cfg.f, ctx)
         else:
-            v_next = np.empty_like(pred)
+            v_next = np.full_like(pred, np.nan)  # a stalled row stays NaN
             at = np.arange(len(pred))   # the row of each path iterating
             w, b, zs = pred, base, z_next
             for _ in range(cfg.picard_max_iter):
@@ -314,21 +295,9 @@ def step_imex(state: SimState, N: np.ndarray, cfg: SolverConfig,
                     w_new, b, at = w_new[~done], b[~done], at[~done]
                 w = w_new
             else:
-                errors = dict.fromkeys(at, stall)
-    for r in np.flatnonzero(~np.isfinite(v_next).all(axis=-1)):
-        errors.setdefault(r, blow_up)
-    go = slice(None)
-    if errors:
-        go = retire(errors)
-        if not keep.size:
-            return None, None, failed
-        v_next = v_next[go]
-        z_next = SpectralField(ctx.lmax, z_next.coeffs[go], "stream")
-    F = (SpectralField(ctx.lmax, F_next().coeffs[go], "stream") if F_next
-         else effective_force(z_next, cfg.f, ctx))
-    return (SimState(t=t, v=SpectralField(ctx.lmax, v_next, "stream"),
-                     ou=OUState(z_next, ou.kappa, ou.substep_index)),
-            F, failed)
+                stalled[at] = True
+    v = SpectralField(ctx.lmax, v_next, "stream")
+    return SimState(t=state.t + dt, v=v, ou=ou), F(), stalled
 
 
 # the same stepper under the name run gives the picard scheme, so
@@ -386,11 +355,11 @@ def run(cfg: SolverConfig, spec: NoiseSpec, seeds: list, *,
     order, with the bytes the path gets alone.
 
     The snapshots are the state every snapshot_every steps (none at 0),
-    then the final state once.  A failed step (blow-up, or a Picard
-    iteration that does not contract) ends its path with the partial
-    result, whose state and final snapshot are the last good state, and
-    whose failure is the StepFailure, with the result attached; the other
-    paths go on.  A path whose t = 0 ledger row fails has no snapshot.
+    then the final state once.  A path that fails at a ledger row (module
+    docstring) ends with the partial result, whose state and final
+    snapshot are the last good state, and whose failure is the
+    StepFailure, with the result attached; the other paths go on.  A path
+    whose t = 0 ledger row fails has no snapshot.
 
     lanes is the number of CPUs this chunk may use.  From 2 lanes at lmax
     >= _LANE_MIN_LMAX one helper thread forms F(z) and |u|_L4 beside the
@@ -442,25 +411,19 @@ def run(cfg: SolverConfig, spec: NoiseSpec, seeds: list, *,
         with (helper or contextlib.nullcontext(),
               np.errstate(over="ignore", invalid="ignore")):
             F = effective_force(state.ou.z, cfg.f, ctx)
+            stalled = np.zeros(n, dtype=bool)
             for k in range(cfg.n_steps + 1):
                 if k > 0:
-                    state, F, failed = stepper(
+                    state, F, stalled = stepper(
                         state, N, cfg, spec, [seeds[i] for i in rows],
                         ctx=ctx, factors=factors, helper=helper)
-                    for r, err in failed.items():
-                        finish(rows[r], err)
-                    rows = [i for r, i in enumerate(rows) if r not in failed]
-                    if not rows:
-                        break
                     state.t = k * cfg.dt  # keep the grid free of accumulated rounding
                 N, ok = _record(state, F, [results[i].ledger for i in rows],
                                 cfg, ctx, helper)
                 for r, i in enumerate(rows):
-                    if not ok[r]:
-                        # coefficients can stay representable while a
-                        # recorded quantity (N, |u|^4, squared norms)
-                        # overflows: same policy
-                        finish(i, BlowUpError(state.t))
+                    if not ok[r]:   # where a path fails (module docstring)
+                        finish(i, BlowUpError(state.t) if not stalled[r] else
+                               ContractionError(state.t, cfg.picard_max_iter))
                         continue
                     good[i] = (state, r)
                     if snapshot_every > 0 and k % snapshot_every == 0:

@@ -113,16 +113,19 @@ def ou_step_path(state, dt, spec):
 
 def step_path(state, N, cfg, spec, *, ctx):
     """solver.step_imex of one path, a SimState of one v and z, whose
-    N(v, z) is N: the new state and its force F(z), or the StepFailure
-    raised."""
+    N(v, z) is N: the new state and its force F(z).  A Picard iteration
+    that stalls raises ContractionError, a non-finite coefficient
+    BlowUpError."""
     stack = solver.SimState(state.t, _stack(state.v),
                             ou.OUState(_stack(state.ou.z), state.ou.kappa,
                                        state.ou.substep_index))
     factors = (solver._v_decay_factor(ctx, cfg.dt),
                ou.substep_factors(state.ou, cfg.dt, spec))
-    out, F, failed = solver.step_imex(stack, N[None], cfg, spec, [spec.seed],
-                                      ctx=ctx, factors=factors)
-    if failed:
-        raise failed[0]
+    out, F, stalled = solver.step_imex(stack, N[None], cfg, spec,
+                                       [spec.seed], ctx=ctx, factors=factors)
+    if stalled[0]:
+        raise solver.ContractionError(out.t, cfg.picard_max_iter)
+    if not all(np.isfinite(c).all() for c in (out.v.coeffs, out.ou.z.coeffs)):
+        raise solver.BlowUpError(out.t)
     return (solver._rows(out, 0),
             sh.SpectralField(ctx.lmax, F.coeffs[0], "stream"))

@@ -140,6 +140,22 @@ def test_moment_order_must_stay_below_stability_index(tmp_path):
     assert parse_config(path, mode="verify-ou").p == 7.5
 
 
+def test_only_the_modes_that_read_p_check_it(tmp_path, capsys):
+    # p is a [verify] key of verify-noise and verify-ou; at beta <= 1 its
+    # default 1 breaks p < beta, which must not stop the other modes
+    path = write_cfg(tmp_path, MINIMAL + "[noise]\nbeta = 0.8\n"
+                                         "sigma = power:gamma=2.0\n")
+    for mode in ("simulate", "verify-energy", "verify-operators"):
+        assert parse_config(path, mode=mode).spec.beta == 0.8
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", path, "--output", out]) == 0
+    assert capsys.readouterr().err == ""
+    for mode in ("verify-ou", "verify-noise"):
+        assert main([mode, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert ":7:" in err and "p = 1 with beta = 0.8" in err, err
+
+
 def test_dealias_grid_constraint(tmp_path):
     path = write_cfg(tmp_path, """\
         [model]

@@ -737,3 +737,50 @@ def test_a_chunk_on_the_helper_lane_gives_each_path_its_bytes(monkeypatch):
     assert {t for t, _ in stacks} - {threading.get_ident()}
     for a, b in zip(chunk, alone):
         _assert_same_path(a, b)
+
+
+@pytest.mark.parametrize("scheme", ["imex_euler", "imex_heun", "picard"])
+def test_a_non_finite_z_ends_its_path_at_its_ledger_row(monkeypatch, scheme):
+    # no stochastic config reaches a z that overflows while v stays
+    # finite, so ou_step is made to return a non-finite z for one path of
+    # a chunk of three at step k: the stepper carries it on, and run ends
+    # the path as BLOW-UP at the ledger row of t = k dt, whatever the
+    # scheme makes of v; its last good state is the one of step k - 1, and
+    # the other paths keep the bytes they get alone
+    ctx = OperatorContext(8, nu=0.1, alpha=0.1)
+    cfg = SolverConfig(dt=0.1, t_end=0.5, scheme=scheme,
+                       v0=random_stream_field(8, np.random.default_rng(2)))
+    spec = NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0")
+    seeds, bad, k = [0, 1, 2], 1, 3
+    alone = [sol.run(cfg, spec, [seed], ctx=ctx, snapshot_every=1)[0]
+             for seed in seeds]
+    orig, calls = sol.ou_step, []
+
+    def overflowing(state, dt, spec, step_seeds, factors):
+        out = orig(state, dt, spec, step_seeds, factors)
+        calls.append(list(step_seeds))
+        if len(calls) == k:
+            out.z.coeffs[step_seeds.index(bad), 1] = np.inf
+        return out
+
+    monkeypatch.setattr(sol, "ou_step", overflowing)
+    chunk = sol.run(cfg, spec, seeds, ctx=ctx, snapshot_every=1)
+    assert calls[k - 1] == seeds and calls[k] == [0, 2]
+    res = chunk[bad]
+    assert isinstance(res.failure, BlowUpError)
+    assert res.failure.t == k * cfg.dt and res.failure.result is res
+    assert res.state.t == res.snapshots[-1][0] == (k - 1) * cfg.dt
+    assert list(res.ledger.series("t")) == [j * cfg.dt for j in range(k)]
+    assert res.snapshots[-1][1].tobytes() == res.state.v.coeffs.tobytes()
+    assert res.snapshots[-1][2].tobytes() == res.state.ou.z.coeffs.tobytes()
+    # up to its last good state the path is its run alone
+    ref = alone[bad]
+    for name, series in res.ledger.data.items():
+        assert (np.array(series).tobytes()
+                == np.array(ref.ledger.data[name][:k]).tobytes())
+    for (ta, va, za), (tb, vb, zb) in zip(res.snapshots, ref.snapshots):
+        assert ta == tb and va.tobytes() == vb.tobytes()
+        assert za.tobytes() == zb.tobytes()
+    for i in (0, 2):
+        assert chunk[i].failure is None
+        _assert_same_path(chunk[i], alone[i])
