@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 _STEPPING_MODES = ("simulate", "verify-energy")
+_MOMENT_MODES = ("verify-noise", "verify-ou")   # the modes that read p and t
 
 DIAGNOSTICS_HEADER = ",".join(DIAGNOSTIC_COLUMNS)
 
@@ -321,7 +322,7 @@ def parse_config(path: str, *, mode: str | None = None,
             "scheme", "picard_tol", "picard_max_iter"))
         if mode in _STEPPING_MODES + ("verify-ou",):
             make_ou_state(ctx, spec)
-        if mode in ("verify-noise", "verify-ou"):   # the modes that read p
+        if mode in _MOMENT_MODES:
             check_moment_order(p, spec.beta)
     except ParameterError as err:
         fail(_KEY_OF_PARAM.get(err.param, err.param), str(err))
@@ -337,7 +338,8 @@ def parse_config(path: str, *, mode: str | None = None,
         solver=solver if mode in _STEPPING_MODES else None,
         sigma=sigma, p=p, t_list=t_list)
 
-    if not t_list or not all(0 < tv < math.inf for tv in t_list):
+    if mode in _MOMENT_MODES and not (
+            t_list and all(0 < tv < math.inf for tv in t_list)):
         fail("t", f"t = {t_raw!r} must be a comma-separated list of "
                   "finite positive times")
     for key, least in (("snapshot_every", 0), ("n_paths", 1), ("workers", 1)):
@@ -514,8 +516,9 @@ def _path_output(res, index: int, ctx: OperatorContext,
         out["status"] = f"{res.failure.status} at t = {res.failure.t:g}"
     if outdir is None:                  # verify-energy reads the ledger only
         return out
-    out["lines"] = [",".join(_fmt(x) for x in row)
-                    for row in res.diagnostic_table()]
+    # repr of a Python float is _fmt's string, one tolist for the table
+    out["lines"] = [",".join(map(repr, row))
+                    for row in res.diagnostic_table().tolist()]
     for j, (t, v, z) in enumerate(res.snapshots):
         name = f"path{index:04d}_snap{j:04d}.bin"
         write_snapshot(os.path.join(outdir, name), ctx.lmax, ctx.spectrum,

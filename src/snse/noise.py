@@ -24,6 +24,17 @@ the draws a path alone takes from it, and the Kanter transform and the
 Gaussian packing run once on the stack.  Both are elementwise numpy
 ufuncs, which give each element the same bits in an array of any shape,
 so every row keeps the bits of its path alone.
+
+substream builds each stream through numpy's SeedSequence, which serves
+the one-off draw sites.  The substep streams of a chunk (SubstepStreams)
+take their keys from spawn_keys instead: SeedSequence's pool mixing and
+generate_state, run on each path's seed words once in plain ints and on
+the substep counters of a block of 256 in one pass of uint32 arithmetic.
+numpy's seeding policy (NEP 19) fixes SeedSequence's output, so these are
+the keys substream gives Philox.  Each path keeps one Generator(Philox)
+for the run and re-keys it every substep to that key, counter 0 and an
+empty buffer, the state of a fresh substream: the draws, and every
+artifact byte, are substream's.
 """
 
 from __future__ import annotations
@@ -43,6 +54,8 @@ __all__ = [
     "SigmaRule",
     "parse_sigma_rule",
     "substream",
+    "spawn_keys",
+    "SubstepStreams",
     "levy_increment_block",
     "check_moment_order",
     "check_summability",
@@ -60,6 +73,129 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     arguments: the same site yields the same bits on any worker layout."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx); numpy's
+# seeding policy (NEP 19) keeps its output fixed across versions
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_KEY_BLOCK = 256     # substep counters keyed per pass of spawn_keys
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two words: plain ints, or uint32 arrays, whose
+    arithmetic wraps by itself."""
+    r = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _counter_mixer(seed: int, purpose: int) -> tuple:
+    """SeedSequence(entropy=seed, spawn_key=(purpose, c)) before its last
+    entropy word c, in plain ints: the pool after every other word, and
+    the (xor, multiplier) pair with which each of the four pool words
+    hashes c.  The seed's 32-bit words, little end first, are padded with
+    zeros to the pool size, as they are under a spawn key."""
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words)) + [purpose]
+    hc = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hc
+        value ^= hc
+        hc = hc * _MULT_A & _MASK32
+        value = value * hc & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        pool = [_mix(p, hashmix(w)) for p in pool]
+    pairs = []
+    for _ in range(4):
+        xor = hc
+        hc = hc * _MULT_A & _MASK32
+        pairs.append((xor, hc))
+    return pool, pairs
+
+
+def spawn_keys(seeds: Sequence[int], purpose: int,
+               counters: Sequence[int]) -> np.ndarray:
+    """Philox keys of the streams substream(seed, purpose, c), shape
+    (len(seeds), len(counters), 2) uint64: entry [i, j] is the key that
+    SeedSequence(entropy=seeds[i], spawn_key=(purpose, counters[j]))
+    gives Philox.  Each seed's words and the purpose are mixed once, in
+    plain ints; the counters are mixed, and the pools hashed into keys, in
+    one pass of uint32 arithmetic over the block.  A counter must fit in
+    one word (0 <= c < 2^32)."""
+    if len(counters) and not (0 <= min(counters) and max(counters) <= _MASK32):
+        raise ValueError("a substream counter must lie in [0, 2^32)")
+    c = np.asarray(counters, dtype=np.uint32)[None, :]
+    mixers = [_counter_mixer(int(s), purpose) for s in seeds]
+    pools = np.array([m[0] for m in mixers], dtype=np.uint32).reshape(-1, 4)
+    pairs = np.array([m[1] for m in mixers], dtype=np.uint32).reshape(-1, 4, 2)
+    words = []
+    for d in range(4):
+        h = (c ^ pairs[:, d, :1]) * pairs[:, d, 1:]
+        h ^= h >> 16
+        w = _mix(pools[:, d, None], h)
+        # generate_state: the pool word hashed with the d-th B constant
+        hb = _INIT_B * pow(_MULT_B, d, 2**32) & _MASK32
+        w = (w ^ hb) * (hb * _MULT_B & _MASK32)
+        w ^= w >> 16
+        words.append(w.astype(np.uint64))
+    return np.stack([words[0] | words[1] << 32, words[2] | words[3] << 32],
+                    axis=-1)
+
+
+class SubstepStreams:
+    """The PURPOSE_SUBSTEP streams of a stack of paths: one persistent
+    Generator(Philox) per seed.  at(index) re-keys every generator to
+    the state of a fresh substream(seed, PURPOSE_SUBSTEP, index) (its key,
+    counter 0, an empty buffer, no buffered uint32), so the draws are
+    substream's bit for bit; the keys come from spawn_keys, _KEY_BLOCK
+    counters at a time."""
+
+    def __init__(self, seeds: Sequence[int]):
+        self.seeds = [int(s) for s in seeds]
+        self._gens = [np.random.Generator(np.random.Philox(0))
+                      for _ in self.seeds]
+        self._first, self._count = 0, 0
+        self._keys = [[] for _ in self.seeds]   # per path, from _first
+
+    def rows(self, keep) -> SubstepStreams:
+        """The streams of the paths at rows keep (an index array or a
+        mask), each with its generator and its keys."""
+        out = SubstepStreams([])
+        at = np.arange(len(self.seeds))[keep]
+        out.seeds = [self.seeds[i] for i in at]
+        out._gens = [self._gens[i] for i in at]
+        out._keys = [self._keys[i] for i in at]
+        out._first, out._count = self._first, self._count
+        return out
+
+    def at(self, index: int) -> list:
+        """Every path's generator keyed to substep index."""
+        j = index - self._first
+        if not 0 <= j < self._count:
+            # the block stops at 2^32, where spawn_keys refuses a counter
+            stop = max(index + 1, min(index + _KEY_BLOCK, _MASK32 + 1))
+            self._keys = spawn_keys(self.seeds, PURPOSE_SUBSTEP,
+                                    range(index, stop)).tolist()
+            self._first, self._count, j = index, stop - index, 0
+        # one state dict serves every path: the setter copies its values
+        fresh = {"bit_generator": "Philox",
+                 "state": {"counter": (0, 0, 0, 0), "key": None},
+                 "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        for gen, keys in zip(self._gens, self._keys):
+            fresh["state"]["key"] = keys[j]
+            gen.bit_generator.state = fresh
+        return self._gens
 
 
 @dataclass(frozen=True)

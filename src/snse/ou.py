@@ -48,8 +48,8 @@ from .harmonics import (ParameterError, SpectralField, basis_eigenvalues,
                         n_modes, zero_field)
 from .noise import (
     PURPOSE_MC,
-    PURPOSE_SUBSTEP,
     NoiseSpec,
+    SubstepStreams,
     _positive_stable_batch,
     _tail_sum,
     check_moment_order,
@@ -119,15 +119,15 @@ def substep_factors(state: OUState, dt: float, spec: NoiseSpec) -> tuple:
             np.exp(-state.kappa * (dt / spec.n_substeps)))
 
 
-def ou_step(state: OUState, dt: float, spec: NoiseSpec, seeds: list,
-            factors: tuple) -> OUState:
+def ou_step(state: OUState, dt: float, spec: NoiseSpec,
+            streams: SubstepStreams, factors: tuple) -> OUState:
     """Advance the stacked convolution, one path per row, by dt using
     spec.n_substeps noise substeps; factors are substep_factors(state, dt,
     spec).
 
-    The path of row i draws from counter-based streams of seeds[i] keyed by
-    the absolute substep index; each substep draws the chunk's increments
-    as one stacked block.
+    The path of row i draws from streams' row i, the counter-based stream
+    of its seed keyed by the absolute substep index; each substep draws
+    the chunk's increments as one stacked block.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -136,8 +136,7 @@ def ou_step(state: OUState, dt: float, spec: NoiseSpec, seeds: list,
     g, decay = factors
     y = state.z.coeffs
     for j in range(n):
-        gens = [substream(seed, PURPOSE_SUBSTEP, state.substep_index + j)
-                for seed in seeds]
+        gens = streams.at(state.substep_index + j)
         y = decay * (y + g * levy_increment_block(spec, delta, gens,
                                                   lmax=lmax).dL)
     return OUState(z=SpectralField(lmax, y, "stream"),

@@ -53,7 +53,7 @@ import numpy as np
 
 from .diagnostics import EnergyLedger, l4_norm, norms, record_rows
 from .harmonics import ParameterError, SpectralField, _Pass, zero_field
-from .noise import NoiseSpec, check_summability
+from .noise import NoiseSpec, SubstepStreams, check_summability
 from .operators import OperatorContext, nonlinear_B
 from .ou import OUState, make_ou_state, ou_step, substep_factors
 
@@ -248,11 +248,11 @@ def _rows(state: SimState, keep) -> SimState:
 
 
 def step_imex(state: SimState, N: np.ndarray, cfg: SolverConfig,
-              spec: NoiseSpec, seeds: list, *, ctx: OperatorContext,
-              factors: tuple, helper=None) -> tuple:
+              spec: NoiseSpec, streams: SubstepStreams, *,
+              ctx: OperatorContext, factors: tuple, helper=None) -> tuple:
     """One step of cfg.scheme from the stacked state, one path per row,
-    whose N(v, z) is N: z by ou_step, the path of row i drawing with
-    seeds[i], then v by integrating-factor Euler, Heun, or the fixed point
+    whose N(v, z) is N: z by ou_step, the path of row i drawing from
+    streams' row i, then v by integrating-factor Euler, Heun, or the fixed point
     of the trapezoidal mild map iterated from the Euler predictor (picard).
     factors are the run's constants (_v_decay_factor,
     ou.substep_factors).  Each path gets the bytes it gets alone, and a
@@ -265,7 +265,7 @@ def step_imex(state: SimState, N: np.ndarray, cfg: SolverConfig,
     """
     dt = cfg.dt
     E, ou_factors = factors
-    ou = ou_step(state.ou, dt, spec, seeds, ou_factors)
+    ou = ou_step(state.ou, dt, spec, streams, ou_factors)
     z_next, v_n = ou.z, state.v.coeffs
     # z_next does not depend on v: its force is formed beside the corrector
     F = _start(helper, effective_force, z_next, cfg.f, ctx)
@@ -381,6 +381,7 @@ def run(cfg: SolverConfig, spec: NoiseSpec, seeds: list, *,
                      ou=OUState(SpectralField(lmax, z0, "stream"), ou.kappa))
     results = [SimResult(state=None) for _ in seeds]
     rows = list(range(n))               # the path of each row of state
+    streams = SubstepStreams(seeds)     # the noise streams of the rows
     good = {i: (state, i) for i in rows}  # path -> its last good (state, row)
     factors = (_v_decay_factor(ctx, cfg.dt),
                substep_factors(ou, cfg.dt, spec))
@@ -415,8 +416,8 @@ def run(cfg: SolverConfig, spec: NoiseSpec, seeds: list, *,
             for k in range(cfg.n_steps + 1):
                 if k > 0:
                     state, F, stalled = stepper(
-                        state, N, cfg, spec, [seeds[i] for i in rows],
-                        ctx=ctx, factors=factors, helper=helper)
+                        state, N, cfg, spec, streams, ctx=ctx,
+                        factors=factors, helper=helper)
                     state.t = k * cfg.dt  # keep the grid free of accumulated rounding
                 N, ok = _record(state, F, [results[i].ledger for i in rows],
                                 cfg, ctx, helper)
@@ -435,6 +436,7 @@ def run(cfg: SolverConfig, spec: NoiseSpec, seeds: list, *,
                     if not rows:
                         break
                     state, N = _rows(state, ok), N[ok]
+                    streams = streams.rows(ok)
                     F = SpectralField(lmax, F.coeffs[ok], "stream")
     finally:
         for i in rows:

@@ -9,8 +9,8 @@ import numpy as np
 
 from snse import harmonics as sh
 from snse import ou, solver
-from snse.noise import (PURPOSE_MC, _pack_gaussians, _positive_stable_batch,
-                        substream)
+from snse.noise import (PURPOSE_MC, SubstepStreams, _pack_gaussians,
+                        _positive_stable_batch, substream)
 
 
 def eval_ylm(l, m, theta, phi):
@@ -105,7 +105,7 @@ def ou_step_path(state, dt, spec):
     """ou.ou_step of one path, an OUState of one z, drawing with
     spec.seed."""
     stack = ou.OUState(_stack(state.z), state.kappa, state.substep_index)
-    out = ou.ou_step(stack, dt, spec, [spec.seed],
+    out = ou.ou_step(stack, dt, spec, SubstepStreams([spec.seed]),
                      ou.substep_factors(state, dt, spec))
     return ou.OUState(sh.SpectralField(out.z.lmax, out.z.coeffs[0], "stream"),
                       out.kappa, out.substep_index)
@@ -122,7 +122,8 @@ def step_path(state, N, cfg, spec, *, ctx):
     factors = (solver._v_decay_factor(ctx, cfg.dt),
                ou.substep_factors(state.ou, cfg.dt, spec))
     out, F, stalled = solver.step_imex(stack, N[None], cfg, spec,
-                                       [spec.seed], ctx=ctx, factors=factors)
+                                       SubstepStreams([spec.seed]), ctx=ctx,
+                                       factors=factors)
     if stalled[0]:
         raise solver.ContractionError(out.t, cfg.picard_max_iter)
     if not all(np.isfinite(c).all() for c in (out.v.coeffs, out.ou.z.coeffs)):

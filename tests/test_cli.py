@@ -156,6 +156,21 @@ def test_only_the_modes_that_read_p_check_it(tmp_path, capsys):
         assert ":7:" in err and "p = 1 with beta = 0.8" in err, err
 
 
+def test_only_the_modes_that_read_t_check_it(tmp_path, capsys):
+    # t is a [verify] key of verify-noise and verify-ou: a time they refuse
+    # must not stop the other modes
+    path = write_cfg(tmp_path, MINIMAL + "[verify]\nt = 0\n")
+    for mode in ("simulate", "verify-energy", "verify-operators"):
+        assert parse_config(path, mode=mode).t_list == (0.0,)
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", path, "--output", out]) == 0
+    assert capsys.readouterr().err == ""
+    for mode in ("verify-ou", "verify-noise"):
+        assert main([mode, "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert ":7:" in err and "t = '0' must be" in err, err
+
+
 def test_dealias_grid_constraint(tmp_path):
     path = write_cfg(tmp_path, """\
         [model]
@@ -403,6 +418,24 @@ def test_simulate_matches_library_run_exactly(tmp_path):
     assert back["t"] == res.state.t
     assert np.array_equal(back["v"], res.state.v.coeffs)
     assert np.array_equal(back["z"], res.state.ou.z.coeffs)
+
+
+def test_diagnostics_lines_are_the_shortest_round_trip_strings():
+    # a path's lines are formatted in one pass over the table's Python
+    # floats, and each entry is the string _fmt makes of it
+    row = [-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, 0.0, -1.5, 2.0**-1074 * 3]
+
+    class Table:
+        failure, ledger, snapshots = None, None, []
+
+        def diagnostic_table(self):
+            return np.array([row, row[::-1]])
+
+    out = cli._path_output(Table(), 0, None, "unused")
+    assert out["lines"] == [",".join(cli._fmt(x) for x in r)
+                            for r in Table().diagnostic_table()]
+    assert out["lines"][0].startswith("-0.0,5e-324,1e+308,0.1,"
+                                      "0.3333333333333333,")
 
 
 def test_simulate_is_deterministic_and_seed_sensitive(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from scipy import stats
 
 from snse import noise as nz
+from snse.cli import path_seed
 
 from oracles import gaussian_mode_increments
 
@@ -179,6 +180,55 @@ def test_counter_streams_reproducible_and_order_free():
            for k in reversed(range(6))]
     for k in range(6):
         assert np.array_equal(fwd[k], bwd[5 - k])
+
+
+# seeds of one to seven 32-bit words, across the pool size of four, and
+# the path seeds of a 16-path ensemble at seed 1
+KEY_SEEDS = ([0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 - 1, 2**128 + 5,
+              2**200] + [path_seed(1, i) for i in range(16)])
+KEY_COUNTERS = [0, 1, 255, 256, 2**31, 2**32 - 1]
+
+
+@pytest.mark.parametrize("purpose", [nz.PURPOSE_SUBSTEP, nz.PURPOSE_MC, 0])
+def test_spawn_keys_are_seed_sequences_philox_keys(purpose):
+    keys = nz.spawn_keys(KEY_SEEDS, purpose, KEY_COUNTERS)
+    assert keys.dtype == np.uint64
+    assert keys.shape == (len(KEY_SEEDS), len(KEY_COUNTERS), 2)
+    for i, seed in enumerate(KEY_SEEDS):
+        for j, c in enumerate(KEY_COUNTERS):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(purpose, c))
+            assert keys[i, j].tobytes() == ss.generate_state(2, np.uint64).tobytes()
+    # a counter of two words has another entropy length: refused
+    for bad in ([2**32], [5, 2**32 + 1], [-1]):
+        with pytest.raises(ValueError, match="counter"):
+            nz.spawn_keys([3], purpose, bad)
+
+
+def test_a_rekeyed_stream_draws_what_a_fresh_substream_draws():
+    # each generator has drawn before it is re-keyed, one of them a uint32
+    # that leaves the other half of its 64-bit draw buffered (has_uint32)
+    streams = nz.SubstepStreams([7, 2**130, 0])
+    for index in [0, 3, 255, 256, 1000, 2**32 - 1]:
+        for gen in streams.at(index):
+            gen.standard_normal(5)
+            gen.integers(0, 2**32, dtype=np.uint32)
+        assert any(g.bit_generator.state["has_uint32"] for g in streams._gens)
+        gens = streams.at(index)
+        for seed, gen in zip(streams.seeds, gens):
+            ref = nz.substream(seed, nz.PURPOSE_SUBSTEP, index)
+            assert gen.bit_generator.state["state"]["key"].tobytes() == \
+                ref.bit_generator.state["state"]["key"].tobytes()
+            for draw in ("uniform", "standard_exponential", "standard_normal"):
+                a, b = getattr(gen, draw)(size=3), getattr(ref, draw)(size=3)
+                assert a.tobytes() == b.tobytes(), (seed, index, draw)
+    # a retired path leaves the others on their own streams
+    kept = streams.rows(np.array([True, False, True]))
+    assert kept.seeds == [7, 0]
+    for seed, gen in zip(kept.seeds, kept.at(9)):
+        assert (gen.standard_normal(4).tobytes()
+                == nz.substream(seed, nz.PURPOSE_SUBSTEP, 9).standard_normal(4).tobytes())
+    with pytest.raises(ValueError, match="counter"):
+        kept.at(2**32)
 
 
 def test_noise_spec_validation():

@@ -756,11 +756,11 @@ def test_a_non_finite_z_ends_its_path_at_its_ledger_row(monkeypatch, scheme):
              for seed in seeds]
     orig, calls = sol.ou_step, []
 
-    def overflowing(state, dt, spec, step_seeds, factors):
-        out = orig(state, dt, spec, step_seeds, factors)
-        calls.append(list(step_seeds))
+    def overflowing(state, dt, spec, streams, factors):
+        out = orig(state, dt, spec, streams, factors)
+        calls.append(list(streams.seeds))
         if len(calls) == k:
-            out.z.coeffs[step_seeds.index(bad), 1] = np.inf
+            out.z.coeffs[streams.seeds.index(bad), 1] = np.inf
         return out
 
     monkeypatch.setattr(sol, "ou_step", overflowing)
