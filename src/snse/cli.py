@@ -40,8 +40,8 @@ from .diagnostics import (b_form_constants, energy_residual,
 from .harmonics import (ParameterError, SpectralField, gauss_legendre_grid,
                         n_modes, random_stream_field, unit_stream_mode)
 from .noise import (NoiseSpec, PURPOSE_MC, PURPOSE_PATH, _positive_stable_batch,
-                    check_moment_order, check_summability,
-                    levy_increment_block, moment_scaling_estimate, substream)
+                    check_moment_order, check_summability, levy_increment_block,
+                    moment_scaling_estimate, spawn_keys, substream)
 from .operators import OperatorContext
 from .ou import make_ou_state, ou_moment_check, zlp_bound
 from .solver import DIAGNOSTIC_COLUMNS, SolverConfig, chunk_cap, run
@@ -53,7 +53,7 @@ __all__ = [
     "build_field",
     "write_snapshot",
     "read_snapshot",
-    "path_seed",
+    "path_seeds",
     "run_experiment",
     "main",
 ]
@@ -436,12 +436,12 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def path_seed(seed: int, index: int) -> int:
-    """Independent per-path seed: path index enters through the spawn key,
-    so paths never share substreams with each other or with MC helpers."""
-    ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=(PURPOSE_PATH, int(index)))
-    return int.from_bytes(ss.generate_state(4, np.uint32).tobytes(), "little")
+def path_seeds(seed: int, n_paths: int) -> list:
+    """Independent per-path seeds: path i takes the little-endian 128-bit
+    integer of the Philox key of the stream (seed; PURPOSE_PATH, i), so
+    paths never share substreams with each other or with MC helpers."""
+    keys = spawn_keys([seed], (PURPOSE_PATH,), range(n_paths))[0].tolist()
+    return [lo | hi << 64 for lo, hi in keys]
 
 
 def _write_lines(path: str, lines: list) -> None:
@@ -566,14 +566,6 @@ def _simulate_path_task(payload: tuple) -> list:
     return out
 
 
-def _path_seeds(cfg: ExperimentConfig) -> list:
-    """The noise seed of each path: a single path keeps the config seed,
-    path i of an ensemble takes path_seed(seed, i)."""
-    seed = cfg.spec.seed
-    return [seed if cfg.n_paths == 1 else path_seed(seed, i)
-            for i in range(cfg.n_paths)]
-
-
 def _run_paths(cfg: ExperimentConfig, snapshot_every: int,
                outdir: str | None) -> list:
     """Every path of a stepping mode through _simulate_path_task, in
@@ -585,7 +577,8 @@ def _run_paths(cfg: ExperimentConfig, snapshot_every: int,
     cpus = _usable_cpus()
     at_once = min(cfg.workers, cfg.n_paths, cpus)
     lanes = cpus // at_once                     # the CPUs left to each chunk
-    seeds = _path_seeds(cfg)
+    seed = cfg.spec.seed                        # a single path keeps it
+    seeds = [seed] if cfg.n_paths == 1 else path_seeds(seed, cfg.n_paths)
     n_chunks = max(at_once, -(-cfg.n_paths // chunk_cap(cfg.ctx)))
     cuts = [cfg.n_paths * c // n_chunks for c in range(n_chunks + 1)]
     payloads = [(cfg.solver, cfg.spec, seeds[a:b], cfg.ctx, snapshot_every,

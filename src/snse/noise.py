@@ -25,16 +25,16 @@ Gaussian packing run once on the stack.  Both are elementwise numpy
 ufuncs, which give each element the same bits in an array of any shape,
 so every row keeps the bits of its path alone.
 
-substream builds each stream through numpy's SeedSequence, which serves
-the one-off draw sites.  The substep streams of a chunk (SubstepStreams)
-take their keys from spawn_keys instead: SeedSequence's pool mixing and
-generate_state, run on each path's seed words once in plain ints and on
-the substep counters of a block of 256 in one pass of uint32 arithmetic.
-numpy's seeding policy (NEP 19) fixes SeedSequence's output, so these are
-the keys substream gives Philox.  Each path keeps one Generator(Philox)
-for the run and re-keys it every substep to that key, counter 0 and an
-empty buffer, the state of a fresh substream: the draws, and every
-artifact byte, are substream's.
+Every stream's Philox key comes from spawn_keys, which runs SeedSequence's
+pool mixing and generate_state on a seed's words and leading key words
+once in plain ints, and on the counters (last key words) of a block of
+streams in one pass of uint32 arithmetic.  numpy's seeding policy (NEP 19)
+fixes SeedSequence's output, so substream(seed, *key) draws what
+Generator(Philox(SeedSequence(seed, spawn_key=key))) draws.  A chunk's
+substep streams (SubstepStreams) take the keys of 256 substeps at a time:
+each path keeps one Generator(Philox) for the run and re-keys it every
+substep to the state of a fresh substream (that key, counter 0, an empty
+buffer), so the draws, and every artifact byte, are substream's.
 """
 
 from __future__ import annotations
@@ -69,10 +69,10 @@ PURPOSE_PATH = 3         # per-path ensemble seeds, counter = path index
 
 
 def substream(seed: int, *key: int) -> np.random.Generator:
-    """Philox generator for the stream (seed; key...).   Pure function of its
-    arguments: the same site yields the same bits on any worker layout."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    return np.random.Generator(np.random.Philox(ss))
+    """Philox generator for the stream (seed; key...), key of one or more
+    words.  Pure function of its arguments: the same bits on any layout."""
+    return np.random.Generator(np.random.Philox(
+        key=spawn_keys([seed], key[:-1], key[-1:])[0, 0]))
 
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx); numpy's
@@ -91,14 +91,16 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _counter_mixer(seed: int, purpose: int) -> tuple:
-    """SeedSequence(entropy=seed, spawn_key=(purpose, c)) before its last
+def _counter_mixer(seed: int, lead: list) -> tuple:
+    """SeedSequence(entropy=seed, spawn_key=(*lead, c)) before its last
     entropy word c, in plain ints: the pool after every other word, and
     the (xor, multiplier) pair with which each of the four pool words
     hashes c.  The seed's 32-bit words, little end first, are padded with
     zeros to the pool size, as they are under a spawn key."""
+    if seed < 0:
+        raise ValueError(f"a substream seed must be >= 0, not {seed}")
     words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words)) + [purpose]
+    words += [0] * (4 - len(words)) + lead
     hc = _INIT_A
 
     def hashmix(value: int) -> int:
@@ -123,19 +125,21 @@ def _counter_mixer(seed: int, purpose: int) -> tuple:
     return pool, pairs
 
 
-def spawn_keys(seeds: Sequence[int], purpose: int,
+def spawn_keys(seeds: Sequence[int], lead: Sequence[int],
                counters: Sequence[int]) -> np.ndarray:
-    """Philox keys of the streams substream(seed, purpose, c), shape
+    """Philox keys of the streams substream(seed, *lead, c), shape
     (len(seeds), len(counters), 2) uint64: entry [i, j] is the key that
-    SeedSequence(entropy=seeds[i], spawn_key=(purpose, counters[j]))
-    gives Philox.  Each seed's words and the purpose are mixed once, in
-    plain ints; the counters are mixed, and the pools hashed into keys, in
-    one pass of uint32 arithmetic over the block.  A counter must fit in
-    one word (0 <= c < 2^32)."""
-    if len(counters) and not (0 <= min(counters) and max(counters) <= _MASK32):
-        raise ValueError("a substream counter must lie in [0, 2^32)")
+    SeedSequence(entropy=seeds[i], spawn_key=(*lead, counters[j]))
+    gives Philox.  Each seed's words and the leading key words are mixed
+    once, in plain ints; the counters are mixed, and the pools hashed into
+    keys, in one pass of uint32 arithmetic over the block.  ValueError: a
+    negative seed or key word, which SeedSequence refuses, or a key word
+    of 2^32 or more, which it would split into two entropy words."""
+    lead = [int(k) for k in lead]
+    if not all(0 <= k <= _MASK32 for k in [*lead, *counters]):
+        raise ValueError("a substream counter or key word must lie in [0, 2^32)")
     c = np.asarray(counters, dtype=np.uint32)[None, :]
-    mixers = [_counter_mixer(int(s), purpose) for s in seeds]
+    mixers = [_counter_mixer(int(s), lead) for s in seeds]
     pools = np.array([m[0] for m in mixers], dtype=np.uint32).reshape(-1, 4)
     pairs = np.array([m[1] for m in mixers], dtype=np.uint32).reshape(-1, 4, 2)
     words = []
@@ -184,7 +188,7 @@ class SubstepStreams:
         if not 0 <= j < self._count:
             # the block stops at 2^32, where spawn_keys refuses a counter
             stop = max(index + 1, min(index + _KEY_BLOCK, _MASK32 + 1))
-            self._keys = spawn_keys(self.seeds, PURPOSE_SUBSTEP,
+            self._keys = spawn_keys(self.seeds, (PURPOSE_SUBSTEP,),
                                     range(index, stop)).tolist()
             self._first, self._count, j = index, stop - index, 0
         # one state dict serves every path: the setter copies its values

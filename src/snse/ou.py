@@ -11,11 +11,13 @@ function evolves independently:
 kappa = nu lambda_l^S + alpha + i c_lm, with nu, alpha and the spectrum
 lambda_l^S all read from the operator context (OperatorContext.alpha is
 the shift's one home).  Stepping applies the deterministic factor exactly
-and discretizes the stochastic integral with left-endpoint substeps, which
-is adapted and biases the conditional variance low (never high), so
-moment-bound comparisons stay conservative.  ou_step advances a stack of
-paths, one per row; each substep draws the whole stack's increments as one
-stacked block, every path from its own counter-keyed stream.
+and discretizes the stochastic integral with adapted left-endpoint
+substeps of length delta, each increment weighted by e^{-kappa delta}: a
+mode keeps the share beta k delta / (e^{beta k delta} - 1) <= 1 of the
+exact integral's beta-th power scale, k = Re kappa (the variance share at
+beta = 2).  ou_step advances a stack of paths, one per row; each substep
+draws the whole stack's increments as one stacked block, every path from
+its own counter-keyed stream.
 
 Moment utilities compare E|z_t|^p with c_p times the closed-form sum over
 the real rates kappa_l = nu lambda_l^S + alpha

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import snse.cli as cli
 from snse.cli import (ConfigError, DIAGNOSTICS_HEADER, build_field,
-                      main, parse_config, path_seed, read_snapshot,
+                      main, parse_config, path_seeds, read_snapshot,
                       run_experiment, write_snapshot)
 from snse.diagnostics import CHECKS
 from snse.harmonics import n_modes, norm_h
@@ -339,10 +339,12 @@ def test_an_artifact_write_that_raises_leaves_no_file(tmp_path):
 
 
 def test_path_seed_derivation_is_stable_and_distinct():
-    seeds = [path_seed(7, i) for i in range(6)]
+    seeds = path_seeds(7, 6)
     assert len(set(seeds)) == 6
-    assert seeds == [path_seed(7, i) for i in range(6)]
-    assert path_seed(8, 0) != path_seed(7, 0)
+    assert seeds == path_seeds(7, 6)
+    assert path_seeds(8, 1) != path_seeds(7, 1)
+    # a path's seed does not depend on the size of its ensemble
+    assert path_seeds(7, 3) == seeds[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -1148,7 +1150,7 @@ def crashed_path_keeps_the_other_paths_artifacts(tmp_path, monkeypatch,
     path = write_cfg(tmp_path, text)
     clean = tmp_path / "clean"
     assert main(["simulate", "--config", path, "--output", str(clean)]) == 0
-    chunks = crashing_chunks(monkeypatch, path_seed(6, 1))
+    chunks = crashing_chunks(monkeypatch, path_seeds(6, 2)[1])
     out = tmp_path / "out"
     assert main(["simulate", "--config", path, "--output", str(out)]) == 1
     report = (out / "report.txt").read_text().splitlines()
@@ -1173,7 +1175,7 @@ def test_a_crashed_path_keeps_the_other_paths_artifacts(tmp_path,
     # crashes
     chunks = crashed_path_keeps_the_other_paths_artifacts(
         tmp_path, monkeypatch, CRASH_CFG)
-    seeds = [path_seed(6, i) for i in range(3)]
+    seeds = path_seeds(6, 3)
     assert chunks == [seeds] + [[seed] for seed in seeds]
 
 
@@ -1191,7 +1193,7 @@ def test_verify_energy_keeps_the_rows_of_the_paths_that_did_not_crash(
     clean = tmp_path / "clean"
     assert main(["verify-energy", "--config", path,
                  "--output", str(clean)]) == 0
-    crashing_chunks(monkeypatch, path_seed(6, 1))
+    crashing_chunks(monkeypatch, path_seeds(6, 2)[1])
     out = tmp_path / "out"
     assert main(["verify-energy", "--config", path,
                  "--output", str(out)]) == 1

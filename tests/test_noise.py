@@ -10,7 +10,9 @@ import pytest
 from scipy import stats
 
 from snse import noise as nz
-from snse.cli import path_seed
+import snse.solver as sol
+from snse.cli import path_seeds
+from snse.operators import OperatorContext
 
 from oracles import gaussian_mode_increments
 
@@ -185,13 +187,13 @@ def test_counter_streams_reproducible_and_order_free():
 # seeds of one to seven 32-bit words, across the pool size of four, and
 # the path seeds of a 16-path ensemble at seed 1
 KEY_SEEDS = ([0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**128 - 1, 2**128 + 5,
-              2**200] + [path_seed(1, i) for i in range(16)])
+              2**200] + path_seeds(1, 16))
 KEY_COUNTERS = [0, 1, 255, 256, 2**31, 2**32 - 1]
 
 
 @pytest.mark.parametrize("purpose", [nz.PURPOSE_SUBSTEP, nz.PURPOSE_MC, 0])
 def test_spawn_keys_are_seed_sequences_philox_keys(purpose):
-    keys = nz.spawn_keys(KEY_SEEDS, purpose, KEY_COUNTERS)
+    keys = nz.spawn_keys(KEY_SEEDS, (purpose,), KEY_COUNTERS)
     assert keys.dtype == np.uint64
     assert keys.shape == (len(KEY_SEEDS), len(KEY_COUNTERS), 2)
     for i, seed in enumerate(KEY_SEEDS):
@@ -201,7 +203,47 @@ def test_spawn_keys_are_seed_sequences_philox_keys(purpose):
     # a counter of two words has another entropy length: refused
     for bad in ([2**32], [5, 2**32 + 1], [-1]):
         with pytest.raises(ValueError, match="counter"):
-            nz.spawn_keys([3], purpose, bad)
+            nz.spawn_keys([3], (purpose,), bad)
+
+
+def test_a_negative_seed_is_refused():
+    # SeedSequence refuses it, so no stream has a key for it: spawn_keys
+    # refuses it too, and with it every stream and every path run on it
+    with pytest.raises(ValueError, match="seed"):
+        nz.spawn_keys([-1], (1,), [0])
+    with pytest.raises(ValueError, match="seed"):
+        nz.substream(-1, 1, 0)
+    with pytest.raises(ValueError, match="seed"):
+        nz.SubstepStreams([2, -1]).at(0)
+    spec = nz.NoiseSpec(beta=1.5, sigma_rule="power:gamma=2.0", delta=0.5)
+    with pytest.raises(ValueError, match="seed"):
+        sol.run(sol.SolverConfig(dt=0.1, t_end=0.2), spec, [-1],
+                ctx=OperatorContext(4))
+
+
+def test_a_key_word_of_two_words_is_refused():
+    # SeedSequence splits a key word of 2^32 or more into two entropy
+    # words, which spawn_keys does not mix: refused, not keyed otherwise
+    for lead in [(2**32 + 3,), (1, 2**32), (-1,)]:
+        with pytest.raises(ValueError, match="key word"):
+            nz.spawn_keys([1], lead, [0])
+    with pytest.raises(ValueError, match="key word"):
+        nz.substream(1, 2**32 + 3, 0)
+
+
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**130])
+def test_substream_and_path_seeds_give_seed_sequences_bits(seed):
+    # SeedSequence is the oracle of the one key derivation, spawn_keys
+    for key in [(0,), (9, 15), (nz.PURPOSE_MC, 0, 3)]:
+        gen = nz.substream(seed, *key)
+        ref = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(seed, spawn_key=key)))
+        for draw in ("uniform", "standard_exponential", "standard_normal"):
+            assert (getattr(gen, draw)(size=4).tobytes()
+                    == getattr(ref, draw)(size=4).tobytes()), (key, draw)
+    want = [np.random.SeedSequence(seed, spawn_key=(nz.PURPOSE_PATH, i))
+            .generate_state(4, np.uint32).tobytes() for i in range(16)]
+    assert path_seeds(seed, 16) == [int.from_bytes(w, "little") for w in want]
 
 
 def test_a_rekeyed_stream_draws_what_a_fresh_substream_draws():
